@@ -3,7 +3,7 @@
 
 Usage, from the repository root:
 
-    python3 benchmark/run.py --workload cold_csv --seed 1 --seconds 12 --trace 0
+    python3 benchmark/run.py --workload cold_csv --seed 1 --seconds 40 --trace 0
 
 The first call configures and builds the engine library and the benchmark
 program (Release) into .bench_build/ at the repository root; later calls
@@ -20,7 +20,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD_DIR = os.path.join(ROOT, ".bench_build", "charles_repo_bench")
 BINARY = os.path.join(BUILD_DIR, "charles_repo_bench")
-WORKLOADS = ("cold_csv", "explore_tradeoff", "serve_mixed")
+WORKLOADS = ("cold_csv", "explore_tradeoff")
 # One run must finish within this many seconds; the program is stopped
 # (and the run fails) past it.
 RUN_TIMEOUT_S = 175
