@@ -16,25 +16,16 @@
 /// and rolled up (the child-partition → parent-fit path, exercised without
 /// rescanning rows).
 ///
-/// A fourth pair of columns (ISSUE 7) times the intra-block kernels: the
-/// canonical block fold run with the scalar reference kernel versus the
-/// vectorized one. The two must produce bit-identical moments — the kernel
-/// contract — so the comparison is pure throughput, and the JSON records
+/// A fourth pair of columns times the intra-block kernels: the canonical
+/// block fold run with the scalar reference kernel versus the vectorized
+/// one. The two must produce bit-identical moments — the kernel contract —
+/// so the comparison is pure throughput, and the JSON records
 /// `kernel_bit_identical` alongside the speedup.
-///
-/// A second grid (ISSUE 8) measures the batched block-major fold: L
-/// overlapping leaves folded against per-block staged columns
-/// (linalg/batch_fold.h) versus L independent per-leaf sweeps, over
-/// leaves-per-batch × block size × kernel at the 100k × 8 reference shape.
-/// Both sides run the same L folds, so the per-fold and end-to-end speedups
-/// coincide; target is ≥ 2× over the per-leaf vectorized path at L ≥ 4.
 ///
 /// Results are recorded in BENCH_leaffit.json (working directory).
 /// `--smoke` runs one reduced cell and exits non-zero if the speedup drops
-/// below 1.5×, the kernels' moments diverge by a single bit, or the batched
-/// fold diverges from the per-leaf scalar reference on either kernel — the
-/// CI tripwire for the leaf-fit path, the kernel contract, and the batched
-/// fold contract.
+/// below 1.5× or the kernels' moments diverge by a single bit — the CI
+/// tripwire for the leaf-fit path and the kernel contract.
 
 #include <benchmark/benchmark.h>
 
@@ -47,8 +38,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "linalg/batch_fold.h"
-#include "linalg/kernels/block_stage.h"
 #include "linalg/kernels/kernel.h"
 #include "linalg/suffstats.h"
 #include "ml/linear_regression.h"
@@ -270,165 +259,7 @@ GridRow RunCell(int64_t rows, int64_t features, int transforms, uint64_t seed) {
   return row;
 }
 
-// --- Batched multi-leaf folds (ISSUE 8) -------------------------------------
-
-/// Column-major copy of a leaf's design plus L overlapping leaves: leaf 0 is
-/// all rows (contiguous), the rest are strided subsets — every leaf touches
-/// every block, the regime where staging is shared the most (and the one the
-/// phase-3 sweep's sibling partitions actually produce).
-struct BatchBenchData {
-  std::vector<std::vector<double>> column_storage;
-  std::vector<const std::vector<double>*> columns;
-  std::vector<double> y;
-  std::vector<std::vector<int64_t>> row_storage;
-  std::vector<kernels::BatchLeafRequest> requests;
-};
-
-BatchBenchData MakeBatchBench(const LeafData& leaf, int leaves) {
-  BatchBenchData b;
-  int64_t rows = leaf.x.rows();
-  int64_t features = leaf.x.cols();
-  b.column_storage.resize(static_cast<size_t>(features));
-  for (int64_t c = 0; c < features; ++c) {
-    std::vector<double>& col = b.column_storage[static_cast<size_t>(c)];
-    col.resize(static_cast<size_t>(rows));
-    for (int64_t r = 0; r < rows; ++r) col[static_cast<size_t>(r)] = leaf.x.At(r, c);
-  }
-  for (const std::vector<double>& col : b.column_storage) b.columns.push_back(&col);
-  b.y = leaf.y;
-  for (int l = 1; l < leaves; ++l) {
-    std::vector<int64_t> idx;
-    for (int64_t r = l % 5; r < rows; r += 1 + (l % 3)) idx.push_back(r);
-    b.row_storage.push_back(std::move(idx));
-  }
-  kernels::BatchLeafRequest all;
-  all.begin = 0;
-  all.count = rows;
-  b.requests.push_back(all);
-  for (const std::vector<int64_t>& idx : b.row_storage) {
-    kernels::BatchLeafRequest req;
-    req.rows = idx.data();
-    req.count = static_cast<int64_t>(idx.size());
-    b.requests.push_back(req);
-  }
-  return b;
-}
-
-/// Per-leaf reference: one full AccumulateRowBlocks / AccumulateRangeBlocks
-/// sweep per leaf — the column bytes cross the core once per leaf.
-double TimePerLeafFolds(const kernels::Kernel& kernel, const BatchBenchData& b,
-                        int64_t block_rows, int reps,
-                        std::vector<SufficientStats>* out) {
-  int64_t rows = static_cast<int64_t>(b.y.size());
-  double best = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto start = std::chrono::steady_clock::now();
-    std::vector<SufficientStats> stats;
-    stats.reserve(b.requests.size());
-    stats.push_back(AccumulateRangeBlocks(kernel, b.columns, b.y, rows, block_rows));
-    for (const std::vector<int64_t>& idx : b.row_storage) {
-      stats.push_back(AccumulateRowBlocks(kernel, b.columns, b.y, idx, block_rows));
-    }
-    double elapsed = Seconds(start);
-    benchmark::DoNotOptimize(stats);
-    if (rep == 0 || elapsed < best) best = elapsed;
-    *out = std::move(stats);
-  }
-  return best;
-}
-
-/// Batched path: block-major sweep, one staging per block shared by every
-/// leaf slice intersecting it (linalg/batch_fold.h).
-double TimeBatchedFolds(const kernels::Kernel& kernel, const BatchBenchData& b,
-                        int64_t block_rows, int reps,
-                        std::vector<SufficientStats>* out) {
-  int64_t rows = static_cast<int64_t>(b.y.size());
-  int64_t p = static_cast<int64_t>(b.columns.size());
-  double best = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto start = std::chrono::steady_clock::now();
-    kernels::BlockStager stager;
-    kernels::BatchFoldCounters counters;
-    std::vector<SufficientStats> merged(b.requests.size(), SufficientStats(p));
-    kernels::BatchFoldLeafMoments(
-        kernel, b.columns, b.y, b.requests, 0, rows, block_rows, &stager,
-        &counters, [&](int64_t ordinal, int64_t, SufficientStats&& stats) {
-          CHARLES_CHECK_OK(merged[static_cast<size_t>(ordinal)].Merge(stats));
-        });
-    double elapsed = Seconds(start);
-    benchmark::DoNotOptimize(merged);
-    if (rep == 0 || elapsed < best) best = elapsed;
-    *out = std::move(merged);
-  }
-  return best;
-}
-
-struct BatchGridRow {
-  int64_t rows = 0;
-  int leaves = 0;
-  int64_t block_rows = 0;
-  std::string kernel;
-  double per_leaf_s = 0.0;  ///< L per-leaf sweeps, same kernel
-  double batched_s = 0.0;   ///< one block-major batched sweep
-  double speedup = 0.0;     ///< per-fold == end-to-end (both run L folds)
-  bool bit_identical = false;  ///< batched vs per-leaf *scalar* reference
-};
-
-BatchGridRow RunBatchCell(const LeafData& leaf, const kernels::Kernel& kernel,
-                          int leaves, int64_t block_rows) {
-  BatchBenchData b = MakeBatchBench(leaf, leaves);
-  const int reps = leaf.x.rows() >= 100000 ? 3 : 5;
-  BatchGridRow row;
-  row.rows = leaf.x.rows();
-  row.leaves = leaves;
-  row.block_rows = block_rows;
-  row.kernel = kernel.name;
-  std::vector<SufficientStats> per_leaf, batched, scalar_ref;
-  row.per_leaf_s = TimePerLeafFolds(kernel, b, block_rows, reps, &per_leaf);
-  row.batched_s = TimeBatchedFolds(kernel, b, block_rows, reps, &batched);
-  row.speedup = row.batched_s > 0 ? row.per_leaf_s / row.batched_s : 0.0;
-  TimePerLeafFolds(kernels::ScalarKernel(), b, block_rows, 1, &scalar_ref);
-  row.bit_identical = batched.size() == scalar_ref.size();
-  for (size_t l = 0; row.bit_identical && l < batched.size(); ++l) {
-    row.bit_identical = batched[l].BitIdenticalTo(scalar_ref[l]);
-  }
-  return row;
-}
-
-/// Leaves-per-batch × block size × kernel at the 100k × 8 reference shape.
-std::vector<BatchGridRow> RunBatchGrid() {
-  LeafData leaf = MakeLeaf(100000, 8, 47);
-  std::vector<BatchGridRow> grid;
-  for (int leaves : {1, 4, 16}) {
-    for (int64_t block_rows : {int64_t{1024}, int64_t{4096}}) {
-      for (const kernels::Kernel* kernel :
-           {&kernels::ScalarKernel(), &kernels::SimdKernel()}) {
-        grid.push_back(RunBatchCell(leaf, *kernel, leaves, block_rows));
-      }
-    }
-  }
-  return grid;
-}
-
-void PrintBatchGrid(const std::vector<BatchGridRow>& grid) {
-  std::printf("\nbatched multi-leaf folds (100k x 8 reference shape):\n");
-  std::vector<int> widths = {8, 7, 7, 8, 11, 10, 9, 5};
-  PrintRule(widths);
-  PrintTableRow(widths, {"rows", "leaves", "block", "kernel", "per-leaf s",
-                         "batched s", "speedup", "bits"});
-  PrintRule(widths);
-  for (const BatchGridRow& r : grid) {
-    PrintTableRow(widths,
-                  {std::to_string(r.rows), std::to_string(r.leaves),
-                   std::to_string(r.block_rows), r.kernel, Fmt(r.per_leaf_s, 4),
-                   Fmt(r.batched_s, 4), Fmt(r.speedup, 2) + "x",
-                   r.bit_identical ? "ok" : "DIFF"});
-  }
-  PrintRule(widths);
-}
-
-void WriteJson(const std::string& path, const std::vector<GridRow>& grid,
-               const std::vector<BatchGridRow>& batch_grid) {
+void WriteJson(const std::string& path, const std::vector<GridRow>& grid) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -448,33 +279,6 @@ void WriteJson(const std::string& path, const std::vector<GridRow>& grid,
                  r.kernel_scalar_s, r.kernel_simd_s, r.kernel_speedup,
                  r.kernel_bit_identical ? "true" : "false",
                  i + 1 < grid.size() ? "," : "");
-  }
-  std::fprintf(
-      f,
-      "  ],\n"
-      "  \"batch_notes\": \"target: >= 2x per-fold over the per-leaf "
-      "vectorized path at 100k x 8, L >= 4. The win scales with the gap "
-      "between last-level-cache/DRAM re-read cost (per-leaf path: the "
-      "columns cross the core once per leaf) and near-core staged re-reads "
-      "(batched path: one staging memcpy per block, then L folds from "
-      "L1/L2). On hosts whose LLC holds the whole working set (e.g. a "
-      "266 MiB L3 vs the ~7 MiB 100k x 9-column set), per-leaf re-reads "
-      "already hit cache and the measured speedup collapses toward the "
-      "staging overhead break-even; on cache-constrained hardware the "
-      "re-reads stream from DRAM and batching recovers the full gap. "
-      "Bit-identity holds everywhere regardless.\",\n"
-      "  \"batch_grid\": [\n");
-  for (size_t i = 0; i < batch_grid.size(); ++i) {
-    const BatchGridRow& r = batch_grid[i];
-    std::fprintf(f,
-                 "    {\"rows\": %lld, \"leaves\": %d, \"block_rows\": %lld, "
-                 "\"kernel\": \"%s\", \"per_leaf_s\": %.5f, \"batched_s\": %.5f, "
-                 "\"per_fold_speedup\": %.2f, \"bit_identical\": %s}%s\n",
-                 static_cast<long long>(r.rows), r.leaves,
-                 static_cast<long long>(r.block_rows), r.kernel.c_str(),
-                 r.per_leaf_s, r.batched_s, r.speedup,
-                 r.bit_identical ? "true" : "false",
-                 i + 1 < batch_grid.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -574,27 +378,6 @@ int main(int argc, char** argv) {
                    charles::kernels::SimdKernel().name);
       return 1;
     }
-    // Batched cross-path tripwire (ISSUE 8): the batched block-major fold —
-    // on either kernel — must reproduce the per-leaf scalar reference bit
-    // for bit on a multi-leaf batch. Exact gate, no tolerance; throughput is
-    // informational for the same flake reason as above.
-    {
-      charles::bench::LeafData leaf = charles::bench::MakeLeaf(20000, 8, 48);
-      for (const charles::kernels::Kernel* kernel :
-           {&charles::kernels::ScalarKernel(), &charles::kernels::SimdKernel()}) {
-        charles::bench::BatchGridRow cell =
-            charles::bench::RunBatchCell(leaf, *kernel, 4, 4096);
-        if (!cell.bit_identical) {
-          std::fprintf(stderr,
-                       "FAIL: batched fold on the %s kernel diverged from the "
-                       "per-leaf scalar reference\n",
-                       kernel->name);
-          return 1;
-        }
-        std::printf("batched smoke: %s kernel %.2fx vs per-leaf, bits ok\n",
-                    kernel->name, cell.speedup);
-      }
-    }
     std::printf("smoke OK: %.1fx, max delta %.3g, kernels bit-identical "
                 "(%s %.2fx vs scalar)\n",
                 r.speedup, r.max_delta, charles::kernels::SimdKernel().name,
@@ -602,10 +385,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<charles::bench::BatchGridRow> batch_grid =
-      charles::bench::RunBatchGrid();
-  charles::bench::PrintBatchGrid(batch_grid);
-  charles::bench::WriteJson("BENCH_leaffit.json", grid, batch_grid);
+  charles::bench::WriteJson("BENCH_leaffit.json", grid);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

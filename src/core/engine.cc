@@ -287,10 +287,9 @@ Result<CharlesEngine::LeafFit> CharlesEngine::FitLeaf(
       std::max(normality.exactness_tolerance, options_.numeric_tolerance);
   SnapErrorSpec error_spec;
   const SnapErrorSpec* error_spec_ptr = nullptr;
-  // The evidence's L1 projection is bit-identical to what a dedicated
-  // kErrorPartials probe would have produced (the score fold's Σ chain
-  // replays the error fold's addends exactly), so one score round serves
-  // both the snap baseline and the score.
+  // The evidence's L1 projection is bit-identical to the central canonical
+  // error fold (the score fold's Σ chain replays its addends exactly), so
+  // one score round serves both the snap baseline and the score.
   ErrorPartials evidence_error;
   if (canonical_error) {
     if (score_evidence != nullptr) {

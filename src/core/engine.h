@@ -65,32 +65,9 @@ struct SummaryList {
   int64_t candidates_deduped = 0;   ///< dropped as structural duplicates
   int threads_used = 1;             ///< worker threads the run executed on
   /// Intra-block compute kernel the run resolved and installed ("scalar",
-  /// "simd", "simd-avx2"; see CharlesOptions::kernel_backend), with a
-  /// "+batch" suffix when any sweep took the batched staged-block path
-  /// (batched_blocks_staged > 0). Reporting only — every kernel and every
-  /// batch_fold mode produces bit-identical output.
+  /// "simd", "simd-avx2"; see CharlesOptions::kernel_backend). Reporting
+  /// only — every kernel produces bit-identical output.
   std::string kernel_used;
-  /// \name Batched-fold diagnostics (CharlesOptions::batch_fold; all zero
-  /// when every sweep ran the per-leaf path). The histogram summary of
-  /// leaves-per-staged-block is (count, mean, max) =
-  /// (batched_blocks_staged, batch_leaves_per_block_mean(),
-  /// batch_leaves_per_block_max).
-  /// @{
-  /// Canonical blocks materialized by the staging pool across all sweeps.
-  int64_t batched_blocks_staged = 0;
-  /// Accumulators (leaf moments, probes, signal partials) folded against
-  /// staged blocks — Σ over staged blocks of that block's batch width.
-  int64_t batched_fold_accumulators = 0;
-  /// Widest single-block batch any sweep folded.
-  int64_t batch_leaves_per_block_max = 0;
-  /// Mean accumulators folded per staged block (0 when nothing staged).
-  double batch_leaves_per_block_mean() const {
-    return batched_blocks_staged > 0
-               ? static_cast<double>(batched_fold_accumulators) /
-                     static_cast<double>(batched_blocks_staged)
-               : 0.0;
-  }
-  /// @}
   int64_t leaf_fits_computed = 0;   ///< OLS leaf fits actually performed
   int64_t leaf_fits_reused = 0;     ///< leaf fits served from a cache
   /// Fits dropped from the shared leaf-fit cache by its LRU bound, as of the
@@ -114,8 +91,6 @@ struct SummaryList {
   /// fit for them — the warm-rescan fix: a repeat run on a warm context
   /// issues zero moment tasks (see docs/distributed.md#warm-cache-elision).
   int64_t shard_moment_leaves_elided = 0;
-  /// kErrorPartials probes whose exact Σ|y − ŷ| was merged from shards.
-  int64_t shard_error_probes = 0;
   /// kScorePartials probes whose (Σ|y − ŷ|, exact count) was merged from
   /// shards — the row-free scoring currency (docs/distributed.md).
   int64_t shard_score_probes = 0;
@@ -123,7 +98,6 @@ struct SummaryList {
   /// @{
   double shard_signal_seconds = 0.0;  ///< kSignalStats round
   double shard_moments_seconds = 0.0; ///< kLeafMoments round
-  double shard_error_seconds = 0.0;   ///< kErrorPartials round
   double shard_score_seconds = 0.0;   ///< kScorePartials round
   /// @}
   /// \name Row-free scoring (PR 10). A run on the partials path scores every
@@ -397,7 +371,7 @@ class CharlesEngine {
   /// fast-path model. `valid[t]` marks subsets whose probe was solved and
   /// evaluated; both vectors are indexed by t_index. The L1 component
   /// (ScorePartials::error()) doubles as the SnapModel accuracy baseline, so
-  /// one score round replaces the former kErrorPartials round entirely.
+  /// no separate error round is needed.
   struct LeafScoreEvidence {
     std::vector<uint8_t> valid;
     std::vector<ScorePartials> partials;

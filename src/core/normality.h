@@ -55,9 +55,10 @@ double ConditionNormality(const Expr& condition);
 /// from row-range shards supplies `baseline` and gets the bit-identical
 /// guard a central scan would have computed.
 struct SnapErrorSpec {
-  /// Pre-merged exact L1 partials of `model` on (x, y) — e.g. a distributed
-  /// kErrorPartials rollup. When null, SnapModel folds the baseline itself
-  /// from `rows`/`block_rows` (bit-identical to the merged form).
+  /// Pre-merged exact L1 partials of `model` on (x, y) — e.g. the L1
+  /// projection of a distributed kScorePartials rollup. When null,
+  /// SnapModel folds the baseline itself from `rows`/`block_rows`
+  /// (bit-identical to the merged form).
   const ErrorPartials* baseline = nullptr;
   /// Ascending global row indices of the partition (size = y.size()) and the
   /// run's canonical block size; both required.

@@ -53,11 +53,6 @@ Status CharlesOptions::Validate() const {
         kernels::ParseKernelBackend(kernel_backend);
     if (!parsed.ok()) return parsed.status();
   }
-  {
-    Result<kernels::BatchFoldMode> parsed =
-        kernels::ParseBatchFoldMode(batch_fold);
-    if (!parsed.ok()) return parsed.status();
-  }
   if (shard_backend == ShardBackendKind::kRemote) {
     if (remote_workers.empty()) {
       return Status::InvalidArgument(

@@ -157,18 +157,6 @@ struct CharlesOptions {
   /// accumulators, never within one accumulation chain — so this switches
   /// speed, not output; SummaryList::kernel_used reports what actually ran.
   std::string kernel_backend = "auto";
-  /// Batched multi-leaf fold path (linalg/batch_fold.h): "auto" (default —
-  /// sweeps that fold two or more leaves/probes over the same rows stage
-  /// each canonical block once and fold all accumulators against the staged
-  /// buffers), "on" (batch every fold that has a batched form, including
-  /// single-accumulator sweeps), or "off" (the per-leaf PR 7 path
-  /// everywhere). Like kernel_backend, every mode is **bit-identical** —
-  /// staging copies column slices bit-for-bit and replays the same per-block
-  /// fold order — so this switches memory traffic, not output.
-  /// SummaryList::kernel_used gains a "+batch" suffix when any blocks were
-  /// staged; batched_blocks_staged / batched_fold_accumulators /
-  /// batch_leaves_per_block_max report how much batching happened.
-  std::string batch_fold = "auto";
 
   /// \name Remote backend (shard_backend = kRemote only).
   /// Worker addresses ("host:port" each) of the charles_worker fleet.

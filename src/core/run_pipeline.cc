@@ -14,8 +14,6 @@
 #include "distributed/remote_backend.h"
 #include "distributed/shard_planner.h"
 #include "distributed/subprocess_backend.h"
-#include "linalg/batch_fold.h"
-#include "linalg/error_partials.h"
 #include "linalg/kernels/kernel.h"
 #include "ml/linear_regression.h"
 #include "obs/metrics.h"
@@ -160,28 +158,6 @@ void FoldRemoteDiagnostics(RunState& state) {
   state.result.remote_workers = std::move(diagnostics.workers);
 }
 
-/// Folds one coordinator round's batched-fold counters into the run result.
-/// Split out from FoldRoundDiagnostics because the central (unsharded)
-/// batched pre-sweep reports staging activity without being a shard round —
-/// its shards_used / shard_* diagnostics must stay zero.
-void FoldBatchDiagnostics(const CoordinatorTaskResult& merged,
-                          SummaryList* result) {
-  result->batched_blocks_staged += merged.batch_blocks_staged;
-  result->batched_fold_accumulators += merged.batch_accumulators_folded;
-  result->batch_leaves_per_block_max =
-      std::max(result->batch_leaves_per_block_max,
-               merged.batch_max_accumulators_per_block);
-}
-
-/// The engine-side (non-coordinator) flavour of the same fold.
-void FoldBatchCounters(const kernels::BatchFoldCounters& counters,
-                       SummaryList* result) {
-  result->batched_blocks_staged += counters.blocks_staged;
-  result->batched_fold_accumulators += counters.accumulators_folded;
-  result->batch_leaves_per_block_max = std::max(
-      result->batch_leaves_per_block_max, counters.max_accumulators_per_block);
-}
-
 /// Folds one coordinator round's execution counters into the run result.
 void FoldRoundDiagnostics(const CoordinatorTaskResult& merged,
                           const ShardPlan& plan, SummaryList* result) {
@@ -191,7 +167,6 @@ void FoldRoundDiagnostics(const CoordinatorTaskResult& merged,
   result->shard_rows_scanned += merged.rows_scanned;
   result->shard_blocks_merged += merged.blocks_merged;
   result->shard_seconds += merged.elapsed_seconds;
-  FoldBatchDiagnostics(merged, result);
 }
 
 }  // namespace
@@ -217,6 +192,17 @@ Status RunState::Cancelled(const std::string& where) {
 // --- Stage: DiffAlign -------------------------------------------------------
 
 Status RunPipeline::DiffAlign(RunState& state) {
+  // An empty snapshot has nothing to explain. Say so here: left to the diff,
+  // it fails later with a type error about a column's numeric view.
+  const bool source_empty = state.source.num_rows() == 0;
+  const bool target_empty = state.target.num_rows() == 0;
+  if (source_empty || target_empty) {
+    const char* which = !target_empty   ? "source snapshot is"
+                        : !source_empty ? "target snapshot is"
+                                        : "source and target snapshots are";
+    return Status::InvalidArgument(std::string(which) +
+                                   " empty: there are no rows to explain");
+  }
   DiffOptions diff_options;
   diff_options.key_columns = state.options.key_columns;
   diff_options.numeric_tolerance = state.options.numeric_tolerance;
@@ -265,14 +251,6 @@ Status RunPipeline::Setup(RunState& state) {
   CHARLES_ASSIGN_OR_RETURN(kernels::KernelBackend kernel_backend,
                            kernels::ParseKernelBackend(options.kernel_backend));
   state.result.kernel_used = kernels::SetActiveKernel(kernel_backend).name;
-  // The batch-fold mode rides the same process-wide seam and the same
-  // soundness argument: batched and per-leaf folds are bit-identical by
-  // contract, so a concurrent run observing this run's mode still produces
-  // its own exact bits (and, like the kernel, batch_fold is not part of the
-  // run fingerprint). Remote workers resolve their own mode.
-  CHARLES_ASSIGN_OR_RETURN(kernels::BatchFoldMode batch_mode,
-                           kernels::ParseBatchFoldMode(options.batch_fold));
-  kernels::SetActiveBatchFold(batch_mode);
 
   // Attribute shortlists: assistant by default, user overrides honoured.
   CHARLES_ASSIGN_OR_RETURN(state.result.setup,
@@ -390,22 +368,6 @@ Status RunPipeline::Phase1Signals(RunState& state) {
       state.result.shard_signal_seconds = merged->elapsed_seconds;
       FoldRoundDiagnostics(*merged, plan, &state.result);
       FoldRemoteDiagnostics(state);
-    } else if (kernels::ShouldBatchFold(kernels::ActiveBatchFold(), 1) &&
-               !state.y_new.empty()) {
-      // One accumulator shares its staging cost with nobody, so the central
-      // phase-1 fold batches only under an explicit "on" — which then proves
-      // the staged path bit-identical against AccumulateRangeBlocks on the
-      // largest fold of the run.
-      kernels::BatchFoldCounters counters;
-      std::vector<kernels::BatchLeafRequest> all_rows(1);
-      all_rows[0].count = static_cast<int64_t>(state.y_new.size());
-      std::vector<SufficientStats> folded = kernels::BatchAccumulateRowBlocks(
-          shortlist_columns, state.y_new, all_rows, 0,
-          static_cast<int64_t>(state.y_new.size()), options.stats_block_rows,
-          &counters);
-      state.shortlist_stats =
-          std::make_shared<const SufficientStats>(std::move(folded[0]));
-      FoldBatchCounters(counters, &state.result);
     } else {
       state.shortlist_stats = std::make_shared<const SufficientStats>(
           AccumulateRangeBlocks(shortlist_columns, state.y_new,
@@ -701,26 +663,25 @@ Status RunShardRounds(
   return Status::OK();
 }
 
-/// \brief The unsharded batched pre-sweep of phase 3 (batch_fold "auto"/"on").
+/// \brief The unsharded moments pre-sweep of phase 3.
 ///
 /// The lazy central path accumulates each leaf's moments on first FitLeaf
-/// demand — one full column walk *per leaf*. When several leaves await
-/// moments, walking the snapshot leaf-by-leaf re-reads every column once per
-/// leaf; this pre-sweep instead routes the not-yet-cached changed leaves
-/// through one kLeafMoments task on a stack InProcessBackend, whose batched
-/// sweep stages each canonical block once and folds all leaves against it.
-/// The merged rollups seed `run_stats_cache` under exactly the keys lazy
-/// accumulation would use and `nochange_evidence` carries the serial
-/// max |Δy| scans, so FitLeaf behaves as if it had done the work itself —
-/// bit-identically, per the batch-fold contract. Deliberately not a shard
-/// round: shards_used and the shard_* diagnostics stay zero (only the
-/// batched_* counters report the staging).
-Status RunCentralBatchSweep(
+/// demand, from whichever worker happens to need the leaf first. When two or
+/// more candidate leaves await moments, this pre-sweep instead routes the
+/// not-yet-cached changed leaves through one kLeafMoments task on a stack
+/// InProcessBackend, planned as one block-aligned range per pool thread, so
+/// the column walks run block-parallel before the sweep starts. The merged
+/// rollups seed `run_stats_cache` under exactly the keys lazy accumulation
+/// would use and `nochange_evidence` carries the serial max |Δy| scans, so
+/// FitLeaf behaves as if it had done the work itself — bit-identically, per
+/// the distributed contract (the coordinator's block-order merge replays the
+/// canonical fold). Deliberately not a shard round: shards_used and the
+/// shard_* diagnostics stay zero.
+Status RunCentralMomentsSweep(
     RunState& state, SharedLeafStatsCache& run_stats_cache,
     std::unordered_map<std::vector<int64_t>, double, RowIndicesHash>*
         nochange_evidence) {
   const CharlesOptions& options = state.options;
-  const kernels::BatchFoldMode batch_mode = kernels::ActiveBatchFold();
   const int64_t t_count = static_cast<int64_t>(state.t_attr_names.size());
 
   // Same leaf universe as the sharded rounds: deduplicated by row set in
@@ -734,16 +695,13 @@ Status RunCentralBatchSweep(
       candidates.push_back(&leaf.rows);
     }
   }
-  if (!kernels::ShouldBatchFold(batch_mode,
-                                static_cast<int64_t>(candidates.size()))) {
-    return Status::OK();
-  }
+  if (candidates.size() < 2) return Status::OK();
 
   // Serial max |Δy| per candidate leaf (max folds exactly, so this equals
   // the scan FitLeaf would run). Unchanged leaves snap to no-change and
   // their moments are never consulted; leaves whose moments are already
   // cached (the phase-1-seeded all-rows leaf) need no second scan. Only the
-  // rest join the batched task.
+  // rest join the task.
   ShardInput input;
   input.shortlist = &state.tran_names;
   input.columns = &state.tran_columns;
@@ -782,7 +740,7 @@ Status RunCentralBatchSweep(
       input, plan, &backend, state.pool, moments, state.stop);
   if (!merged.ok()) {
     if (merged.status().IsCancelled()) {
-      return state.Cancelled("during the batched leaf pre-sweep");
+      return state.Cancelled("during the leaf-moments pre-sweep");
     }
     return merged.status();
   }
@@ -793,7 +751,6 @@ Status RunCentralBatchSweep(
         LeafKey{state.fingerprint, 0, rows->indices()},
         std::make_shared<const SufficientStats>(std::move(rollup.stats)));
   }
-  FoldBatchDiagnostics(*merged, &state.result);
   return Status::OK();
 }
 
@@ -859,7 +816,7 @@ Status RunPipeline::Phase3Fits(RunState& state) {
                                          &nochange_evidence, &score_evidence));
   } else if (options.use_sufficient_stats) {
     CHARLES_RETURN_NOT_OK(
-        RunCentralBatchSweep(state, run_stats_cache, &nochange_evidence));
+        RunCentralMomentsSweep(state, run_stats_cache, &nochange_evidence));
   }
 
   // Streaming: completed work items merge a copy of their summary into a
@@ -1160,12 +1117,6 @@ Result<SummaryList> RunPipeline::Run(const CharlesEngine& engine,
     }
   }
 
-  // The "+batch" suffix reports that at least one fold ran through the
-  // staged batched path — a diagnostic, not an output-affecting choice
-  // (batched folds are bit-identical to per-leaf folds by contract).
-  if (state.result.batched_blocks_staged > 0) {
-    state.result.kernel_used += "+batch";
-  }
   state.result.elapsed_seconds = state.ElapsedSeconds();
   if (state.context != nullptr) state.context->NoteRunCompleted();
 

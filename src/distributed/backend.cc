@@ -7,18 +7,15 @@
 
 #include "common/wire.h"
 #include "distributed/shard_planner.h"
-#include "linalg/batch_fold.h"
-#include "linalg/kernels/block_stage.h"
 #include "linalg/kernels/kernel.h"
 
 namespace charles {
 
 namespace {
 
-/// Wire framing: magic + version first, so a foreign or torn stream fails
-/// loudly instead of deserializing garbage moments. "CSR1" is the legacy
-/// leaf-moments result; "CTK1"/"CST1" frame the tagged task protocol.
-constexpr char kMagic[4] = {'C', 'S', 'R', '1'};
+/// Wire framing: magic first, so a foreign or torn stream fails loudly
+/// instead of deserializing garbage moments. "CTK1" frames a task, "CST1" its
+/// result.
 constexpr char kTaskMagic[4] = {'C', 'T', 'K', '1'};
 constexpr char kTaskResultMagic[4] = {'C', 'S', 'T', '1'};
 
@@ -32,7 +29,6 @@ using wire::ReadVector;
 bool ValidTaskKind(int64_t kind) {
   return kind == static_cast<int64_t>(ShardTaskKind::kLeafMoments) ||
          kind == static_cast<int64_t>(ShardTaskKind::kSignalStats) ||
-         kind == static_cast<int64_t>(ShardTaskKind::kErrorPartials) ||
          kind == static_cast<int64_t>(ShardTaskKind::kScorePartials);
 }
 
@@ -82,8 +78,6 @@ std::string ShardTaskKindName(ShardTaskKind kind) {
       return "leaf-moments";
     case ShardTaskKind::kSignalStats:
       return "signal-stats";
-    case ShardTaskKind::kErrorPartials:
-      return "error-partials";
     case ShardTaskKind::kScorePartials:
       return "score-partials";
   }
@@ -162,21 +156,6 @@ void ShardTaskResult::SerializeTo(std::string* out) const {
   }
   AppendScalar(out, signal_max_abs_delta);
   AppendScalar(out, signal_rows_changed);
-  int64_t num_probes = static_cast<int64_t>(probes.size());
-  AppendScalar(out, num_probes);
-  for (const ProbeShardErrors& probe : probes) {
-    AppendScalar(out, probe.probe);
-    int64_t num_blocks = static_cast<int64_t>(probe.blocks.size());
-    AppendScalar(out, num_blocks);
-    for (const auto& [block, partials] : probe.blocks) {
-      AppendScalar(out, block);
-      partials.SerializeTo(out);
-    }
-  }
-  AppendScalar(out, batch_blocks_staged);
-  AppendScalar(out, batch_accumulators_folded);
-  AppendScalar(out, batch_max_accumulators_per_block);
-  // Trailing, unconditional (wire v4): the kScorePartials payload.
   int64_t num_score_probes = static_cast<int64_t>(score_probes.size());
   AppendScalar(out, num_score_probes);
   for (const ProbeShardScores& probe : score_probes) {
@@ -234,43 +213,10 @@ Result<ShardTaskResult> ShardTaskResult::Deserialize(const void* data,
                              SufficientStats::Deserialize(&at, end));
     result.signal_blocks.emplace_back(block, std::move(stats));
   }
-  int64_t num_probes = 0;
+  int64_t num_score_probes = 0;
   if (!ReadScalar(&at, end, &result.signal_max_abs_delta) ||
       !ReadScalar(&at, end, &result.signal_rows_changed) ||
-      !ReadScalar(&at, end, &num_probes) || num_probes < 0 ||
-      num_probes > (end - at) / (2 * static_cast<int64_t>(sizeof(int64_t)))) {
-    return Status::IOError("ShardTaskResult::Deserialize: truncated probe header");
-  }
-  result.probes.reserve(static_cast<size_t>(num_probes));
-  for (int64_t p = 0; p < num_probes; ++p) {
-    ProbeShardErrors probe;
-    int64_t num_blocks = 0;
-    if (!ReadScalar(&at, end, &probe.probe) ||
-        !ReadScalar(&at, end, &num_blocks) || num_blocks < 0 ||
-        num_blocks > (end - at) / (3 * static_cast<int64_t>(sizeof(int64_t)))) {
-      return Status::IOError("ShardTaskResult::Deserialize: truncated probe entry");
-    }
-    probe.blocks.reserve(static_cast<size_t>(num_blocks));
-    for (int64_t b = 0; b < num_blocks; ++b) {
-      int64_t block = 0;
-      if (!ReadScalar(&at, end, &block)) {
-        return Status::IOError("ShardTaskResult::Deserialize: truncated probe block");
-      }
-      CHARLES_ASSIGN_OR_RETURN(ErrorPartials partials,
-                               ErrorPartials::Deserialize(&at, end));
-      probe.blocks.emplace_back(block, partials);
-    }
-    result.probes.push_back(std::move(probe));
-  }
-  if (!ReadScalar(&at, end, &result.batch_blocks_staged) ||
-      !ReadScalar(&at, end, &result.batch_accumulators_folded) ||
-      !ReadScalar(&at, end, &result.batch_max_accumulators_per_block) ||
-      result.batch_blocks_staged < 0 || result.batch_accumulators_folded < 0 ||
-      result.batch_max_accumulators_per_block < 0) {
-    return Status::IOError("ShardTaskResult::Deserialize: truncated batch counters");
-  }
-  int64_t num_score_probes = 0;
-  if (!ReadScalar(&at, end, &num_score_probes) || num_score_probes < 0 ||
+      !ReadScalar(&at, end, &num_score_probes) || num_score_probes < 0 ||
       num_score_probes > (end - at) / (2 * static_cast<int64_t>(sizeof(int64_t)))) {
     return Status::IOError(
         "ShardTaskResult::Deserialize: truncated score probe header");
@@ -336,63 +282,6 @@ void RunLeafMoments(const ShardInput& input, const ShardRange& range,
   }
 }
 
-/// Folds one sweep's batch counters into the task result's diagnostics.
-void FoldBatchCounters(const kernels::BatchFoldCounters& counters,
-                       ShardTaskResult* result) {
-  result->batch_blocks_staged += counters.blocks_staged;
-  result->batch_accumulators_folded += counters.accumulators_folded;
-  if (counters.max_accumulators_per_block >
-      result->batch_max_accumulators_per_block) {
-    result->batch_max_accumulators_per_block =
-        counters.max_accumulators_per_block;
-  }
-}
-
-/// kLeafMoments, batched: the same upfront per-leaf intersection and snap
-/// evidence as RunLeafMoments, then one block-major staged sweep
-/// (linalg/batch_fold.h) in place of the per-leaf column walks. Each leaf's
-/// blocks arrive in ascending block order with bit-identical partials, so
-/// the payload is byte-for-byte the per-leaf path's.
-void RunLeafMomentsBatched(const ShardInput& input, const ShardRange& range,
-                           int64_t block_rows,
-                           const std::vector<const std::vector<double>*>& columns,
-                           const ShardTask& task, ShardTaskResult* result) {
-  std::vector<kernels::BatchLeafRequest> requests;
-  requests.reserve(task.leaves.size());
-  for (int64_t leaf_index : task.leaves) {
-    const RowSet& rows = *input.leaves[static_cast<size_t>(leaf_index)];
-    auto [lo, hi] = rows.PositionsInRange(range.row_begin, range.row_end);
-    if (lo == hi) continue;
-    LeafShardStats leaf;
-    leaf.leaf = leaf_index;
-    const int64_t* slice = rows.indices().data() + lo;
-    for (int64_t r = 0; r < hi - lo; ++r) {
-      size_t row = static_cast<size_t>(slice[r]);
-      double delta = std::abs((*input.y_new)[row] - (*input.y_old)[row]);
-      if (delta > leaf.max_abs_delta) leaf.max_abs_delta = delta;
-    }
-    kernels::BatchLeafRequest request;
-    request.rows = slice;
-    request.count = hi - lo;
-    requests.push_back(request);
-    result->rows_scanned += hi - lo;
-    result->leaves.push_back(std::move(leaf));
-  }
-  kernels::BatchFoldCounters counters;
-  kernels::BatchFoldLeafMoments(
-      kernels::ActiveKernel(), columns, *input.y_new, requests,
-      range.row_begin, range.row_end, block_rows,
-      &kernels::BlockStager::ThreadLocal(), &counters,
-      [&](int64_t ordinal, int64_t block, SufficientStats&& stats) {
-        result->leaves[static_cast<size_t>(ordinal)].blocks.emplace_back(
-            block, std::move(stats));
-      });
-  for (const LeafShardStats& leaf : result->leaves) {
-    result->blocks_emitted += static_cast<int64_t>(leaf.blocks.size());
-  }
-  FoldBatchCounters(counters, result);
-}
-
 /// kSignalStats: per-block shortlist moments over every row of the range —
 /// the same per-block partials AccumulateRangeBlocks produces centrally —
 /// plus the exactly-associative delta evidence.
@@ -429,98 +318,14 @@ void RunSignalStats(const ShardInput& input, const ShardRange& range,
   result->blocks_emitted += static_cast<int64_t>(result->signal_blocks.size());
 }
 
-/// kSignalStats, batched (batch_fold = "on" only — a single accumulator
-/// gains nothing under "auto"): one contiguous request over the range,
-/// staged block by block. Contiguous staging replays the identical
-/// arithmetic as the identity-index scratch fold above (the range and
-/// indexed folds are bit-identical by the kernel contract), so the payload
-/// is unchanged.
-void RunSignalStatsBatched(const ShardInput& input, const ShardRange& range,
-                           int64_t block_rows,
-                           const std::vector<const std::vector<double>*>& columns,
-                           ShardTaskResult* result) {
-  std::vector<kernels::BatchLeafRequest> requests(1);
-  requests[0].rows = nullptr;
-  requests[0].count = range.num_rows();
-  requests[0].begin = range.row_begin;
-  kernels::BatchFoldCounters counters;
-  kernels::BatchFoldLeafMoments(
-      kernels::ActiveKernel(), columns, *input.y_new, requests,
-      range.row_begin, range.row_end, block_rows,
-      &kernels::BlockStager::ThreadLocal(), &counters,
-      [&](int64_t /*ordinal*/, int64_t block, SufficientStats&& stats) {
-        result->signal_blocks.emplace_back(block, std::move(stats));
-      });
-  for (int64_t row = range.row_begin; row < range.row_end; ++row) {
-    size_t r = static_cast<size_t>(row);
-    double delta = std::abs((*input.y_new)[r] - (*input.y_old)[r]);
-    if (delta > result->signal_max_abs_delta) {
-      result->signal_max_abs_delta = delta;
-    }
-    if (delta > 0.0) ++result->signal_rows_changed;
-  }
-  result->rows_scanned += range.num_rows();
-  result->blocks_emitted += static_cast<int64_t>(result->signal_blocks.size());
-  FoldBatchCounters(counters, result);
-}
-
-/// kErrorPartials: per-(probe, block) exact L1 partials. Predictions run
+/// kScorePartials: per-(probe, block) exact score partials. Predictions run
 /// through the identical ŷ = intercept + Σ cᵢ·xᵢ left-to-right dot product
 /// as LinearModel::PredictRow, and |y − ŷ| is summed in row order per block
-/// from zero — so the coordinator's block-ordered merge is bit-identical to
-/// the central canonical fold (AccumulateAbsDiffBlocks) over the same leaf.
-Status RunErrorPartials(const ShardInput& input, const ShardRange& range,
-                        int64_t block_rows,
-                        const std::vector<const std::vector<double>*>& columns,
-                        const ShardTask& task, ShardTaskResult* result) {
-  for (size_t p = 0; p < task.probes.size(); ++p) {
-    const ErrorProbe& probe = task.probes[p];
-    if (probe.leaf < 0 ||
-        probe.leaf >= static_cast<int64_t>(input.leaves.size()) ||
-        probe.features.size() != probe.coefficients.size()) {
-      return Status::InvalidArgument("ExecuteShardTaskKernel: malformed probe " +
-                                     std::to_string(p));
-    }
-    std::vector<const std::vector<double>*> probe_columns;
-    probe_columns.reserve(probe.features.size());
-    for (int64_t f : probe.features) {
-      if (f < 0 || f >= static_cast<int64_t>(columns.size())) {
-        return Status::InvalidArgument(
-            "ExecuteShardTaskKernel: probe feature out of shortlist range");
-      }
-      probe_columns.push_back(columns[static_cast<size_t>(f)]);
-    }
-    const RowSet& rows = *input.leaves[static_cast<size_t>(probe.leaf)];
-    auto [lo, hi] = rows.PositionsInRange(range.row_begin, range.row_end);
-    if (lo == hi) continue;
-    ProbeShardErrors errors;
-    errors.probe = static_cast<int64_t>(p);
-    const int64_t* slice = rows.indices().data() + lo;
-    const kernels::Kernel& kernel = kernels::ActiveKernel();
-    ForEachRowBlock(
-        slice, hi - lo, block_rows,
-        [&](int64_t block, const int64_t* block_rows_ptr, int64_t count) {
-          ErrorPartials partials;
-          partials.abs_error_sum = kernel.probe_abs_error_sum(
-              probe.intercept, probe.coefficients.data(), probe_columns,
-              *input.y_new, block_rows_ptr, count);
-          partials.n = count;
-          errors.blocks.emplace_back(block, partials);
-        });
-    result->rows_scanned += hi - lo;
-    result->blocks_emitted += static_cast<int64_t>(errors.blocks.size());
-    result->probes.push_back(std::move(errors));
-  }
-  return Status::OK();
-}
-
-/// kScorePartials: per-(probe, block) exact score partials. The ŷ chain and
-/// the Σ|y − ŷ| chain are the identical arithmetic as RunErrorPartials (so
-/// the L1 component is bit-identical to an error probe of the same model),
-/// with the within-`score_tolerance` count tallied alongside — an integer
-/// tally over the same |errors|, exact under any order. No batched variant:
-/// a score probe is a single fused pass already; the batch counters stay
-/// zero by design.
+/// from zero — so the L1 component of the coordinator's block-ordered merge
+/// is bit-identical to the central canonical fold (AccumulateAbsDiffBlocks)
+/// over the same leaf. The within-`score_tolerance` count is tallied
+/// alongside — an integer tally over the same |errors|, exact under any
+/// order.
 Status RunScorePartials(const ShardInput& input, const ShardRange& range,
                         int64_t block_rows,
                         const std::vector<const std::vector<double>*>& columns,
@@ -573,67 +378,6 @@ Status RunScorePartials(const ShardInput& input, const ShardRange& range,
   return Status::OK();
 }
 
-/// kErrorPartials, batched: validates every probe upfront in probe order
-/// (identical first error to the per-probe path), then evaluates all
-/// intersecting probes in one block-major staged sweep. Probe features
-/// address the staged shortlist directly, so the per-probe column gathers
-/// disappear; per-(probe, block) partials are bit-identical and arrive in
-/// ascending block order.
-Status RunErrorPartialsBatched(
-    const ShardInput& input, const ShardRange& range, int64_t block_rows,
-    const std::vector<const std::vector<double>*>& columns,
-    const ShardTask& task, ShardTaskResult* result) {
-  for (size_t p = 0; p < task.probes.size(); ++p) {
-    const ErrorProbe& probe = task.probes[p];
-    if (probe.leaf < 0 ||
-        probe.leaf >= static_cast<int64_t>(input.leaves.size()) ||
-        probe.features.size() != probe.coefficients.size()) {
-      return Status::InvalidArgument("ExecuteShardTaskKernel: malformed probe " +
-                                     std::to_string(p));
-    }
-    for (int64_t f : probe.features) {
-      if (f < 0 || f >= static_cast<int64_t>(columns.size())) {
-        return Status::InvalidArgument(
-            "ExecuteShardTaskKernel: probe feature out of shortlist range");
-      }
-    }
-  }
-  std::vector<kernels::BatchProbeRequest> requests;
-  requests.reserve(task.probes.size());
-  for (size_t p = 0; p < task.probes.size(); ++p) {
-    const ErrorProbe& probe = task.probes[p];
-    const RowSet& rows = *input.leaves[static_cast<size_t>(probe.leaf)];
-    auto [lo, hi] = rows.PositionsInRange(range.row_begin, range.row_end);
-    if (lo == hi) continue;
-    kernels::BatchProbeRequest request;
-    request.intercept = probe.intercept;
-    request.coefficients = probe.coefficients.data();
-    request.feature_columns = probe.features.data();
-    request.num_features = static_cast<int64_t>(probe.features.size());
-    request.rows = rows.indices().data() + lo;
-    request.count = hi - lo;
-    requests.push_back(request);
-    ProbeShardErrors errors;
-    errors.probe = static_cast<int64_t>(p);
-    result->rows_scanned += hi - lo;
-    result->probes.push_back(std::move(errors));
-  }
-  kernels::BatchFoldCounters counters;
-  kernels::BatchFoldProbeErrors(
-      kernels::ActiveKernel(), columns, *input.y_new, requests,
-      range.row_begin, range.row_end, block_rows,
-      &kernels::BlockStager::ThreadLocal(), &counters,
-      [&](int64_t ordinal, int64_t block, ErrorPartials&& partials) {
-        result->probes[static_cast<size_t>(ordinal)].blocks.emplace_back(
-            block, partials);
-      });
-  for (const ProbeShardErrors& errors : result->probes) {
-    result->blocks_emitted += static_cast<int64_t>(errors.blocks.size());
-  }
-  FoldBatchCounters(counters, result);
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<ShardTaskResult> ExecuteShardTaskKernel(const ShardInput& input,
@@ -665,38 +409,12 @@ Result<ShardTaskResult> ExecuteShardTaskKernel(const ShardInput& input,
   ShardTaskResult result;
   result.kind = task.kind;
   result.shard = shard_index;
-  // Batched and per-leaf sweeps produce byte-identical payloads, so the
-  // per-task choice — like the kernel choice — is invisible to the merge:
-  // every backend (and every remote worker, which resolves its own mode)
-  // may decide independently.
-  const kernels::BatchFoldMode batch_mode = kernels::ActiveBatchFold();
   switch (task.kind) {
     case ShardTaskKind::kLeafMoments:
-      if (kernels::ShouldBatchFold(
-              batch_mode, static_cast<int64_t>(task.leaves.size()))) {
-        RunLeafMomentsBatched(input, range, plan.block_rows, columns, task,
-                              &result);
-      } else {
-        RunLeafMoments(input, range, plan.block_rows, columns, task, &result);
-      }
+      RunLeafMoments(input, range, plan.block_rows, columns, task, &result);
       break;
     case ShardTaskKind::kSignalStats:
-      // One accumulator: staging only pays under an explicit "on".
-      if (kernels::ShouldBatchFold(batch_mode, 1)) {
-        RunSignalStatsBatched(input, range, plan.block_rows, columns, &result);
-      } else {
-        RunSignalStats(input, range, plan.block_rows, columns, &result);
-      }
-      break;
-    case ShardTaskKind::kErrorPartials:
-      if (kernels::ShouldBatchFold(
-              batch_mode, static_cast<int64_t>(task.probes.size()))) {
-        CHARLES_RETURN_NOT_OK(RunErrorPartialsBatched(
-            input, range, plan.block_rows, columns, task, &result));
-      } else {
-        CHARLES_RETURN_NOT_OK(RunErrorPartials(input, range, plan.block_rows,
-                                               columns, task, &result));
-      }
+      RunSignalStats(input, range, plan.block_rows, columns, &result);
       break;
     case ShardTaskKind::kScorePartials:
       CHARLES_RETURN_NOT_OK(RunScorePartials(input, range, plan.block_rows,
@@ -706,96 +424,6 @@ Result<ShardTaskResult> ExecuteShardTaskKernel(const ShardInput& input,
   result.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return result;
-}
-
-// --- Legacy single-purpose seam ---------------------------------------------
-
-void ShardResult::SerializeTo(std::string* out) const {
-  AppendRaw(out, kMagic, sizeof(kMagic));
-  AppendScalar(out, shard);
-  AppendScalar(out, rows_scanned);
-  AppendScalar(out, blocks_emitted);
-  AppendScalar(out, elapsed_seconds);
-  int64_t num_leaves = static_cast<int64_t>(leaves.size());
-  AppendScalar(out, num_leaves);
-  for (const LeafShardStats& leaf : leaves) SerializeLeafShardStats(out, leaf);
-}
-
-Result<ShardResult> ShardResult::Deserialize(const void* data, size_t size) {
-  const unsigned char* at = static_cast<const unsigned char*>(data);
-  const unsigned char* end = at + size;
-  char magic[4];
-  if (!ReadRaw(&at, end, magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::IOError("ShardResult::Deserialize: bad magic");
-  }
-  ShardResult result;
-  int64_t num_leaves = 0;
-  bool ok = ReadScalar(&at, end, &result.shard) &&
-            ReadScalar(&at, end, &result.rows_scanned) &&
-            ReadScalar(&at, end, &result.blocks_emitted) &&
-            ReadScalar(&at, end, &result.elapsed_seconds) &&
-            ReadScalar(&at, end, &num_leaves);
-  // Length fields are bounded by the bytes present before any reserve():
-  // a corrupt count must fail with IOError, not a giant allocation.
-  if (!ok || num_leaves < 0 || result.rows_scanned < 0 ||
-      num_leaves > (end - at) / kMinLeafBytes) {
-    return Status::IOError("ShardResult::Deserialize: truncated header");
-  }
-  result.leaves.reserve(static_cast<size_t>(num_leaves));
-  for (int64_t l = 0; l < num_leaves; ++l) {
-    LeafShardStats leaf;
-    Status status = ReadLeafShardStats(&at, end, &leaf);
-    if (!status.ok()) {
-      return Status::IOError("ShardResult::Deserialize: truncated leaf entry");
-    }
-    result.leaves.push_back(std::move(leaf));
-  }
-  if (at != end) {
-    return Status::IOError("ShardResult::Deserialize: trailing bytes");
-  }
-  return result;
-}
-
-ShardTask AllLeavesTask(const ShardInput& input) {
-  ShardTask task;
-  task.kind = ShardTaskKind::kLeafMoments;
-  task.leaves.reserve(input.leaves.size());
-  for (size_t l = 0; l < input.leaves.size(); ++l) {
-    task.leaves.push_back(static_cast<int64_t>(l));
-  }
-  return task;
-}
-
-namespace {
-
-ShardResult ToLegacyResult(ShardTaskResult&& result) {
-  ShardResult legacy;
-  legacy.shard = result.shard;
-  legacy.leaves = std::move(result.leaves);
-  legacy.rows_scanned = result.rows_scanned;
-  legacy.blocks_emitted = result.blocks_emitted;
-  legacy.elapsed_seconds = result.elapsed_seconds;
-  return legacy;
-}
-
-}  // namespace
-
-Result<ShardResult> ExecuteShardKernel(const ShardInput& input, const ShardPlan& plan,
-                                       int64_t shard_index) {
-  CHARLES_ASSIGN_OR_RETURN(
-      ShardTaskResult result,
-      ExecuteShardTaskKernel(input, plan, shard_index, AllLeavesTask(input)));
-  return ToLegacyResult(std::move(result));
-}
-
-Result<ShardResult> ShardBackend::ExecuteShard(const ShardInput& input,
-                                               const ShardPlan& plan,
-                                               int64_t shard_index) {
-  CHARLES_ASSIGN_OR_RETURN(
-      ShardTaskResult result,
-      ExecuteTask(input, plan, shard_index, AllLeavesTask(input)));
-  return ToLegacyResult(std::move(result));
 }
 
 }  // namespace charles

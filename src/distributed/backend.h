@@ -5,20 +5,18 @@
 /// \brief The pluggable executor seam of distributed shard execution.
 ///
 /// A ShardBackend executes one tagged ShardTask over one ShardRange of a
-/// plan and returns a ShardTaskResult. Four task kinds cover the engine's
+/// plan and returns a ShardTaskResult. Three task kinds cover the engine's
 /// row-bound work (see ShardTaskKind): the per-leaf moments sweep behind
 /// every transformation fit, the phase-1 signal accumulation over the whole
-/// diff, exact L1-error partials for candidate transforms, and exact score
-/// partials (L1 + within-band counts) for row-free scoring. Every kind's
-/// payload is built from per-block partials, so the Coordinator's ordered
-/// fold reproduces a central scan bit-for-bit (docs/distributed.md).
+/// diff, and exact score partials (L1 + within-band counts) for row-free
+/// scoring of candidate transforms. Every kind's payload is built from
+/// per-block partials, so the Coordinator's ordered fold reproduces a
+/// central scan bit-for-bit (docs/distributed.md).
 ///
 /// Backends are the seam future multi-box dispatch plugs into — a remote
 /// backend ships ShardTask bytes out and ShardTaskResult bytes back, which
 /// is exactly what SubprocessBackend's pipe protocol rehearses on one
-/// machine. The legacy single-purpose entry points (ShardResult,
-/// ExecuteShardKernel, ExecuteShard) are kept as thin wrappers over the
-/// kLeafMoments task so pre-protocol callers keep working.
+/// machine.
 
 #include <cstdint>
 #include <string>
@@ -27,7 +25,6 @@
 
 #include "common/result.h"
 #include "core/partition_finder.h"
-#include "linalg/error_partials.h"
 #include "linalg/score_partials.h"
 #include "linalg/suffstats.h"
 #include "table/row_set.h"
@@ -58,6 +55,9 @@ struct ShardInput {
 };
 
 /// \brief What a ShardTask asks a shard to compute.
+///
+/// The values are wire tags. 3 belonged to the retired exact-L1 kind (wire
+/// v4 and earlier) and is rejected on deserialization.
 enum class ShardTaskKind : int64_t {
   /// Per-leaf sufficient statistics + snap evidence over the shard's range —
   /// the original (pre-protocol) sweep behind every transformation fit.
@@ -66,22 +66,19 @@ enum class ShardTaskKind : int64_t {
   /// rows of the range (the run's global OLS currency) plus the folded
   /// delta evidence (max |Δy|, changed-row count) of the change signals.
   kSignalStats = 2,
-  /// Exact L1-error partials: per-block Σ|y_new − ŷ| for each probe's
-  /// candidate transform over its leaf's rows in the range.
-  kErrorPartials = 3,
   /// Exact score partials: per-block (Σ|y_new − ŷ|, exact-within-tolerance
   /// count, n) for each probe's candidate transform over its leaf's rows in
-  /// the range — the row-free scoring currency. The Σ chain replays
-  /// kErrorPartials' addends exactly, so the L1 projection of a score probe
-  /// doubles as its error probe (one round serves both).
+  /// the range — the row-free scoring currency. The Σ chain replays the
+  /// central canonical L1 fold (AccumulateAbsDiffBlocks) exactly, so the L1
+  /// projection of a score probe doubles as its exact MAE.
   kScorePartials = 4,
 };
 
 /// Short lowercase name for diagnostics and bench output.
 std::string ShardTaskKindName(ShardTaskKind kind);
 
-/// \brief One candidate transform whose exact L1 error a kErrorPartials
-/// task (or exact score partials a kScorePartials task) evaluates.
+/// \brief One candidate transform whose exact score partials a
+/// kScorePartials task evaluates.
 ///
 /// The model is addressed against the run's shortlist: `features` are
 /// shortlist column indices (the transformation subset T, in order) and
@@ -107,7 +104,7 @@ struct ShardTask {
   /// kLeafMoments: indices into ShardInput::leaves to sweep. A warm
   /// coordinator elides already-cached leaves by simply leaving them out.
   std::vector<int64_t> leaves;
-  /// kErrorPartials / kScorePartials: the candidate transforms to evaluate.
+  /// kScorePartials: the candidate transforms to evaluate.
   std::vector<ErrorProbe> probes;
   /// kScorePartials: the exactness band every score fold must use — the run
   /// Scorer's exact_tolerance(), shipped with the task so every executor
@@ -136,14 +133,6 @@ struct LeafShardStats {
   /// index. Blocks are never split across shards, so these partials are
   /// identical under every sharding.
   std::vector<std::pair<int64_t, SufficientStats>> blocks;
-};
-
-/// \brief One probe's contribution from one shard (kErrorPartials):
-/// per-block exact L1 partials, ascending block index.
-struct ProbeShardErrors {
-  /// Index into ShardTask::probes.
-  int64_t probe = 0;
-  std::vector<std::pair<int64_t, ErrorPartials>> blocks;
 };
 
 /// \brief One probe's contribution from one shard (kScorePartials):
@@ -175,10 +164,6 @@ struct ShardTaskResult {
   int64_t signal_rows_changed = 0;
   /// @}
 
-  /// kErrorPartials: one entry per probe intersecting the range, ascending
-  /// probe index.
-  std::vector<ProbeShardErrors> probes;
-
   /// kScorePartials: one entry per probe intersecting the range, ascending
   /// probe index.
   std::vector<ProbeShardScores> score_probes;
@@ -188,14 +173,6 @@ struct ShardTaskResult {
   int64_t rows_scanned = 0;    ///< rows the task actually visited
   int64_t blocks_emitted = 0;  ///< per-block partials produced
   double elapsed_seconds = 0.0;
-  /// Batched-fold diagnostics (linalg/batch_fold.h): blocks the task staged,
-  /// accumulators folded over staged blocks, and the widest single-block
-  /// batch. All zero when the task ran the per-leaf path — the counters are
-  /// diagnostics only, and deliberately outside every parity comparison of
-  /// the canonical payloads.
-  int64_t batch_blocks_staged = 0;
-  int64_t batch_accumulators_folded = 0;
-  int64_t batch_max_accumulators_per_block = 0;
   /// @}
 
   /// \name Wire format.
@@ -219,47 +196,6 @@ Result<ShardTaskResult> ExecuteShardTaskKernel(const ShardInput& input,
                                                int64_t shard_index,
                                                const ShardTask& task);
 
-/// \name Legacy single-purpose seam (pre-ShardTask)
-///
-/// The original protocol carried exactly one request — "sweep every leaf's
-/// moments" — with its own result struct and wire format. Both are kept as
-/// wrappers over the kLeafMoments task so existing callers and the recorded
-/// "CSR1" wire format stay valid.
-/// @{
-
-/// \brief Everything a shard sends back to the coordinator (legacy form of
-/// the kLeafMoments payload).
-struct ShardResult {
-  int64_t shard = 0;
-  /// Leaves intersecting the shard's range, ascending leaf index.
-  std::vector<LeafShardStats> leaves;
-
-  /// \name Diagnostics.
-  /// @{
-  int64_t rows_scanned = 0;    ///< Σ leaf∩shard rows (leaves overlap).
-  int64_t blocks_emitted = 0;  ///< per-leaf block partials produced
-  double elapsed_seconds = 0.0;
-  /// @}
-
-  /// \name Wire format (legacy "CSR1" framing; exact round trip).
-  /// @{
-  void SerializeTo(std::string* out) const;
-  static Result<ShardResult> Deserialize(const void* data, size_t size);
-  /// @}
-};
-
-/// \brief The kLeafMoments request the legacy seam always issued: every
-/// input leaf, in order. Shared by the legacy wrappers here and by
-/// Coordinator::Run.
-ShardTask AllLeavesTask(const ShardInput& input);
-
-/// \brief Legacy kernel: the kLeafMoments task over every input leaf.
-Result<ShardResult> ExecuteShardKernel(const ShardInput& input,
-                                       const ShardPlan& plan,
-                                       int64_t shard_index);
-
-/// @}
-
 /// \brief A shard executor. Implementations must be safe for concurrent
 /// ExecuteTask calls on distinct shards — the coordinator fans out over the
 /// run's thread pool.
@@ -275,11 +211,6 @@ class ShardBackend {
                                               const ShardPlan& plan,
                                               int64_t shard_index,
                                               const ShardTask& task) = 0;
-
-  /// Legacy entry point: the kLeafMoments task over every input leaf,
-  /// reported in the legacy ShardResult form.
-  Result<ShardResult> ExecuteShard(const ShardInput& input, const ShardPlan& plan,
-                                   int64_t shard_index);
 };
 
 }  // namespace charles

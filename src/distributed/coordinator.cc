@@ -58,26 +58,6 @@ Status MergeSignalStats(const ShardOutcome& outcome, int64_t* signal_blocks,
   return Status::OK();
 }
 
-Status MergeErrorPartials(const ShardOutcome& outcome,
-                          CoordinatorTaskResult* merged) {
-  for (const ProbeShardErrors& probe : outcome.result.probes) {
-    if (probe.probe < 0 ||
-        probe.probe >= static_cast<int64_t>(merged->probes.size())) {
-      return Status::Internal("Coordinator::RunTask: shard " +
-                              std::to_string(outcome.result.shard) +
-                              " reported unknown probe " +
-                              std::to_string(probe.probe));
-    }
-    ProbeRollup& rollup = merged->probes[static_cast<size_t>(probe.probe)];
-    for (const auto& [block, partials] : probe.blocks) {
-      (void)block;
-      rollup.partials.Merge(partials);
-      rollup.blocks_merged += 1;
-    }
-  }
-  return Status::OK();
-}
-
 Status MergeScorePartials(const ShardOutcome& outcome,
                           CoordinatorTaskResult* merged) {
   for (const ProbeShardScores& probe : outcome.result.score_probes) {
@@ -106,8 +86,6 @@ const char* RoundSpanName(ShardTaskKind kind) {
       return "round:leaf_moments";
     case ShardTaskKind::kSignalStats:
       return "round:signal_stats";
-    case ShardTaskKind::kErrorPartials:
-      return "round:error_partials";
     case ShardTaskKind::kScorePartials:
       return "round:score_partials";
   }
@@ -189,10 +167,8 @@ Result<CoordinatorTaskResult> Coordinator::RunTask(const ShardInput& input,
     }
   } else if (task.kind == ShardTaskKind::kSignalStats) {
     merged.signal_stats = SufficientStats(num_features);
-  } else if (task.kind == ShardTaskKind::kScorePartials) {
-    merged.score_probes.resize(task.probes.size());
   } else {
-    merged.probes.resize(task.probes.size());
+    merged.score_probes.resize(task.probes.size());
   }
 
   // Outcomes arrive in shard (= row) order and each shard lists its blocks
@@ -205,20 +181,12 @@ Result<CoordinatorTaskResult> Coordinator::RunTask(const ShardInput& input,
     if (!outcome.executed) continue;
     merged.shards_executed += 1;
     merged.rows_scanned += outcome.result.rows_scanned;
-    merged.batch_blocks_staged += outcome.result.batch_blocks_staged;
-    merged.batch_accumulators_folded += outcome.result.batch_accumulators_folded;
-    merged.batch_max_accumulators_per_block =
-        std::max(merged.batch_max_accumulators_per_block,
-                 outcome.result.batch_max_accumulators_per_block);
     switch (task.kind) {
       case ShardTaskKind::kLeafMoments:
         CHARLES_RETURN_NOT_OK(MergeLeafMoments(outcome, leaf_position, &merged));
         break;
       case ShardTaskKind::kSignalStats:
         CHARLES_RETURN_NOT_OK(MergeSignalStats(outcome, &signal_blocks, &merged));
-        break;
-      case ShardTaskKind::kErrorPartials:
-        CHARLES_RETURN_NOT_OK(MergeErrorPartials(outcome, &merged));
         break;
       case ShardTaskKind::kScorePartials:
         CHARLES_RETURN_NOT_OK(MergeScorePartials(outcome, &merged));
@@ -228,9 +196,6 @@ Result<CoordinatorTaskResult> Coordinator::RunTask(const ShardInput& input,
   for (const LeafRollup& rollup : merged.leaves) {
     merged.blocks_merged += rollup.blocks_merged;
   }
-  for (const ProbeRollup& rollup : merged.probes) {
-    merged.blocks_merged += rollup.blocks_merged;
-  }
   for (const ScoreRollup& rollup : merged.score_probes) {
     merged.blocks_merged += rollup.blocks_merged;
   }
@@ -238,22 +203,6 @@ Result<CoordinatorTaskResult> Coordinator::RunTask(const ShardInput& input,
   merged.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return merged;
-}
-
-Result<CoordinatorResult> Coordinator::Run(const ShardInput& input,
-                                           const ShardPlan& plan,
-                                           ShardBackend* backend, ThreadPool* pool,
-                                           const StopToken* stop) {
-  CHARLES_ASSIGN_OR_RETURN(
-      CoordinatorTaskResult merged,
-      RunTask(input, plan, backend, pool, AllLeavesTask(input), stop));
-  CoordinatorResult legacy;
-  legacy.leaves = std::move(merged.leaves);
-  legacy.shards_executed = merged.shards_executed;
-  legacy.rows_scanned = merged.rows_scanned;
-  legacy.blocks_merged = merged.blocks_merged;
-  legacy.elapsed_seconds = merged.elapsed_seconds;
-  return legacy;
 }
 
 }  // namespace charles

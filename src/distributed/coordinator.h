@@ -20,13 +20,11 @@
 ///    exactly because max is associative.
 ///  - kSignalStats: the per-block shortlist moments over the whole diff,
 ///    merged the same way — bit-identical to AccumulateRangeBlocks.
-///  - kErrorPartials: per-(probe, block) ErrorPartials merged in ascending
-///    block order — the exact Σ|y − ŷ| a central canonical fold computes,
-///    so shard-derived MAE is bit-identical to centrally evaluated MAE.
-///  - kScorePartials: per-(probe, block) ScorePartials merged the same way.
-///    The Σ chain replays kErrorPartials' fold exactly, and the exact count
-///    is an integer tally (order-free), so the merged accuracy is
-///    bit-identical to a central canonical fold of the same probe.
+///  - kScorePartials: per-(probe, block) ScorePartials merged in ascending
+///    block order. The Σ chain replays the central canonical L1 fold
+///    exactly, so shard-derived MAE is bit-identical to centrally evaluated
+///    MAE; the exact count is an integer tally (order-free), so the merged
+///    accuracy is bit-identical too.
 ///
 /// The engine re-solves fits and decisions from the merged currencies
 /// through its ordinary machinery, so ranked output is bit-identical to the
@@ -56,14 +54,6 @@ struct LeafRollup {
   int64_t blocks_merged = 0;
 };
 
-/// \brief One probe's exact cross-shard rollup (kErrorPartials).
-struct ProbeRollup {
-  /// Merged Σ|y − ŷ| and row count over the probe's leaf.
-  ErrorPartials partials;
-  /// Block partials folded into `partials`.
-  int64_t blocks_merged = 0;
-};
-
 /// \brief One probe's exact cross-shard rollup (kScorePartials).
 struct ScoreRollup {
   /// Merged (Σ|y − ŷ|, exact count, n) over the probe's leaf.
@@ -85,31 +75,12 @@ struct CoordinatorTaskResult {
   SufficientStats signal_stats;
   double signal_max_abs_delta = 0.0;
   int64_t signal_rows_changed = 0;
-  /// kErrorPartials: one rollup per ShardTask::probes entry, same order.
-  std::vector<ProbeRollup> probes;
   /// kScorePartials: one rollup per ShardTask::probes entry, same order.
   std::vector<ScoreRollup> score_probes;
 
   int64_t shards_executed = 0;
   int64_t rows_scanned = 0;   ///< summed over shards
   int64_t blocks_merged = 0;  ///< summed over rollups
-  double elapsed_seconds = 0.0;
-  /// \name Batched-fold diagnostics, folded over shards (batch_fold.h):
-  /// staged/folded sums, max over any shard's widest block batch.
-  /// @{
-  int64_t batch_blocks_staged = 0;
-  int64_t batch_accumulators_folded = 0;
-  int64_t batch_max_accumulators_per_block = 0;
-  /// @}
-};
-
-/// \brief Legacy merged view of a whole-input kLeafMoments sweep.
-struct CoordinatorResult {
-  /// One rollup per ShardInput leaf, same order.
-  std::vector<LeafRollup> leaves;
-  int64_t shards_executed = 0;
-  int64_t rows_scanned = 0;    ///< summed over shards
-  int64_t blocks_merged = 0;   ///< summed over leaves
   double elapsed_seconds = 0.0;
 };
 
@@ -127,12 +98,6 @@ class Coordinator {
                                                ThreadPool* pool,
                                                const ShardTask& task,
                                                const StopToken* stop = nullptr);
-
-  /// Legacy entry point: the kLeafMoments task over every input leaf.
-  static Result<CoordinatorResult> Run(const ShardInput& input,
-                                       const ShardPlan& plan, ShardBackend* backend,
-                                       ThreadPool* pool,
-                                       const StopToken* stop = nullptr);
 };
 
 }  // namespace charles

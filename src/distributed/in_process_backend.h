@@ -8,7 +8,7 @@ namespace charles {
 /// \brief The zero-copy backend: runs the shard kernel on the calling
 /// thread, against the run's in-memory ShardInput.
 ///
-/// Parallelism comes from the Coordinator, which fans ExecuteShard calls
+/// Parallelism comes from the Coordinator, which fans ExecuteTask calls
 /// out over the run's thread pool (the EngineContext pool for attached
 /// engines) — the backend itself is stateless and trivially concurrent.
 /// This is the default production backend on one box; SubprocessBackend

@@ -71,8 +71,15 @@ namespace charles {
 /// score-probes section, both serialized unconditionally, so a version-3
 /// peer cannot parse either frame (and would reject the kind even if it
 /// could). The range moved past it — same policy as every bump before.
-inline constexpr int32_t kRemoteWireVersionMin = 4;
-inline constexpr int32_t kRemoteWireVersionMax = 4;
+///
+/// Version 5: the exact-L1 task kind (tag 3) and the batched-fold
+/// diagnostics counters were retired. ShardTaskResult ("CST1") lost its
+/// error-probes section and the three counters, so the score-probes section
+/// now follows the signal evidence directly, and ShardTask::Deserialize
+/// rejects kind 3. A version-4 peer cannot parse the shorter frames, so the
+/// range moved past it.
+inline constexpr int32_t kRemoteWireVersionMin = 5;
+inline constexpr int32_t kRemoteWireVersionMax = 5;
 /// @}
 
 /// Frame types of the remote protocol (net::Frame::type values).

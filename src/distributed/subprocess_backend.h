@@ -38,7 +38,7 @@ class SubprocessBackend : public ShardBackend {
  public:
   /// Test-only fault hook, run *inside the worker* before the kernel, so
   /// crash-path tests can kill a worker mid-shard (e.g. raise(SIGKILL)
-  /// on a chosen shard). Must be set before any ExecuteShard call.
+  /// on a chosen shard). Must be set before any ExecuteTask call.
   using WorkerHook = std::function<void(int64_t shard_index)>;
 
   SubprocessBackend() = default;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/wire.h"
 #include "linalg/kernels/kernel.h"
 #include "linalg/suffstats.h"
 
@@ -17,21 +16,6 @@ void ErrorPartials::Accumulate(double y, double y_hat) {
 void ErrorPartials::Merge(const ErrorPartials& other) {
   abs_error_sum += other.abs_error_sum;
   n += other.n;
-}
-
-void ErrorPartials::SerializeTo(std::string* out) const {
-  wire::AppendScalar(out, abs_error_sum);
-  wire::AppendScalar(out, n);
-}
-
-Result<ErrorPartials> ErrorPartials::Deserialize(const unsigned char** cursor,
-                                                 const unsigned char* end) {
-  ErrorPartials partials;
-  if (!wire::ReadScalar(cursor, end, &partials.abs_error_sum) ||
-      !wire::ReadScalar(cursor, end, &partials.n) || partials.n < 0) {
-    return Status::IOError("ErrorPartials::Deserialize: truncated input");
-  }
-  return partials;
 }
 
 bool ErrorPartials::BitIdenticalTo(const ErrorPartials& other) const {
@@ -97,50 +81,6 @@ ErrorPartials AccumulateAbsBlocks(const std::vector<double>& values,
                                   int64_t block_rows) {
   return AccumulateAbsBlocks(kernels::ActiveKernel(), values, rows,
                              block_rows);
-}
-
-std::vector<ErrorPartials> AccumulateAbsDiffBlocksBatch(
-    const kernels::Kernel& kernel,
-    const std::vector<const std::vector<double>*>& a,
-    const std::vector<const std::vector<double>*>& b,
-    const std::vector<int64_t>& rows, int64_t block_rows) {
-  const int64_t num_folds = static_cast<int64_t>(a.size());
-  std::vector<ErrorPartials> totals(a.size());
-  if (num_folds == 0) return totals;
-  std::vector<const double*> pa(a.size());
-  std::vector<const double*> pb(a.size());
-  std::vector<int64_t> counts(a.size());
-  std::vector<double> sums(a.size());
-  const int64_t* data = rows.data();
-  ForEachRowBlock(
-      data, static_cast<int64_t>(rows.size()), block_rows,
-      [&](int64_t /*block*/, const int64_t* block_rows_ptr, int64_t count) {
-        const int64_t base = block_rows_ptr - data;
-        for (int64_t e = 0; e < num_folds; ++e) {
-          pa[e] = a[e]->data() + base;
-          pb[e] = (e < static_cast<int64_t>(b.size()) && b[e] != nullptr)
-                      ? b[e]->data() + base
-                      : nullptr;
-          counts[e] = count;
-        }
-        kernel.error_fold_batch(pa.data(), pb.data(), counts.data(), num_folds,
-                                sums.data());
-        for (int64_t e = 0; e < num_folds; ++e) {
-          ErrorPartials block_partial;
-          block_partial.abs_error_sum = sums[e];
-          block_partial.n = count;
-          totals[e].Merge(block_partial);
-        }
-      });
-  return totals;
-}
-
-std::vector<ErrorPartials> AccumulateAbsDiffBlocksBatch(
-    const std::vector<const std::vector<double>*>& a,
-    const std::vector<const std::vector<double>*>& b,
-    const std::vector<int64_t>& rows, int64_t block_rows) {
-  return AccumulateAbsDiffBlocksBatch(kernels::ActiveKernel(), a, b, rows,
-                                      block_rows);
 }
 
 }  // namespace charles

@@ -20,16 +20,14 @@
 /// shows, because every decomposition replays the same additions in the same
 /// order.
 ///
-/// This is the `kErrorPartials` currency of the distributed ShardTask
-/// protocol (distributed/backend.h) and the evaluator behind FitLeaf's exact
-/// leaf MAE and SnapModel's accuracy baseline under
-/// CharlesOptions::use_sufficient_stats.
+/// This is the evaluator behind FitLeaf's exact leaf MAE and SnapModel's
+/// accuracy baseline under CharlesOptions::use_sufficient_stats. Shards never
+/// ship ErrorPartials themselves: the kScorePartials task replays the same Σ
+/// chain (linalg/score_partials.h), and ScorePartials::error() projects it
+/// back onto this type.
 
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "common/result.h"
 
 namespace charles {
 
@@ -58,17 +56,9 @@ struct ErrorPartials {
     return n > 0 ? abs_error_sum / static_cast<double>(n) : 0.0;
   }
 
-  /// \name Wire format (distributed shard execution).
-  /// Native-endian, bit-for-bit doubles — the same same-architecture
-  /// pipe/socket discipline as SufficientStats' wire format.
-  /// @{
-  void SerializeTo(std::string* out) const;
-  static Result<ErrorPartials> Deserialize(const unsigned char** cursor,
-                                           const unsigned char* end);
-  /// Exact representation equality (every byte): the comparator of wire
-  /// round-trip and shard-parity tests.
+  /// Exact representation equality (every byte): the comparator of the
+  /// kernel-parity and score-projection tests.
   bool BitIdenticalTo(const ErrorPartials& other) const;
-  /// @}
 };
 
 /// \name Canonical block-structured L1 accumulation
@@ -95,17 +85,6 @@ ErrorPartials AccumulateAbsBlocks(const std::vector<double>& values,
                                   const std::vector<int64_t>& rows,
                                   int64_t block_rows);
 
-/// Batched canonical fold: `a.size()` positional folds sharing one ascending
-/// `rows` vector, evaluated with a single kernel error_fold_batch call per
-/// block. Entry e computes Σ|a[e][i] − b[e][i]| (or Σ|a[e][i]| when b[e] is
-/// null); each result is bit-identical to the corresponding single-fold
-/// AccumulateAbsDiffBlocks / AccumulateAbsBlocks. `b` must be empty (all
-/// abs-sum) or a.size() long.
-std::vector<ErrorPartials> AccumulateAbsDiffBlocksBatch(
-    const std::vector<const std::vector<double>*>& a,
-    const std::vector<const std::vector<double>*>& b,
-    const std::vector<int64_t>& rows, int64_t block_rows);
-
 /// \name Kernel-explicit variants (differential testing and benches).
 /// @{
 ErrorPartials AccumulateAbsDiffBlocks(const kernels::Kernel& kernel,
@@ -117,11 +96,6 @@ ErrorPartials AccumulateAbsBlocks(const kernels::Kernel& kernel,
                                   const std::vector<double>& values,
                                   const std::vector<int64_t>& rows,
                                   int64_t block_rows);
-std::vector<ErrorPartials> AccumulateAbsDiffBlocksBatch(
-    const kernels::Kernel& kernel,
-    const std::vector<const std::vector<double>*>& a,
-    const std::vector<const std::vector<double>*>& b,
-    const std::vector<int64_t>& rows, int64_t block_rows);
 /// @}
 
 /// @}

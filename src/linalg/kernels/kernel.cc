@@ -27,7 +27,6 @@ bool SimdKernelUsable() {
 }
 
 std::atomic<const Kernel*> g_active_kernel{nullptr};
-std::atomic<BatchFoldMode> g_active_batch_fold{BatchFoldMode::kAuto};
 
 }  // namespace
 
@@ -38,24 +37,6 @@ Result<KernelBackend> ParseKernelBackend(const std::string& name) {
   return Status::InvalidArgument(
       "kernel_backend must be \"auto\", \"scalar\", or \"simd\"; got \"" +
       name + "\"");
-}
-
-Result<BatchFoldMode> ParseBatchFoldMode(const std::string& name) {
-  if (name == "auto") return BatchFoldMode::kAuto;
-  if (name == "on") return BatchFoldMode::kOn;
-  if (name == "off") return BatchFoldMode::kOff;
-  return Status::InvalidArgument(
-      "batch_fold must be \"auto\", \"on\", or \"off\"; got \"" + name +
-      "\"");
-}
-
-BatchFoldMode ActiveBatchFold() {
-  return g_active_batch_fold.load(std::memory_order_relaxed);
-}
-
-BatchFoldMode SetActiveBatchFold(BatchFoldMode mode) {
-  g_active_batch_fold.store(mode, std::memory_order_relaxed);
-  return mode;
 }
 
 const Kernel& SimdKernel() {

@@ -55,59 +55,6 @@ enum class KernelBackend { kAuto, kScalar, kSimd };
 /// Parses "auto" | "scalar" | "simd"; anything else is InvalidArgument.
 Result<KernelBackend> ParseKernelBackend(const std::string& name);
 
-/// CharlesOptions::batch_fold, parsed. Controls whether the sweeps stage
-/// canonical blocks once and fold many leaves/probes per staged block
-/// (batch_fold.h) instead of walking the columns once per leaf. Like the
-/// kernel choice, the batched path is bit-identical to the per-leaf fold, so
-/// the mode is not part of the run fingerprint. kAuto batches whenever a
-/// task folds two or more accumulators over the same rows (staging pays for
-/// itself); kOn batches every fold that has a batched form; kOff keeps the
-/// per-leaf PR 7 path everywhere.
-enum class BatchFoldMode { kAuto, kOn, kOff };
-
-/// Parses "auto" | "on" | "off"; anything else is InvalidArgument.
-Result<BatchFoldMode> ParseBatchFoldMode(const std::string& name);
-
-/// \brief One staged canonical block: column-major, contiguous copies of the
-/// shortlist columns (and y) restricted to rows [row_begin, row_begin+count).
-///
-/// `columns[c]` points at `count` doubles — a bit-for-bit copy of the source
-/// column's slice, so arithmetic over a staged buffer reads exactly the
-/// values the unstaged fold would have gathered. Produced by BlockStager
-/// (block_stage.h); consumed by the *_batch kernel entries below. The view
-/// is only valid until the stager stages the next block.
-struct StagedBlock {
-  int64_t row_begin = 0;          ///< First global row staged.
-  int64_t count = 0;              ///< Rows staged (one canonical block or tail).
-  const double* const* columns = nullptr;  ///< num_columns staged buffers.
-  int64_t num_columns = 0;
-  const double* y = nullptr;      ///< Staged y slice (same rows), may be null.
-};
-
-/// \brief One accumulator's slice of a staged block.
-///
-/// When `rows` is non-null it points at `count` ascending **global** row
-/// indices, all inside [block.row_begin, block.row_begin + block.count) — the
-/// intersection of one leaf's row set with the block. When null, the slice is
-/// the contiguous range [block.row_begin, block.row_begin + count). Kernels
-/// rebase to staged-buffer offsets internally (`row - block.row_begin`).
-struct BlockSlice {
-  const int64_t* rows = nullptr;
-  int64_t count = 0;
-};
-
-/// \brief One probe model to evaluate against a staged block: a fitted
-/// linear model plus the slice of block rows it owns. `feature_columns[f]`
-/// indexes into StagedBlock::columns (the staged shortlist), mirroring
-/// ErrorProbe::features.
-struct StagedProbe {
-  double intercept = 0.0;
-  const double* coefficients = nullptr;
-  const int64_t* feature_columns = nullptr;
-  int64_t num_features = 0;
-  BlockSlice slice;
-};
-
 /// \brief One kernel implementation: the block-level primitives behind the
 /// canonical folds. All functions are pure (no shared state) and safe to
 /// call concurrently.
@@ -136,8 +83,8 @@ struct Kernel {
 
   /// One block partial of Σ|y[row] − ŷ(row)| for a probe model, where
   /// ŷ = intercept + Σ_f coefficients[f]·columns[f][row] accumulated
-  /// left-to-right — exactly LinearModel::PredictRow's evaluation order,
-  /// which the kErrorPartials merge argument depends on.
+  /// left-to-right — exactly LinearModel::PredictRow's evaluation order.
+  /// probe_score_sum's Σ chain replays this one exactly.
   double (*probe_abs_error_sum)(
       double intercept, const double* coefficients,
       const std::vector<const std::vector<double>*>& columns,
@@ -147,40 +94,6 @@ struct Kernel {
   /// dst_stride >= 1 (1 = contiguous, cols() = one matrix column).
   void (*gather)(const double* src, const int64_t* rows, int64_t count,
                  double* dst, int64_t dst_stride);
-
-  /// \name Batched entries (one pass over a staged block, N accumulators)
-  ///
-  /// Each batched entry is bit-identical, per accumulator, to its per-leaf
-  /// counterpart above run over the original columns: staged buffers are
-  /// bit-for-bit copies, every accumulator's addend sequence is unchanged,
-  /// and accumulators are folded in slice/probe index order 0..N-1 — the
-  /// serial leaf order the determinism contract fixes within a block.
-  /// @{
-
-  /// Folds `num_slices` leaves' slices of one staged block, each into the
-  /// caller's *fresh-per-block* stats: out[i] must end bit-identical to
-  /// `suffstats_block(columns, y, slices[i]...)` merged into out[i]'s prior
-  /// value (callers pass fresh stats per block, matching the canonical
-  /// fold). Requires block.y non-null.
-  void (*suffstats_block_batch)(const StagedBlock& block,
-                                const BlockSlice* slices, int64_t num_slices,
-                                SufficientStats* out);
-
-  /// Folds `num_folds` positional-array partials in one call:
-  /// out[e] = Σ_i |a[e][i] − b[e][i]| (or Σ_i |a[e][i]| when b[e] is null),
-  /// each summed in index order from zero — bit-identical per entry to
-  /// abs_diff_sum / abs_sum.
-  void (*error_fold_batch)(const double* const* a, const double* const* b,
-                           const int64_t* counts, int64_t num_folds,
-                           double* out);
-
-  /// Evaluates `num_probes` probe models against one staged block:
-  /// out[p] = Σ|y[row] − ŷ_p(row)| over probes[p].slice, with ŷ accumulated
-  /// left-to-right exactly as probe_abs_error_sum. Requires block.y non-null.
-  void (*probe_abs_error_sum_batch)(const StagedBlock& block,
-                                    const StagedProbe* probes,
-                                    int64_t num_probes, double* out);
-  /// @}
 
   /// \name Score-fold entries (the kScorePartials / accuracy currency)
   ///
@@ -199,7 +112,7 @@ struct Kernel {
   /// One block partial of (Σ|y[row] − ŷ(row)|, within-tolerance count) for a
   /// probe model, with ŷ accumulated left-to-right exactly as
   /// probe_abs_error_sum — which is what lets a kScorePartials shard round
-  /// double as the kErrorPartials baseline (ScorePartials::error()).
+  /// double as the SnapModel error baseline (ScorePartials::error()).
   void (*probe_score_sum)(double intercept, const double* coefficients,
                           const std::vector<const std::vector<double>*>& columns,
                           const std::vector<double>& y, const int64_t* rows,
@@ -231,20 +144,6 @@ const Kernel& ResolveKernel(KernelBackend backend);
 /// @{
 const Kernel& ActiveKernel();
 const Kernel& SetActiveKernel(KernelBackend backend);
-/// @}
-
-/// \name Process-wide active batch-fold mode
-///
-/// The batching analogue of the active kernel: RunPipeline::Setup installs
-/// the run's parsed CharlesOptions::batch_fold here, and the sweep drivers
-/// (batch_fold.h) plus ExecuteShardTaskKernel consult it per task. Sound for
-/// the same reason as the kernel atomic — every mode computes identical
-/// bits, so concurrent runs with different settings cannot corrupt each
-/// other, and a remote worker resolves its own mode without breaking the
-/// merge. Defaults to kAuto before any run.
-/// @{
-BatchFoldMode ActiveBatchFold();
-BatchFoldMode SetActiveBatchFold(BatchFoldMode mode);
 /// @}
 
 /// Neumaier-compensated Σvalues[i]. **Diagnostics only**: compensation

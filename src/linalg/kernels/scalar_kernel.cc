@@ -103,66 +103,9 @@ void GatherScalar(const double* src, const int64_t* rows, int64_t count,
   }
 }
 
-/// Batched reference fold: replays SuffStatsBlockScalar's loop per slice,
-/// reading the staged buffers at rebased offsets. Staged values are
-/// bit-for-bit copies of the source columns, and slices fold in index order
-/// 0..N-1, so each out[i] receives exactly the addend sequence the per-leaf
-/// fold would have produced.
-void SuffStatsBlockBatchScalar(const StagedBlock& block,
-                               const BlockSlice* slices, int64_t num_slices,
-                               SufficientStats* out) {
-  std::vector<double> features(static_cast<size_t>(block.num_columns));
-  for (int64_t s = 0; s < num_slices; ++s) {
-    const BlockSlice& slice = slices[s];
-    for (int64_t r = 0; r < slice.count; ++r) {
-      int64_t local =
-          slice.rows != nullptr ? slice.rows[r] - block.row_begin : r;
-      for (int64_t f = 0; f < block.num_columns; ++f) {
-        features[static_cast<size_t>(f)] = block.columns[f][local];
-      }
-      out[s].Accumulate(features.data(), block.y[local]);
-    }
-  }
-}
-
-void ErrorFoldBatchScalar(const double* const* a, const double* const* b,
-                          const int64_t* counts, int64_t num_folds,
-                          double* out) {
-  for (int64_t e = 0; e < num_folds; ++e) {
-    out[e] = b[e] != nullptr ? AbsDiffSumScalar(a[e], b[e], counts[e])
-                             : AbsSumScalar(a[e], counts[e]);
-  }
-}
-
-/// Batched probe evaluation: ProbeAbsErrorSumScalar's loop per probe over
-/// the staged shortlist — ŷ accumulated left-to-right across the probe's
-/// features, probes folded in index order.
-void ProbeAbsErrorSumBatchScalar(const StagedBlock& block,
-                                 const StagedProbe* probes, int64_t num_probes,
-                                 double* out) {
-  for (int64_t p = 0; p < num_probes; ++p) {
-    const StagedProbe& probe = probes[p];
-    double sum = 0.0;
-    for (int64_t i = 0; i < probe.slice.count; ++i) {
-      int64_t local = probe.slice.rows != nullptr
-                          ? probe.slice.rows[i] - block.row_begin
-                          : i;
-      double y_hat = probe.intercept;
-      for (int64_t f = 0; f < probe.num_features; ++f) {
-        y_hat +=
-            probe.coefficients[f] * block.columns[probe.feature_columns[f]][local];
-      }
-      sum += std::abs(block.y[local] - y_hat);
-    }
-    out[p] = sum;
-  }
-}
-
 constexpr Kernel kScalarKernel = {
     "scalar",          SuffStatsBlockScalar, AbsDiffSumScalar,
     AbsSumScalar,      ProbeAbsErrorSumScalar, GatherScalar,
-    SuffStatsBlockBatchScalar, ErrorFoldBatchScalar,
-    ProbeAbsErrorSumBatchScalar,
     ScoreDiffSumScalar, ProbeScoreSumScalar,
 };
 

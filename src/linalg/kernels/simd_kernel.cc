@@ -238,172 +238,6 @@ double ProbeAbsErrorSumSimd(
   return sum;
 }
 
-/// Batched block fold: one staged block, N leaves' slices. Each slice
-/// replays SuffStatsBlockSimd's exact arithmetic — same shift point (the
-/// slice's first row), same row-major shifted design staging, same rank-1
-/// update order — but reads the staged block buffers at rebased offsets
-/// instead of the source columns. Staged values are bit-for-bit copies, so
-/// every addend matches the per-leaf fold; slices run in index order, which
-/// is the serial leaf order within a block.
-void SuffStatsBlockBatchSimd(const StagedBlock& block, const BlockSlice* slices,
-                             int64_t num_slices, SufficientStats* out) {
-  const int64_t p = block.num_columns;
-  const int64_t d = p + 1;
-  Scratch& scratch = LocalScratch();
-  for (int64_t s = 0; s < num_slices; ++s) {
-    const BlockSlice& slice = slices[s];
-    const int64_t count = slice.count;
-    if (count == 0) continue;
-    SuffStatsAccess::View view = SuffStatsAccess::Of(out[s]);
-
-    const int64_t first_local = slice.rows != nullptr
-                                    ? slice.rows[0] - block.row_begin
-                                    : 0;
-    for (int64_t f = 0; f < p; ++f) {
-      view.x_shift[f] = block.columns[f][first_local];
-    }
-    *view.y_shift = block.y[first_local];
-
-    scratch.design.resize(static_cast<size_t>(count * d));
-    scratch.dy.resize(static_cast<size_t>(count));
-    scratch.tri.assign(static_cast<size_t>(d * d), 0.0);
-    scratch.xty.assign(static_cast<size_t>(d), 0.0);
-    double* design = scratch.design.data();
-    double* dy = scratch.dy.data();
-    double* tri = scratch.tri.data();
-    double* xty = scratch.xty.data();
-
-    for (int64_t r = 0; r < count; ++r) design[r * d] = 1.0;
-    for (int64_t f = 0; f < p; ++f) {
-      const double* col = block.columns[f];
-      const double shift = view.x_shift[f];
-      double* dst = design + (f + 1);
-      if (slice.rows != nullptr) {
-        const int64_t base = block.row_begin;
-        for (int64_t r = 0; r < count; ++r) {
-          dst[r * d] = col[slice.rows[r] - base] - shift;
-        }
-      } else {
-#pragma omp simd
-        for (int64_t r = 0; r < count; ++r) {
-          dst[r * d] = col[r] - shift;
-        }
-      }
-    }
-    {
-      const double* yp = block.y;
-      const double y_shift = *view.y_shift;
-      if (slice.rows != nullptr) {
-        const int64_t base = block.row_begin;
-        for (int64_t r = 0; r < count; ++r) {
-          dy[r] = yp[slice.rows[r] - base] - y_shift;
-        }
-      } else {
-#pragma omp simd
-        for (int64_t r = 0; r < count; ++r) dy[r] = yp[r] - y_shift;
-      }
-    }
-
-    double yty = 0.0;
-    for (int64_t r = 0; r < count; ++r) {
-      const double* zr = design + r * d;
-      const double dyr = dy[r];
-      for (int64_t j = 0; j < d; ++j) {
-        const double w = zr[j];
-        double* tri_j = tri + j * d;
-#pragma omp simd
-        for (int64_t i = 0; i <= j; ++i) {
-          tri_j[i] += zr[i] * w;
-        }
-      }
-#pragma omp simd
-      for (int64_t j = 0; j < d; ++j) {
-        xty[j] += zr[j] * dyr;
-      }
-      yty += dyr * dyr;
-    }
-
-    for (int64_t j = 0; j < d; ++j) {
-      for (int64_t i = 0; i <= j; ++i) {
-        const double value = tri[j * d + i];
-        view.gram[i * d + j] = value;
-        view.gram[j * d + i] = value;
-      }
-      view.xty[j] = xty[j];
-    }
-    *view.yty = yty;
-    *view.n = count;
-  }
-}
-
-void ErrorFoldBatchSimd(const double* const* a, const double* const* b,
-                        const int64_t* counts, int64_t num_folds,
-                        double* out) {
-  for (int64_t e = 0; e < num_folds; ++e) {
-    out[e] = b[e] != nullptr ? AbsDiffSumSimd(a[e], b[e], counts[e])
-                             : AbsSumSimd(a[e], counts[e]);
-  }
-}
-
-/// Batched probe evaluation over one staged block: ProbeAbsErrorSumSimd's
-/// chunked lanes, addressing the staged shortlist buffers. Contiguous slices
-/// read the staged buffers with unit stride; indexed slices rebase once per
-/// chunk. The per-lane ŷ chain and the serial Σ chain are unchanged.
-void ProbeAbsErrorSumBatchSimd(const StagedBlock& block,
-                               const StagedProbe* probes, int64_t num_probes,
-                               double* out) {
-  double y_hat[kChunk];
-  double err[kChunk];
-  int64_t idx[kChunk];
-  for (int64_t p = 0; p < num_probes; ++p) {
-    const StagedProbe& probe = probes[p];
-    const int64_t count = probe.slice.count;
-    const int64_t* rows = probe.slice.rows;
-    double sum = 0.0;
-    for (int64_t at = 0; at < count; at += kChunk) {
-      const int64_t n = std::min(kChunk, count - at);
-      if (rows != nullptr) {
-        const int64_t base = block.row_begin;
-        const int64_t* gr = rows + at;
-        for (int64_t l = 0; l < n; ++l) idx[l] = gr[l] - base;
-#pragma omp simd
-        for (int64_t l = 0; l < n; ++l) y_hat[l] = probe.intercept;
-        for (int64_t f = 0; f < probe.num_features; ++f) {
-          const double c = probe.coefficients[f];
-          const double* col = block.columns[probe.feature_columns[f]];
-#pragma omp simd
-          for (int64_t l = 0; l < n; ++l) {
-            y_hat[l] += c * col[idx[l]];
-          }
-        }
-        const double* yp = block.y;
-#pragma omp simd
-        for (int64_t l = 0; l < n; ++l) {
-          err[l] = std::abs(yp[idx[l]] - y_hat[l]);
-        }
-      } else {
-#pragma omp simd
-        for (int64_t l = 0; l < n; ++l) y_hat[l] = probe.intercept;
-        for (int64_t f = 0; f < probe.num_features; ++f) {
-          const double c = probe.coefficients[f];
-          const double* col = block.columns[probe.feature_columns[f]] + at;
-#pragma omp simd
-          for (int64_t l = 0; l < n; ++l) {
-            y_hat[l] += c * col[l];
-          }
-        }
-        const double* yp = block.y + at;
-#pragma omp simd
-        for (int64_t l = 0; l < n; ++l) {
-          err[l] = std::abs(yp[l] - y_hat[l]);
-        }
-      }
-      for (int64_t l = 0; l < n; ++l) sum += err[l];
-    }
-    out[p] = sum;
-  }
-}
-
 /// Score fold: AbsDiffSumSimd's chunked |a−b| lanes and serial Σ chain,
 /// with the within-tolerance tally taken in the same serial pass (it is an
 /// integer count, so the pass structure is free — serial keeps it obvious).
@@ -490,8 +324,6 @@ constexpr Kernel kSimdKernel = {
 #endif
     SuffStatsBlockSimd, AbsDiffSumSimd,   AbsSumSimd,
     ProbeAbsErrorSumSimd, GatherSimd,
-    SuffStatsBlockBatchSimd, ErrorFoldBatchSimd,
-    ProbeAbsErrorSumBatchSimd,
     ScoreDiffSumSimd, ProbeScoreSumSimd,
 };
 

@@ -20,9 +20,6 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
 
   d.threads_used = summary.threads_used;
   d.kernel_used = summary.kernel_used;
-  d.batched_blocks_staged = summary.batched_blocks_staged;
-  d.batched_fold_accumulators = summary.batched_fold_accumulators;
-  d.batch_leaves_per_block_max = summary.batch_leaves_per_block_max;
 
   d.leaf_fits_computed = summary.leaf_fits_computed;
   d.leaf_fits_reused = summary.leaf_fits_reused;
@@ -34,7 +31,6 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.shard_tasks_executed = summary.shard_tasks_executed;
   d.shard_moment_leaves_swept = summary.shard_moment_leaves_swept;
   d.shard_moment_leaves_elided = summary.shard_moment_leaves_elided;
-  d.shard_error_probes = summary.shard_error_probes;
   d.shard_score_probes = summary.shard_score_probes;
 
   d.score_partials_candidates = summary.score_partials_candidates;
@@ -53,7 +49,6 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.shard_seconds = summary.shard_seconds;
   d.shard_signal_seconds = summary.shard_signal_seconds;
   d.shard_moments_seconds = summary.shard_moments_seconds;
-  d.shard_error_seconds = summary.shard_error_seconds;
   d.shard_score_seconds = summary.shard_score_seconds;
   return d;
 }
@@ -77,9 +72,6 @@ std::string RunDiagnostics::ToJson() const {
   w.Key("execution").BeginObject();
   w.Key("threads_used").Int(threads_used);
   w.Key("kernel_used").String(kernel_used);
-  w.Key("batched_blocks_staged").Int(batched_blocks_staged);
-  w.Key("batched_fold_accumulators").Int(batched_fold_accumulators);
-  w.Key("batch_leaves_per_block_max").Int(batch_leaves_per_block_max);
   w.EndObject();
 
   w.Key("cache").BeginObject();
@@ -95,7 +87,6 @@ std::string RunDiagnostics::ToJson() const {
   w.Key("tasks_executed").Int(shard_tasks_executed);
   w.Key("moment_leaves_swept").Int(shard_moment_leaves_swept);
   w.Key("moment_leaves_elided").Int(shard_moment_leaves_elided);
-  w.Key("error_probes").Int(shard_error_probes);
   w.Key("score_probes").Int(shard_score_probes);
   w.EndObject();
 
@@ -133,7 +124,6 @@ std::string RunDiagnostics::ToJson() const {
   w.Key("shard").Double(shard_seconds);
   w.Key("shard_signal").Double(shard_signal_seconds);
   w.Key("shard_moments").Double(shard_moments_seconds);
-  w.Key("shard_error").Double(shard_error_seconds);
   w.Key("shard_score").Double(shard_score_seconds);
   w.EndObject();
 

@@ -27,8 +27,11 @@ namespace obs {
 /// Machine-readable diagnostics of one run. Construct with FromSummary;
 /// serialize with ToJson (SummaryList::ToJson delegates here).
 struct RunDiagnostics {
-  /// Bumped only on a breaking change (key removed or renamed).
-  static constexpr int kSchemaVersion = 1;
+  /// Bumped only on a breaking change (key removed or renamed). Version 2
+  /// removed the three batched-fold counters under `execution` and the
+  /// retired exact-L1 round's probe count (`shards`) and wall time
+  /// (`timings_seconds`); docs/observability.md lists the keys.
+  static constexpr int kSchemaVersion = 2;
 
   std::string run_id;        ///< 16-hex run fingerprint
   int64_t summaries = 0;     ///< ranked summaries returned
@@ -44,9 +47,6 @@ struct RunDiagnostics {
   // Execution shape.
   int threads_used = 1;
   std::string kernel_used;
-  int64_t batched_blocks_staged = 0;
-  int64_t batched_fold_accumulators = 0;
-  int64_t batch_leaves_per_block_max = 0;
 
   // Leaf-fit cache.
   int64_t leaf_fits_computed = 0;
@@ -60,7 +60,6 @@ struct RunDiagnostics {
   int64_t shard_tasks_executed = 0;
   int64_t shard_moment_leaves_swept = 0;
   int64_t shard_moment_leaves_elided = 0;
-  int64_t shard_error_probes = 0;
   int64_t shard_score_probes = 0;
 
   // Row-free scoring.
@@ -82,7 +81,6 @@ struct RunDiagnostics {
   double shard_seconds = 0.0;
   double shard_signal_seconds = 0.0;
   double shard_moments_seconds = 0.0;
-  double shard_error_seconds = 0.0;
   double shard_score_seconds = 0.0;
 
   /// Copies the diagnostic fields out of a finished run's SummaryList.

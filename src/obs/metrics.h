@@ -7,8 +7,7 @@
 /// The engine's per-run SummaryList answers "what did this run do"; the
 /// MetricsRegistry answers "what is this process doing" — admission and
 /// cache traffic from EngineContext, dispatch/retry/health churn from the
-/// remote fleet, staging volume from the kernel layer, latency
-/// distributions under concurrent load. Instruments are created on first
+/// remote fleet, latency distributions under concurrent load. Instruments are created on first
 /// use by name, live for the process lifetime (pointers returned by the
 /// registry are stable), and update lock-free with relaxed atomics — cheap
 /// enough to leave on unconditionally.

@@ -1,7 +1,7 @@
 /// \file
-/// Distributed shard execution (ISSUE 4): planner geometry, ShardResult wire
-/// round trips, coordinator merge exactness, worker-crash surfacing, and the
-/// headline contract — 1/2/8-shard Coordinator runs bit-identical to the
+/// Distributed shard execution: planner geometry, ShardTask/ShardTaskResult
+/// wire round trips, coordinator merge exactness, worker-crash surfacing, and
+/// the headline contract — 1/2/8-shard Coordinator runs bit-identical to the
 /// unsharded engine on both workloads, for both backends.
 
 #include <gtest/gtest.h>
@@ -119,7 +119,48 @@ SyntheticInput MakeSyntheticInput(int64_t rows) {
   return s;
 }
 
-void ExpectBitIdenticalResults(const ShardResult& a, const ShardResult& b) {
+ShardTask MakeMomentsTask(const ShardInput& input) {
+  ShardTask task;
+  task.kind = ShardTaskKind::kLeafMoments;
+  for (size_t l = 0; l < input.leaves.size(); ++l) {
+    task.leaves.push_back(static_cast<int64_t>(l));
+  }
+  return task;
+}
+
+ShardTask MakeSignalTask() {
+  ShardTask task;
+  task.kind = ShardTaskKind::kSignalStats;
+  return task;
+}
+
+/// Two score probes with distinct leaves/subsets: a one-feature model on
+/// the all-rows leaf and a two-feature model on the stride leaf. The worker
+/// tallies rows whose |ŷ − y_new| is within the shipped exactness band.
+ShardTask MakeScoreTask() {
+  ShardTask task;
+  task.kind = ShardTaskKind::kScorePartials;
+  // Sized to the synthetic input's error decades (~4e2..2e3) so the band
+  // genuinely splits the rows: some within, some out.
+  task.score_tolerance = 1000.0;
+  ErrorProbe p0;
+  p0.leaf = 0;
+  p0.features = {0};
+  p0.intercept = 12.5;
+  p0.coefficients = {1.05};
+  task.probes.push_back(p0);
+  ErrorProbe p1;
+  p1.leaf = 1;
+  p1.features = {0, 1};
+  p1.intercept = -3.0;
+  p1.coefficients = {0.5, 2.0};
+  task.probes.push_back(p1);
+  return task;
+}
+
+void ExpectBitIdenticalResults(const ShardTaskResult& a,
+                               const ShardTaskResult& b) {
+  EXPECT_EQ(a.kind, b.kind);
   EXPECT_EQ(a.shard, b.shard);
   EXPECT_EQ(a.rows_scanned, b.rows_scanned);
   EXPECT_EQ(a.blocks_emitted, b.blocks_emitted);
@@ -158,10 +199,13 @@ TEST(ShardWireTest, ShardResultRoundTripIsExact) {
   SyntheticInput s = MakeSyntheticInput(500);
   ShardPlan plan = PlanShards(500, 64, 3);
   for (int64_t shard = 0; shard < plan.num_shards(); ++shard) {
-    ShardResult result = ExecuteShardKernel(s.input, plan, shard).ValueOrDie();
+    ShardTaskResult result =
+        ExecuteShardTaskKernel(s.input, plan, shard, MakeMomentsTask(s.input))
+            .ValueOrDie();
     std::string wire;
     result.SerializeTo(&wire);
-    ShardResult back = ShardResult::Deserialize(wire.data(), wire.size()).ValueOrDie();
+    ShardTaskResult back =
+        ShardTaskResult::Deserialize(wire.data(), wire.size()).ValueOrDie();
     ExpectBitIdenticalResults(result, back);
   }
 }
@@ -169,22 +213,27 @@ TEST(ShardWireTest, ShardResultRoundTripIsExact) {
 TEST(ShardWireTest, TruncatedAndCorruptedBytesAreRejected) {
   SyntheticInput s = MakeSyntheticInput(200);
   ShardPlan plan = PlanShards(200, 64, 2);
-  ShardResult result = ExecuteShardKernel(s.input, plan, 0).ValueOrDie();
+  ShardTaskResult result =
+      ExecuteShardTaskKernel(s.input, plan, 0, MakeMomentsTask(s.input))
+          .ValueOrDie();
   std::string wire;
   result.SerializeTo(&wire);
-  EXPECT_TRUE(ShardResult::Deserialize(wire.data(), wire.size() / 2).status().IsIOError());
-  EXPECT_TRUE(ShardResult::Deserialize(wire.data(), 2).status().IsIOError());
+  EXPECT_TRUE(ShardTaskResult::Deserialize(wire.data(), wire.size() / 2)
+                  .status()
+                  .IsIOError());
+  EXPECT_TRUE(ShardTaskResult::Deserialize(wire.data(), 2).status().IsIOError());
   std::string corrupted = wire;
   corrupted[0] = 'X';  // magic mismatch
-  EXPECT_TRUE(ShardResult::Deserialize(corrupted.data(), corrupted.size())
+  EXPECT_TRUE(ShardTaskResult::Deserialize(corrupted.data(), corrupted.size())
                   .status()
                   .IsIOError());
   // A corrupt length field must fail with IOError before any allocation
-  // sized from it (magic | shard | rows | blocks | elapsed = 36 bytes in).
+  // sized from it (magic | kind | shard | rows | blocks | elapsed = 44
+  // bytes in, then the leaf count).
   std::string huge_count = wire;
   int64_t absurd = int64_t{1} << 60;
-  std::memcpy(&huge_count[36], &absurd, sizeof(absurd));
-  EXPECT_TRUE(ShardResult::Deserialize(huge_count.data(), huge_count.size())
+  std::memcpy(&huge_count[44], &absurd, sizeof(absurd));
+  EXPECT_TRUE(ShardTaskResult::Deserialize(huge_count.data(), huge_count.size())
                   .status()
                   .IsIOError());
 }
@@ -198,8 +247,10 @@ TEST(CoordinatorTest, MergedMomentsMatchUnshardedAccumulationBitForBit) {
   InProcessBackend backend;
   for (int shards : {1, 2, 5, 8}) {
     ShardPlan plan = PlanShards(777, 64, shards);
-    CoordinatorResult merged =
-        Coordinator::Run(s.input, plan, &backend, /*pool=*/nullptr).ValueOrDie();
+    CoordinatorTaskResult merged =
+        Coordinator::RunTask(s.input, plan, &backend, /*pool=*/nullptr,
+                             MakeMomentsTask(s.input))
+            .ValueOrDie();
     ASSERT_EQ(merged.leaves.size(), s.leaf_storage.size());
     for (size_t l = 0; l < s.leaf_storage.size(); ++l) {
       SufficientStats direct =
@@ -215,10 +266,11 @@ TEST(CoordinatorTest, SubprocessResultsMatchInProcessBitForBit) {
   ShardPlan plan = PlanShards(400, 64, 4);
   InProcessBackend in_process;
   SubprocessBackend subprocess;
-  CoordinatorResult a =
-      Coordinator::Run(s.input, plan, &in_process, nullptr).ValueOrDie();
-  CoordinatorResult b =
-      Coordinator::Run(s.input, plan, &subprocess, nullptr).ValueOrDie();
+  ShardTask task = MakeMomentsTask(s.input);
+  CoordinatorTaskResult a =
+      Coordinator::RunTask(s.input, plan, &in_process, nullptr, task).ValueOrDie();
+  CoordinatorTaskResult b =
+      Coordinator::RunTask(s.input, plan, &subprocess, nullptr, task).ValueOrDie();
   ASSERT_EQ(a.leaves.size(), b.leaves.size());
   for (size_t l = 0; l < a.leaves.size(); ++l) {
     EXPECT_TRUE(a.leaves[l].stats.BitIdenticalTo(b.leaves[l].stats));
@@ -247,8 +299,9 @@ TEST(CoordinatorTest, StopTokenCancelsBetweenShards) {
   InProcessBackend backend;
   StopToken stop;
   stop.RequestStop();
-  Status status =
-      Coordinator::Run(s.input, plan, &backend, nullptr, &stop).status();
+  Status status = Coordinator::RunTask(s.input, plan, &backend, nullptr,
+                                       MakeMomentsTask(s.input), &stop)
+                      .status();
   EXPECT_TRUE(status.IsCancelled());
 }
 
@@ -260,10 +313,11 @@ TEST(SubprocessBackendTest, WorkerKilledMidShardSurfacesAsStatus) {
   SubprocessBackend backend([](int64_t shard) {
     if (shard == 1) raise(SIGKILL);  // die mid-shard, pipe closes unflushed
   });
+  ShardTask task = MakeMomentsTask(s.input);
   // Healthy shards still work...
-  EXPECT_TRUE(backend.ExecuteShard(s.input, plan, 0).ok());
+  EXPECT_TRUE(backend.ExecuteTask(s.input, plan, 0, task).ok());
   // ...the killed one reports the signal instead of hanging.
-  Status status = backend.ExecuteShard(s.input, plan, 1).status();
+  Status status = backend.ExecuteTask(s.input, plan, 1, task).status();
   ASSERT_TRUE(status.IsInternal()) << status.ToString();
   EXPECT_NE(status.message().find("signal"), std::string::npos) << status.ToString();
 }
@@ -274,7 +328,8 @@ TEST(SubprocessBackendTest, NonzeroWorkerExitSurfacesAsStatus) {
   SubprocessBackend backend([](int64_t shard) {
     if (shard == 0) ::_exit(7);
   });
-  Status status = backend.ExecuteShard(s.input, plan, 0).status();
+  Status status =
+      backend.ExecuteTask(s.input, plan, 0, MakeMomentsTask(s.input)).status();
   ASSERT_TRUE(status.IsInternal()) << status.ToString();
   EXPECT_NE(status.message().find("status 7"), std::string::npos) << status.ToString();
 }
@@ -285,62 +340,18 @@ TEST(SubprocessBackendTest, CoordinatorPropagatesWorkerCrash) {
   SubprocessBackend backend([](int64_t shard) {
     if (shard == 2) raise(SIGKILL);
   });
-  Status status = Coordinator::Run(s.input, plan, &backend, nullptr).status();
+  Status status = Coordinator::RunTask(s.input, plan, &backend, nullptr,
+                                       MakeMomentsTask(s.input))
+                      .status();
   EXPECT_TRUE(status.IsInternal()) << status.ToString();
 }
 
-// --- ShardTask protocol (ISSUE 5): tagged tasks, wire, exact merges ---------
-
-ShardTask MakeMomentsTask(const ShardInput& input) {
-  ShardTask task;
-  task.kind = ShardTaskKind::kLeafMoments;
-  for (size_t l = 0; l < input.leaves.size(); ++l) {
-    task.leaves.push_back(static_cast<int64_t>(l));
-  }
-  return task;
-}
-
-ShardTask MakeSignalTask() {
-  ShardTask task;
-  task.kind = ShardTaskKind::kSignalStats;
-  return task;
-}
-
-/// Two probes with distinct leaves/subsets: a one-feature model on the
-/// all-rows leaf and a two-feature model on the stride leaf.
-ShardTask MakeErrorTask() {
-  ShardTask task;
-  task.kind = ShardTaskKind::kErrorPartials;
-  ErrorProbe p0;
-  p0.leaf = 0;
-  p0.features = {0};
-  p0.intercept = 12.5;
-  p0.coefficients = {1.05};
-  task.probes.push_back(p0);
-  ErrorProbe p1;
-  p1.leaf = 1;
-  p1.features = {0, 1};
-  p1.intercept = -3.0;
-  p1.coefficients = {0.5, 2.0};
-  task.probes.push_back(p1);
-  return task;
-}
-
-/// The same two probes as a score task: the worker additionally tallies
-/// rows whose |ŷ − y_new| is within the shipped exactness band.
-ShardTask MakeScoreTask() {
-  ShardTask task = MakeErrorTask();
-  task.kind = ShardTaskKind::kScorePartials;
-  // Sized to the synthetic input's error decades (~4e2..2e3) so the band
-  // genuinely splits the rows: some within, some out.
-  task.score_tolerance = 1000.0;
-  return task;
-}
+// --- ShardTask protocol: tagged tasks, wire, exact merges -------------------
 
 TEST(ShardTaskWireTest, TaskRoundTripIsExactForAllKinds) {
   SyntheticInput s = MakeSyntheticInput(100);
-  for (const ShardTask& task : {MakeMomentsTask(s.input), MakeSignalTask(),
-                                MakeErrorTask(), MakeScoreTask()}) {
+  for (const ShardTask& task :
+       {MakeMomentsTask(s.input), MakeSignalTask(), MakeScoreTask()}) {
     std::string wire;
     task.SerializeTo(&wire);
     ShardTask back = ShardTask::Deserialize(wire.data(), wire.size()).ValueOrDie();
@@ -373,8 +384,8 @@ TEST(ShardTaskWireTest, TaskRoundTripIsExactForAllKinds) {
 TEST(ShardTaskWireTest, TaskResultRoundTripIsExactForAllKinds) {
   SyntheticInput s = MakeSyntheticInput(500);
   ShardPlan plan = PlanShards(500, 64, 3);
-  for (const ShardTask& task : {MakeMomentsTask(s.input), MakeSignalTask(),
-                                MakeErrorTask(), MakeScoreTask()}) {
+  for (const ShardTask& task :
+       {MakeMomentsTask(s.input), MakeSignalTask(), MakeScoreTask()}) {
     for (int64_t shard = 0; shard < plan.num_shards(); ++shard) {
       ShardTaskResult result =
           ExecuteShardTaskKernel(s.input, plan, shard, task).ValueOrDie();
@@ -405,17 +416,6 @@ TEST(ShardTaskWireTest, TaskResultRoundTripIsExactForAllKinds) {
                             &result.signal_max_abs_delta, sizeof(double)),
                 0);
       EXPECT_EQ(back.signal_rows_changed, result.signal_rows_changed);
-      ASSERT_EQ(back.probes.size(), result.probes.size());
-      for (size_t p = 0; p < result.probes.size(); ++p) {
-        EXPECT_EQ(back.probes[p].probe, result.probes[p].probe);
-        ASSERT_EQ(back.probes[p].blocks.size(), result.probes[p].blocks.size());
-        for (size_t b = 0; b < result.probes[p].blocks.size(); ++b) {
-          EXPECT_EQ(back.probes[p].blocks[b].first,
-                    result.probes[p].blocks[b].first);
-          EXPECT_TRUE(back.probes[p].blocks[b].second.BitIdenticalTo(
-              result.probes[p].blocks[b].second));
-        }
-      }
       ASSERT_EQ(back.score_probes.size(), result.score_probes.size());
       for (size_t p = 0; p < result.score_probes.size(); ++p) {
         EXPECT_EQ(back.score_probes[p].probe, result.score_probes[p].probe);
@@ -458,51 +458,12 @@ TEST(ShardTaskMergeTest, SignalStatsMergeMatchesCentralFoldBitForBit) {
   }
 }
 
-TEST(ShardTaskMergeTest, ErrorPartialsMergeMatchesCentralFoldBitForBit) {
-  SyntheticInput s = MakeSyntheticInput(641);
-  ShardTask task = MakeErrorTask();
-  // Central canonical fold of each probe, straight from the definition.
-  std::vector<ErrorPartials> central;
-  for (const ErrorProbe& probe : task.probes) {
-    const RowSet& rows = s.leaf_storage[static_cast<size_t>(probe.leaf)];
-    std::vector<double> y(static_cast<size_t>(rows.size()));
-    std::vector<double> y_hat(static_cast<size_t>(rows.size()));
-    for (int64_t r = 0; r < rows.size(); ++r) {
-      size_t row = static_cast<size_t>(rows[r]);
-      y[static_cast<size_t>(r)] = s.y_new[row];
-      double prediction = probe.intercept;
-      for (size_t f = 0; f < probe.features.size(); ++f) {
-        const std::vector<double>& column =
-            *s.columns.Find(s.shortlist[static_cast<size_t>(probe.features[f])]);
-        prediction += probe.coefficients[f] * column[row];
-      }
-      y_hat[static_cast<size_t>(r)] = prediction;
-    }
-    central.push_back(AccumulateAbsDiffBlocks(y, y_hat, rows.indices(), 64));
-  }
-  InProcessBackend in_process;
-  SubprocessBackend subprocess;
-  for (int shards : {1, 3, 8}) {
-    ShardPlan plan = PlanShards(641, 64, shards);
-    for (ShardBackend* backend :
-         std::vector<ShardBackend*>{&in_process, &subprocess}) {
-      CoordinatorTaskResult merged =
-          Coordinator::RunTask(s.input, plan, backend, nullptr, task).ValueOrDie();
-      ASSERT_EQ(merged.probes.size(), task.probes.size());
-      for (size_t p = 0; p < central.size(); ++p) {
-        EXPECT_TRUE(merged.probes[p].partials.BitIdenticalTo(central[p]))
-            << backend->name() << " probe " << p << " at " << shards
-            << " shards";
-      }
-    }
-  }
-}
-
 TEST(ShardTaskMergeTest, ScorePartialsMergeMatchesCentralFoldBitForBit) {
   SyntheticInput s = MakeSyntheticInput(641);
   ShardTask task = MakeScoreTask();
   // Central canonical fold of each probe, straight from the definition: the
-  // same ŷ chain as the error fold plus the within-band tally.
+  // ŷ chain of LinearModel::PredictRow, the canonical L1 fold, and the
+  // within-band tally.
   std::vector<ScorePartials> central;
   for (const ErrorProbe& probe : task.probes) {
     const RowSet& rows = s.leaf_storage[static_cast<size_t>(probe.leaf)];
@@ -580,7 +541,7 @@ TEST(ShardTaskMergeTest, MalformedProbeSurfacesAsInvalidArgument) {
   SyntheticInput s = MakeSyntheticInput(200);
   ShardPlan plan = PlanShards(200, 64, 2);
   ShardTask task;
-  task.kind = ShardTaskKind::kErrorPartials;
+  task.kind = ShardTaskKind::kScorePartials;
   ErrorProbe bad;
   bad.leaf = 99;  // out of range
   task.probes.push_back(bad);

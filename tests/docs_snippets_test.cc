@@ -33,17 +33,6 @@ charles::Result<charles::SummaryList> PinnedKernelRun(
   return charles::SummarizeChanges(snapshot_2016, snapshot_2017, options);
 }
 
-// --- docs/api.md "Batched block folds" --------------------------------------
-
-charles::Result<charles::SummaryList> BatchedFoldRun(
-    const charles::Table& snapshot_2016, const charles::Table& snapshot_2017) {
-  charles::CharlesOptions options;
-  options.target_attribute = "bonus";
-  options.key_columns = {"name"};
-  options.batch_fold = "on";  // or "off"; default "auto" batches shared sweeps
-  return charles::SummarizeChanges(snapshot_2016, snapshot_2017, options);
-}
-
 // --- docs/api.md "Serving / repeated queries" ------------------------------
 
 class SummaryService {
@@ -193,7 +182,7 @@ charles::Result<std::string> DiagnosticsJson(const charles::Table& source,
   charles::Result<charles::SummaryList> result =
       charles::SummarizeChanges(source, target, options);
   if (!result.ok()) return result.status();
-  return result->ToJson();  // {"schema_version":1,"run_id":"…",…}
+  return result->ToJson();  // {"schema_version":2,"run_id":"…",…}
 }
 
 // --- docs/observability.md "Log correlation" --------------------------------
@@ -224,9 +213,7 @@ TEST(DocsSnippetsTest, PinnedKernelSnippetMatchesEveryBackend) {
   Table source = MakeExample1Source().ValueOrDie();
   Table target = MakeExample1Target().ValueOrDie();
   SummaryList pinned = PinnedKernelRun(source, target).ValueOrDie();
-  // Default batch_fold ("auto") stages blocks on this multi-leaf workload,
-  // which kernel_used reports as a "+batch" suffix on the pinned kernel.
-  EXPECT_EQ(pinned.kernel_used, "scalar+batch");
+  EXPECT_EQ(pinned.kernel_used, "scalar");
   // The documented promise: the backend knob never changes a bit of output.
   for (const char* backend : {"simd", "auto"}) {
     CharlesOptions options;
@@ -238,27 +225,6 @@ TEST(DocsSnippetsTest, PinnedKernelSnippetMatchesEveryBackend) {
     ASSERT_EQ(pinned.summaries.size(), run.summaries.size());
     for (size_t i = 0; i < pinned.summaries.size(); ++i) {
       EXPECT_EQ(pinned.summaries[i].ToString(), run.summaries[i].ToString());
-    }
-  }
-}
-
-TEST(DocsSnippetsTest, BatchedFoldSnippetMatchesEveryMode) {
-  Table source = MakeExample1Source().ValueOrDie();
-  Table target = MakeExample1Target().ValueOrDie();
-  SummaryList batched = BatchedFoldRun(source, target).ValueOrDie();
-  EXPECT_GT(batched.batched_blocks_staged, 0);
-  EXPECT_GT(batched.batch_leaves_per_block_max, 0);
-  EXPECT_NE(batched.kernel_used.find("+batch"), std::string::npos);
-  // The documented promise: the batching knob never changes a bit of output.
-  for (const char* mode : {"off", "auto"}) {
-    CharlesOptions options;
-    options.target_attribute = "bonus";
-    options.key_columns = {"name"};
-    options.batch_fold = mode;
-    SummaryList run = SummarizeChanges(source, target, options).ValueOrDie();
-    ASSERT_EQ(batched.summaries.size(), run.summaries.size());
-    for (size_t i = 0; i < batched.summaries.size(); ++i) {
-      EXPECT_EQ(batched.summaries[i].ToString(), run.summaries[i].ToString());
     }
   }
 }
@@ -375,7 +341,7 @@ TEST(DocsSnippetsTest, DiagnosticsSnippetEmitsVersionedSchema) {
   options.target_attribute = "bonus";
   options.key_columns = {"name"};
   std::string json = DiagnosticsJson(source, target, options).ValueOrDie();
-  EXPECT_EQ(json.find("{\"schema_version\":1"), 0u);
+  EXPECT_EQ(json.find("{\"schema_version\":2"), 0u);
   EXPECT_NE(json.find("\"run_id\":\""), std::string::npos);
   EXPECT_NE(json.find("\"elapsed\":"), std::string::npos);
 }

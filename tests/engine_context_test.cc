@@ -170,8 +170,13 @@ TEST(EngineContextTest, BoundedCacheEvictsLruAndStaysCorrect) {
   options.num_threads = 1;
   SummaryList fresh = CharlesEngine(options).Find(source, target).ValueOrDie();
 
-  // How many distinct fits does this workload cache when unbounded?
-  EngineContext unbounded;
+  // How many distinct fits does this workload cache when unbounded? Both
+  // contexts run one thread: a context's pool size overrides
+  // options.num_threads, and with several threads the fit counters below
+  // depend on scheduling.
+  EngineContextOptions unbounded_options;
+  unbounded_options.num_threads = 1;
+  EngineContext unbounded(unbounded_options);
   CharlesEngine warmup(options, &unbounded);
   warmup.Find(source, target).ValueOrDie();
   size_t full = unbounded.leaf_cache_entries();
@@ -180,6 +185,7 @@ TEST(EngineContextTest, BoundedCacheEvictsLruAndStaysCorrect) {
   // A context bounded to a fraction of that must evict (LRU) yet change
   // nothing about the output — a miss only recomputes the identical fit.
   EngineContextOptions ctx_options;
+  ctx_options.num_threads = 1;
   ctx_options.cache_shards = 1;  // single shard: the bound is exact
   ctx_options.max_cache_entries = static_cast<int64_t>(full / 2);
   EngineContext context(ctx_options);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "csv/csv_reader.h"
 #include "workload/billionaires_gen.h"
 #include "workload/employee_gen.h"
 #include "workload/example1.h"
@@ -200,6 +201,41 @@ TEST(EngineTest, IdenticalSnapshotsYieldNoChangeSummary) {
   EXPECT_EQ(top.num_cts(), 1);
   EXPECT_TRUE(top.cts()[0].transform.is_no_change());
   EXPECT_DOUBLE_EQ(top.scores().accuracy, 1.0);
+}
+
+/// The snapshot with every row dropped: same schema, zero rows.
+Table EmptyLike(const Table& table) {
+  return table.Take(RowSet(std::vector<int64_t>{})).ValueOrDie();
+}
+
+TEST(EngineTest, EmptySourceSnapshotIsRejectedByName) {
+  Table source = EmptyLike(MakeExample1Source().ValueOrDie());
+  Table target = MakeExample1Target().ValueOrDie();
+  Status status = SummarizeChanges(source, target, Example1Options()).status();
+  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("source snapshot is empty"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(EngineTest, EmptyTargetSnapshotIsRejectedByName) {
+  Table source = MakeExample1Source().ValueOrDie();
+  Table target = EmptyLike(MakeExample1Target().ValueOrDie());
+  Status status = SummarizeChanges(source, target, Example1Options()).status();
+  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("target snapshot is empty"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(EngineTest, HeaderOnlyCsvSnapshotsAreRejectedAsEmpty) {
+  // Two header-only CSVs used to fail with a type error about a string
+  // column's numeric view; the error now says what is wrong.
+  Table source = CsvReader::ReadString("name,bonus\n").ValueOrDie();
+  Table target = CsvReader::ReadString("name,bonus\n").ValueOrDie();
+  Status status = SummarizeChanges(source, target, Example1Options()).status();
+  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("source and target snapshots are empty"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(EngineTest, SearchSpaceDiagnosticsPopulated) {

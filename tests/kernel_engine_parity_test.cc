@@ -1,11 +1,10 @@
 /// \file
-/// Engine-level kernel parity (ISSUE 7, batch dimension ISSUE 8): the
-/// determinism contract end to end. kernel_backend=simd vs scalar — and
-/// batch_fold off/auto/on — must produce bit-identical ranked summaries on
-/// the employee and billionaires workloads at 1/4 threads and 1/8 shards,
-/// for in-process and loopback-remote shard execution — the kernel and
-/// batching seams compose with every other determinism layer (threading,
-/// sharding, transport) without moving a bit.
+/// Engine-level kernel parity: the determinism contract end to end.
+/// kernel_backend=simd vs scalar must produce bit-identical ranked summaries
+/// on the employee and billionaires workloads at 1/4 threads and 1/8 shards,
+/// for in-process and loopback-remote shard execution — the kernel seam
+/// composes with every other determinism layer (threading, sharding,
+/// transport) without moving a bit.
 
 #include <gtest/gtest.h>
 
@@ -76,33 +75,16 @@ Workload MakeBillionairesWorkload() {
   return w;
 }
 
-/// The scalar-reference baseline: serial, unsharded, kernel_backend=scalar,
-/// batch_fold=off — the cold per-leaf scalar fold every other configuration
-/// must reproduce bit for bit.
+/// The scalar-reference baseline: serial, unsharded, kernel_backend=scalar —
+/// the cold scalar fold every other configuration must reproduce bit for
+/// bit.
 SummaryList ScalarBaseline(const Workload& w) {
   CharlesOptions options = w.options;
   options.kernel_backend = "scalar";
-  options.batch_fold = "off";
   options.num_threads = 1;
   SummaryList baseline = SummarizeChanges(w.source, w.target, options).ValueOrDie();
   EXPECT_EQ(baseline.kernel_used, "scalar");
-  EXPECT_EQ(baseline.batched_blocks_staged, 0);
   return baseline;
-}
-
-/// kernel_used gains a "+batch" suffix exactly when blocks were staged:
-/// never under "off"; under "auto"/"on" these workloads always have two or
-/// more leaves sharing a block, so batching must have engaged.
-void ExpectKernelUsed(const SummaryList& run, const std::string& kernel,
-                      const std::string& batch) {
-  if (batch == "off") {
-    EXPECT_EQ(run.kernel_used, kernel) << batch;
-    EXPECT_EQ(run.batched_blocks_staged, 0) << batch;
-  } else {
-    EXPECT_EQ(run.kernel_used, kernel + "+batch") << batch;
-    EXPECT_GT(run.batched_blocks_staged, 0) << batch;
-    EXPECT_GT(run.batch_leaves_per_block_max, 0) << batch;
-  }
 }
 
 void RunThreadedKernelParity(const Workload& w) {
@@ -111,18 +93,14 @@ void RunThreadedKernelParity(const Workload& w) {
   const std::string simd_name = kernels::SimdKernel().name;
   for (int threads : {1, 4}) {
     for (const char* backend : {"scalar", "simd", "auto"}) {
-      for (const char* batch : {"off", "auto", "on"}) {
-        CharlesOptions options = w.options;
-        options.kernel_backend = backend;
-        options.batch_fold = batch;
-        options.num_threads = threads;
-        SummaryList run =
-            SummarizeChanges(w.source, w.target, options).ValueOrDie();
-        ExpectKernelUsed(
-            run, std::string(backend) == "scalar" ? "scalar" : simd_name,
-            batch);
-        ExpectIdenticalRuns(baseline, run);
-      }
+      CharlesOptions options = w.options;
+      options.kernel_backend = backend;
+      options.num_threads = threads;
+      SummaryList run =
+          SummarizeChanges(w.source, w.target, options).ValueOrDie();
+      EXPECT_EQ(run.kernel_used,
+                std::string(backend) == "scalar" ? "scalar" : simd_name);
+      ExpectIdenticalRuns(baseline, run);
     }
   }
 }
@@ -132,19 +110,18 @@ void RunShardedKernelParity(const Workload& w) {
   ASSERT_FALSE(baseline.summaries.empty());
   for (int shards : {1, 8}) {
     for (const char* backend : {"scalar", "simd"}) {
-      for (const char* batch : {"off", "auto", "on"}) {
-        CharlesOptions options = w.options;
-        options.kernel_backend = backend;
-        options.batch_fold = batch;
-        options.num_threads = 2;
-        options.num_shards = shards;
-        options.shard_backend = ShardBackendKind::kInProcess;
-        SummaryList run =
-            SummarizeChanges(w.source, w.target, options).ValueOrDie();
-        EXPECT_EQ(run.shards_used, shards);
-        ExpectKernelUsed(run, backend, batch);
-        ExpectIdenticalRuns(baseline, run);
-      }
+      CharlesOptions options = w.options;
+      options.kernel_backend = backend;
+      options.num_threads = 2;
+      options.num_shards = shards;
+      options.shard_backend = ShardBackendKind::kInProcess;
+      SummaryList run =
+          SummarizeChanges(w.source, w.target, options).ValueOrDie();
+      EXPECT_EQ(run.shards_used, shards);
+      EXPECT_EQ(run.kernel_used,
+                std::string(backend) == "scalar" ? "scalar"
+                                                 : kernels::SimdKernel().name);
+      ExpectIdenticalRuns(baseline, run);
     }
   }
 }
@@ -174,27 +151,21 @@ void RunRemoteKernelParity(const Workload& w) {
       LoopbackWorker::Start(WorkerServiceOptions{}).ValueOrDie();
   for (int shards : {1, 8}) {
     for (const char* backend : {"scalar", "simd"}) {
-      for (const char* batch : {"off", "auto", "on"}) {
-        CharlesOptions options = w.options;
-        options.kernel_backend = backend;
-        options.batch_fold = batch;
-        options.num_threads = 2;
-        options.num_shards = shards;
-        options.shard_backend = ShardBackendKind::kRemote;
-        options.remote_workers = {worker->endpoint()};
-        SummaryList run =
-            SummarizeChanges(w.source, w.target, options).ValueOrDie();
-        EXPECT_EQ(run.shards_used, shards);
-        EXPECT_GT(run.remote_tasks_dispatched, 0);
-        EXPECT_EQ(run.remote_task_retries, 0);
-        // The worker resolved its own kernel (auto), independent of the
-        // coordinator's choice — the merge still reproduces the scalar
-        // baseline's bits, which is the whole point of the kernel and
-        // batch-fold contracts (the loopback worker shares this process,
-        // so it does observe batch_fold; a true remote would resolve its
-        // own, with the same bits either way).
-        ExpectIdenticalRuns(baseline, run);
-      }
+      CharlesOptions options = w.options;
+      options.kernel_backend = backend;
+      options.num_threads = 2;
+      options.num_shards = shards;
+      options.shard_backend = ShardBackendKind::kRemote;
+      options.remote_workers = {worker->endpoint()};
+      SummaryList run =
+          SummarizeChanges(w.source, w.target, options).ValueOrDie();
+      EXPECT_EQ(run.shards_used, shards);
+      EXPECT_GT(run.remote_tasks_dispatched, 0);
+      EXPECT_EQ(run.remote_task_retries, 0);
+      // A true remote worker resolves its own kernel (auto), independent of
+      // the coordinator's choice — the merge still reproduces the scalar
+      // baseline's bits, which is the whole point of the kernel contract.
+      ExpectIdenticalRuns(baseline, run);
     }
   }
 }

@@ -16,10 +16,8 @@
 #include <random>
 #include <vector>
 
-#include "linalg/batch_fold.h"
 #include "linalg/error_partials.h"
 #include "linalg/score_partials.h"
-#include "linalg/kernels/block_stage.h"
 #include "linalg/kernels/kernel.h"
 #include "linalg/suffstats.h"
 
@@ -360,288 +358,6 @@ TEST(KernelParityTest, GatherBitIdentical) {
               0)
         << "stride " << stride;
   }
-}
-
-// --- Batched folds (ISSUE 8): staged blocks vs per-leaf sweeps --------------
-
-/// N random sorted leaf row sets over [0, n) — overlapping, fragmenting the
-/// blocks differently per leaf (the multi-leaf batching workload).
-std::vector<std::vector<int64_t>> MakeLeafSets(int64_t n, int64_t num_leaves,
-                                               std::mt19937_64& rng) {
-  std::vector<std::vector<int64_t>> leaves;
-  for (int64_t l = 0; l < num_leaves; ++l) {
-    leaves.push_back(MakeRows(n, /*subset=*/true, rng));
-  }
-  return leaves;
-}
-
-TEST(KernelParityTest, BatchedLeafMomentsBitIdenticalToPerLeaf) {
-  // The tentpole contract: one staged block folded for N leaves at once must
-  // reproduce the per-leaf scalar fold bit for bit — per leaf, per kernel,
-  // for adversarial magnitudes, tail blocks, and single-leaf batches.
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 60; ++seed) {
-    std::mt19937_64 rng(seed * 6101 + 11);
-    int64_t num_rows = 1 + static_cast<int64_t>(rng() % 250);
-    int64_t num_cols = static_cast<int64_t>(rng() % 6);  // includes p = 0
-    int64_t num_leaves = 1 + static_cast<int64_t>(rng() % 5);  // includes 1
-    ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/false, rng);
-    std::vector<std::vector<int64_t>> leaves =
-        MakeLeafSets(num_rows, num_leaves, rng);
-    std::vector<kernels::BatchLeafRequest> requests(leaves.size());
-    for (size_t l = 0; l < leaves.size(); ++l) {
-      requests[l].rows = leaves[l].data();
-      requests[l].count = static_cast<int64_t>(leaves[l].size());
-    }
-    for (int64_t block_rows : {1L, 7L, 64L, num_rows, num_rows + 13}) {
-      for (const Kernel* kernel : {&scalar, &simd}) {
-        kernels::BlockStager stager;
-        kernels::BatchFoldCounters counters;
-        std::vector<SufficientStats> batched =
-            kernels::BatchAccumulateRowBlocks(*kernel, c.columns, c.y,
-                                              requests, 0, num_rows,
-                                              block_rows, &stager, &counters);
-        ASSERT_EQ(batched.size(), leaves.size());
-        for (size_t l = 0; l < leaves.size(); ++l) {
-          SufficientStats expected = AccumulateRowBlocks(
-              scalar, c.columns, c.y, leaves[l], block_rows);
-          ASSERT_TRUE(batched[l].BitIdenticalTo(expected))
-              << "seed " << seed << " kernel " << kernel->name << " leaf "
-              << l << " block " << block_rows;
-        }
-        EXPECT_GT(counters.blocks_staged, 0);
-        EXPECT_LE(counters.max_accumulators_per_block, num_leaves);
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, BatchedFoldAcrossShardBoundaryBitIdentical) {
-  // Leaf sets straddling a shard boundary: each shard batches its sub-range
-  // independently (block-aligned range starts, just like ExecuteShardTask)
-  // and the coordinator-style ascending-block Merge of the two halves must
-  // equal the central scalar per-leaf fold.
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    std::mt19937_64 rng(seed * 353 + 29);
-    int64_t num_rows = 32 + static_cast<int64_t>(rng() % 200);
-    int64_t num_cols = 1 + static_cast<int64_t>(rng() % 4);
-    int64_t block_rows = 1 + static_cast<int64_t>(rng() % 24);
-    int64_t num_leaves = 2 + static_cast<int64_t>(rng() % 4);
-    ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/false, rng);
-    std::vector<std::vector<int64_t>> leaves =
-        MakeLeafSets(num_rows, num_leaves, rng);
-    // A block-aligned cut strictly inside the data, as PlanShards makes them.
-    int64_t boundary =
-        block_rows * (1 + static_cast<int64_t>(
-                              rng() % static_cast<uint64_t>(
-                                          (num_rows - 1) / block_rows + 1)));
-    if (boundary > num_rows) boundary = num_rows;
-
-    for (const Kernel* kernel : {&scalar, &simd}) {
-      std::vector<SufficientStats> merged(leaves.size(),
-                                          SufficientStats(num_cols));
-      kernels::BlockStager stager;
-      kernels::BatchFoldCounters counters;
-      const int64_t range_bounds[3] = {0, boundary, num_rows};
-      for (int half = 0; half < 2; ++half) {
-        const int64_t lo = range_bounds[half], hi = range_bounds[half + 1];
-        std::vector<std::vector<int64_t>> part(leaves.size());
-        std::vector<kernels::BatchLeafRequest> requests;
-        std::vector<size_t> ordinals;
-        for (size_t l = 0; l < leaves.size(); ++l) {
-          for (int64_t row : leaves[l]) {
-            if (row >= lo && row < hi) part[l].push_back(row);
-          }
-          if (part[l].empty()) continue;
-          kernels::BatchLeafRequest request;
-          request.rows = part[l].data();
-          request.count = static_cast<int64_t>(part[l].size());
-          requests.push_back(request);
-          ordinals.push_back(l);
-        }
-        kernels::BatchFoldLeafMoments(
-            *kernel, c.columns, c.y, requests, lo, hi, block_rows, &stager,
-            &counters,
-            [&](int64_t ordinal, int64_t /*block*/, SufficientStats&& stats) {
-              ASSERT_TRUE(
-                  merged[ordinals[static_cast<size_t>(ordinal)]].Merge(stats)
-                      .ok());
-            });
-      }
-      for (size_t l = 0; l < leaves.size(); ++l) {
-        SufficientStats expected =
-            AccumulateRowBlocks(scalar, c.columns, c.y, leaves[l], block_rows);
-        ASSERT_TRUE(merged[l].BitIdenticalTo(expected))
-            << "seed " << seed << " kernel " << kernel->name << " leaf " << l
-            << " boundary " << boundary;
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, ErrorFoldBatchBitIdenticalToSingleFolds) {
-  // E mixed abs-diff / abs-sum folds sharing one row set, one batched kernel
-  // call per block — each entry bit-identical to its single-fold scalar
-  // reference.
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 50; ++seed) {
-    std::mt19937_64 rng(seed * 487 + 3);
-    int64_t num_rows = 1 + static_cast<int64_t>(rng() % 300);
-    std::vector<int64_t> rows = MakeRows(num_rows, (rng() % 2) == 0, rng);
-    int64_t num_entries = 1 + static_cast<int64_t>(rng() % 5);
-    std::vector<std::vector<double>> a_storage, b_storage;
-    std::vector<const std::vector<double>*> a, b;
-    for (int64_t e = 0; e < num_entries; ++e) {
-      a_storage.push_back(
-          AdversarialColumn(static_cast<int64_t>(rows.size()), rng));
-      b_storage.push_back(
-          AdversarialColumn(static_cast<int64_t>(rows.size()), rng));
-    }
-    for (int64_t e = 0; e < num_entries; ++e) {
-      a.push_back(&a_storage[static_cast<size_t>(e)]);
-      // Every other entry is an abs-sum fold (null b).
-      b.push_back(e % 2 == 0 ? &b_storage[static_cast<size_t>(e)] : nullptr);
-    }
-    for (int64_t block_rows : {1L, 7L, 64L, num_rows + 1}) {
-      for (const Kernel* kernel : {&scalar, &simd}) {
-        std::vector<ErrorPartials> batched =
-            AccumulateAbsDiffBlocksBatch(*kernel, a, b, rows, block_rows);
-        ASSERT_EQ(batched.size(), a.size());
-        for (int64_t e = 0; e < num_entries; ++e) {
-          ErrorPartials expected =
-              b[static_cast<size_t>(e)] != nullptr
-                  ? AccumulateAbsDiffBlocks(scalar, a_storage[static_cast<size_t>(e)],
-                                            b_storage[static_cast<size_t>(e)],
-                                            rows, block_rows)
-                  : AccumulateAbsBlocks(scalar, a_storage[static_cast<size_t>(e)],
-                                        rows, block_rows);
-          ASSERT_TRUE(batched[static_cast<size_t>(e)].BitIdenticalTo(expected))
-              << "seed " << seed << " kernel " << kernel->name << " entry "
-              << e << " block " << block_rows;
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, BatchedProbeEvalBitIdenticalToPerProbe) {
-  // M probes with distinct feature subsets evaluated against staged blocks,
-  // vs the per-probe scalar block sweep (the RunErrorPartials reference).
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 50; ++seed) {
-    std::mt19937_64 rng(seed * 769 + 21);
-    int64_t num_rows = 1 + static_cast<int64_t>(rng() % 250);
-    int64_t num_cols = 1 + static_cast<int64_t>(rng() % 5);
-    int64_t num_probes = 1 + static_cast<int64_t>(rng() % 5);
-    ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/false, rng);
-    std::vector<std::vector<int64_t>> probe_rows =
-        MakeLeafSets(num_rows, num_probes, rng);
-    struct ProbeModel {
-      double intercept;
-      std::vector<double> coefficients;
-      std::vector<int64_t> features;
-    };
-    std::vector<ProbeModel> models(static_cast<size_t>(num_probes));
-    std::vector<kernels::BatchProbeRequest> requests(
-        static_cast<size_t>(num_probes));
-    for (int64_t p = 0; p < num_probes; ++p) {
-      ProbeModel& model = models[static_cast<size_t>(p)];
-      model.intercept = AdversarialValue(rng);
-      int64_t num_features = static_cast<int64_t>(rng() % (num_cols + 1));
-      for (int64_t f = 0; f < num_features; ++f) {
-        model.coefficients.push_back(AdversarialValue(rng));
-        model.features.push_back(static_cast<int64_t>(rng() %
-                                                      static_cast<uint64_t>(num_cols)));
-      }
-      kernels::BatchProbeRequest& request = requests[static_cast<size_t>(p)];
-      request.intercept = model.intercept;
-      request.coefficients = model.coefficients.data();
-      request.feature_columns = model.features.data();
-      request.num_features = num_features;
-      request.rows = probe_rows[static_cast<size_t>(p)].data();
-      request.count = static_cast<int64_t>(probe_rows[static_cast<size_t>(p)].size());
-    }
-    for (int64_t block_rows : {1L, 16L, num_rows, num_rows + 7}) {
-      for (const Kernel* kernel : {&scalar, &simd}) {
-        kernels::BlockStager stager;
-        kernels::BatchFoldCounters counters;
-        std::vector<ErrorPartials> batched(static_cast<size_t>(num_probes));
-        kernels::BatchFoldProbeErrors(
-            *kernel, c.columns, c.y, requests, 0, num_rows, block_rows,
-            &stager, &counters,
-            [&](int64_t ordinal, int64_t /*block*/, ErrorPartials&& partial) {
-              batched[static_cast<size_t>(ordinal)].Merge(partial);
-            });
-        for (int64_t p = 0; p < num_probes; ++p) {
-          const ProbeModel& model = models[static_cast<size_t>(p)];
-          std::vector<const std::vector<double>*> feature_columns;
-          for (int64_t f : model.features) {
-            feature_columns.push_back(c.columns[static_cast<size_t>(f)]);
-          }
-          ErrorPartials expected;
-          ForEachRowBlock(
-              probe_rows[static_cast<size_t>(p)].data(),
-              static_cast<int64_t>(probe_rows[static_cast<size_t>(p)].size()),
-              block_rows, [&](int64_t /*block*/, const int64_t* ptr, int64_t n) {
-                ErrorPartials partial;
-                partial.abs_error_sum = scalar.probe_abs_error_sum(
-                    model.intercept, model.coefficients.data(),
-                    feature_columns, c.y, ptr, n);
-                partial.n = n;
-                expected.Merge(partial);
-              });
-          ASSERT_TRUE(
-              batched[static_cast<size_t>(p)].BitIdenticalTo(expected))
-              << "seed " << seed << " kernel " << kernel->name << " probe "
-              << p << " block " << block_rows;
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, StagedBlockIsABitCopy) {
-  // The first leg of the bit-identity argument: staged buffers are memcpy
-  // images of the source column slices — every addend the batched kernels
-  // read equals the per-leaf kernels' addend by construction.
-  std::mt19937_64 rng(4242);
-  ShapeCase c = MakeShapeCase(300, 4, /*subset=*/false, rng);
-  kernels::BlockStager stager;
-  for (int64_t begin : {0L, 64L, 256L}) {
-    int64_t count = std::min<int64_t>(100, 300 - begin);
-    kernels::StagedBlock staged = stager.Stage(c.columns, &c.y, begin, count);
-    ASSERT_EQ(staged.num_columns, 4);
-    ASSERT_EQ(staged.count, count);
-    ASSERT_EQ(staged.row_begin, begin);
-    for (int64_t col = 0; col < staged.num_columns; ++col) {
-      EXPECT_EQ(std::memcmp(staged.columns[col],
-                            c.columns[static_cast<size_t>(col)]->data() + begin,
-                            static_cast<size_t>(count) * sizeof(double)),
-                0)
-          << "begin " << begin << " col " << col;
-    }
-    EXPECT_EQ(std::memcmp(staged.y, c.y.data() + begin,
-                          static_cast<size_t>(count) * sizeof(double)),
-              0);
-  }
-}
-
-TEST(KernelParityTest, ParseBatchFoldModes) {
-  EXPECT_TRUE(kernels::ParseBatchFoldMode("auto").ok());
-  EXPECT_TRUE(kernels::ParseBatchFoldMode("on").ok());
-  EXPECT_TRUE(kernels::ParseBatchFoldMode("off").ok());
-  EXPECT_TRUE(kernels::ParseBatchFoldMode("always").status().IsInvalidArgument());
-  EXPECT_TRUE(kernels::ParseBatchFoldMode("").status().IsInvalidArgument());
-  EXPECT_FALSE(kernels::ShouldBatchFold(kernels::BatchFoldMode::kOff, 8));
-  EXPECT_FALSE(kernels::ShouldBatchFold(kernels::BatchFoldMode::kAuto, 1));
-  EXPECT_TRUE(kernels::ShouldBatchFold(kernels::BatchFoldMode::kAuto, 2));
-  EXPECT_TRUE(kernels::ShouldBatchFold(kernels::BatchFoldMode::kOn, 1));
-  EXPECT_FALSE(kernels::ShouldBatchFold(kernels::BatchFoldMode::kOn, 0));
 }
 
 // --- Registry, dispatch, and the compensated-summation oracle ---------------

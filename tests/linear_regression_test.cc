@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
+#include <ostream>
+
 #include "common/random.h"
 
 namespace charles {
@@ -126,6 +131,24 @@ struct PlantedCase {
   int features;
   int64_t rows;
 };
+
+// gtest's default printer dumps the raw object bytes, padding included, and
+// the padding between `features` and `rows` holds whatever the register or
+// stack slot held, so the test names changed from run to run. Print the same
+// dump with the padding zeroed so each case keeps one stable name.
+void PrintTo(const PlantedCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(PlantedCase)] = {};
+  std::memcpy(bytes + offsetof(PlantedCase, features), &c.features, sizeof c.features);
+  std::memcpy(bytes + offsetof(PlantedCase, rows), &c.rows, sizeof c.rows);
+  *os << sizeof bytes << "-byte object <";
+  for (size_t i = 0; i < sizeof bytes; ++i) {
+    char hex[3];
+    std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+    if (i > 0) *os << (i % 2 == 0 ? ' ' : '-');
+    *os << hex;
+  }
+  *os << '>';
+}
 
 class PlantedRecovery : public ::testing::TestWithParam<PlantedCase> {};
 

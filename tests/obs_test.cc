@@ -351,12 +351,15 @@ TEST(ObsDiagnosticsTest, RunDiagnosticsJsonHasVersionedSchema) {
   obs::RunDiagnostics diagnostics = obs::RunDiagnostics::FromSummary(summary);
   std::string json = diagnostics.ToJson();
   EXPECT_EQ(json, summary.ToJson());  // SummaryList::ToJson delegates
-  EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"run_id\":\"00000000deadbeef\""), std::string::npos);
   EXPECT_NE(json.find("\"candidates_evaluated\":42"), std::string::npos);
   EXPECT_NE(json.find("\"shards_used\":4"), std::string::npos);
   EXPECT_NE(json.find("\"127.0.0.1:9000\""), std::string::npos);
   EXPECT_NE(json.find("\"workers\":["), std::string::npos);
+  // Schema v2 removed the batched-fold counters and the exact-L1 round.
+  EXPECT_EQ(json.find("batch"), std::string::npos) << json;
+  EXPECT_EQ(json.find("error_probes"), std::string::npos) << json;
 }
 
 }  // namespace

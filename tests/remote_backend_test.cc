@@ -86,9 +86,13 @@ ShardTask MakeSignalTask() {
   return task;
 }
 
-ShardTask MakeErrorTask() {
+/// Two score probes with distinct leaves/subsets, plus the exactness band
+/// the worker tallies against.
+ShardTask MakeScoreTask() {
   ShardTask task;
-  task.kind = ShardTaskKind::kErrorPartials;
+  task.kind = ShardTaskKind::kScorePartials;
+  // Sized to the synthetic input's error decades so the band splits rows.
+  task.score_tolerance = 1000.0;
   ErrorProbe p0;
   p0.leaf = 0;
   p0.features = {0};
@@ -101,16 +105,6 @@ ShardTask MakeErrorTask() {
   p1.intercept = -3.0;
   p1.coefficients = {0.5, 2.0};
   task.probes.push_back(p1);
-  return task;
-}
-
-/// The error probes re-tagged as a score task: same models, plus the
-/// exactness band the worker tallies against.
-ShardTask MakeScoreTask() {
-  ShardTask task = MakeErrorTask();
-  task.kind = ShardTaskKind::kScorePartials;
-  // Sized to the synthetic input's error decades so the band splits rows.
-  task.score_tolerance = 1000.0;
   return task;
 }
 
@@ -135,13 +129,6 @@ void ExpectBitIdenticalMerges(const CoordinatorTaskResult& expected,
                         &actual.signal_max_abs_delta, sizeof(double)),
             0);
   EXPECT_EQ(expected.signal_rows_changed, actual.signal_rows_changed);
-  ASSERT_EQ(expected.probes.size(), actual.probes.size());
-  for (size_t p = 0; p < expected.probes.size(); ++p) {
-    EXPECT_TRUE(
-        expected.probes[p].partials.BitIdenticalTo(actual.probes[p].partials))
-        << "probe " << p;
-    EXPECT_EQ(expected.probes[p].blocks_merged, actual.probes[p].blocks_merged);
-  }
   ASSERT_EQ(expected.score_probes.size(), actual.score_probes.size());
   for (size_t p = 0; p < expected.score_probes.size(); ++p) {
     EXPECT_TRUE(expected.score_probes[p].partials.BitIdenticalTo(
@@ -201,8 +188,7 @@ TEST(RemoteProtocolTest, InstallBundleRoundTripIsExact) {
   // The kernel over the worker's owned reconstruction produces the same
   // bytes as over the coordinator's original view — the determinism hinge.
   for (const ShardTask& task :
-       {MakeMomentsTask(s.input), MakeSignalTask(), MakeErrorTask(),
-        MakeScoreTask()}) {
+       {MakeMomentsTask(s.input), MakeSignalTask(), MakeScoreTask()}) {
     for (int64_t shard = 0; shard < plan.num_shards(); ++shard) {
       ShardTaskResult original =
           ExecuteShardTaskKernel(s.input, plan, shard, task).ValueOrDie();
@@ -275,8 +261,7 @@ TEST(RemoteBackendTest, CoordinatorParityAllKindsAllShardCounts) {
   for (int shards : {1, 2, 8}) {
     ShardPlan plan = PlanShards(777, 64, shards);
     for (const ShardTask& task :
-         {MakeMomentsTask(s.input), MakeSignalTask(), MakeErrorTask(),
-        MakeScoreTask()}) {
+         {MakeMomentsTask(s.input), MakeSignalTask(), MakeScoreTask()}) {
       CoordinatorTaskResult expected =
           Coordinator::RunTask(s.input, plan, &in_process, nullptr, task)
               .ValueOrDie();
@@ -301,8 +286,7 @@ TEST(RemoteBackendTest, InputShipsOncePerEpochAndPlanChangeRolls) {
   ShardPlan plan = PlanShards(400, 64, 4);
   int64_t tasks = 0;
   for (const ShardTask& task :
-       {MakeMomentsTask(s.input), MakeSignalTask(), MakeErrorTask(),
-        MakeScoreTask()}) {
+       {MakeMomentsTask(s.input), MakeSignalTask(), MakeScoreTask()}) {
     for (int64_t shard = 0; shard < plan.num_shards(); ++shard) {
       ASSERT_TRUE(remote->ExecuteTask(s.input, plan, shard, task).ok());
       ++tasks;
@@ -328,7 +312,7 @@ TEST(RemoteBackendTest, DeterministicTaskErrorPropagatesWithoutRetry) {
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   ShardPlan plan = PlanShards(200, 64, 2);
   ShardTask bad_task;
-  bad_task.kind = ShardTaskKind::kErrorPartials;
+  bad_task.kind = ShardTaskKind::kScorePartials;
   ErrorProbe bad;
   bad.leaf = 99;  // out of range: the kernel fails deterministically
   bad_task.probes.push_back(bad);
@@ -380,16 +364,17 @@ TEST(RemoteBackendTest, VersionSkewedWorkerIsExcludedAtHandshake) {
 }
 
 TEST(RemoteBackendTest, PreviousWireVersionWorkerIsRejectedAtHandshake) {
-  // The concrete v3 → v4 skew: a worker from the build before kScorePartials
-  // (wire range [3, 3]) must be excluded at the handshake. If it were allowed
-  // to negotiate, it would mis-parse the unconditional trailing
-  // score_tolerance on every CTK1 frame — the reject is what keeps the skew
-  // a clean handshake error instead of a mid-run parse failure.
+  // The concrete v4 → v5 skew: a worker from the build before the exact-L1
+  // kind and the batched-fold counters were retired (wire range [4, 4]) must
+  // be excluded at the handshake. If it were allowed to negotiate, its CST1
+  // replies would carry the error-probes section and counters this build no
+  // longer parses — the reject is what keeps the skew a clean handshake
+  // error instead of a mid-run parse failure.
   SyntheticInput s = MakeSyntheticInput(200);
-  WorkerServiceOptions v3;
-  v3.version_min = 3;
-  v3.version_max = 3;
-  std::unique_ptr<LoopbackWorker> worker = StartWorker(std::move(v3));
+  WorkerServiceOptions v4;
+  v4.version_min = 4;
+  v4.version_max = 4;
+  std::unique_ptr<LoopbackWorker> worker = StartWorker(std::move(v4));
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   ShardPlan plan = PlanShards(200, 64, 2);
   Status status =

@@ -1,9 +1,9 @@
 /// \file
-/// Negative and fuzz coverage of every remote-path wire format (ISSUE 6
-/// satellite): CTK1 tasks, CST1 results, CSI1 install bundles and execute
-/// requests must reject malformed, truncated, over-length and wrong-version
-/// bytes with a clean Status — never a crash or an unbounded allocation —
-/// for all three task kinds.
+/// Negative and fuzz coverage of every remote-path wire format: CTK1 tasks,
+/// CST1 results, CSI1 install bundles and execute requests must reject
+/// malformed, truncated, over-length and wrong-version bytes with a clean
+/// Status — never a crash or an unbounded allocation — for all three task
+/// kinds.
 
 #include <gtest/gtest.h>
 
@@ -78,18 +78,14 @@ std::vector<ShardTask> AllTaskKinds(const ShardInput& input) {
   ShardTask signal;
   signal.kind = ShardTaskKind::kSignalStats;
   tasks.push_back(signal);
-  ShardTask errors;
-  errors.kind = ShardTaskKind::kErrorPartials;
+  ShardTask scores;
+  scores.kind = ShardTaskKind::kScorePartials;
+  scores.score_tolerance = 0.125;
   ErrorProbe probe;
   probe.leaf = 1;
   probe.features = {0, 1};
   probe.intercept = -3.0;
   probe.coefficients = {0.5, 2.0};
-  errors.probes.push_back(probe);
-  tasks.push_back(errors);
-  ShardTask scores;
-  scores.kind = ShardTaskKind::kScorePartials;
-  scores.score_tolerance = 0.125;
   scores.probes.push_back(probe);
   tasks.push_back(scores);
   return tasks;
@@ -142,7 +138,9 @@ TEST(WireNegativeTest, TaskInvalidKindRejected) {
   SyntheticInput s = MakeSyntheticInput(60);
   std::string wire;
   AllTaskKinds(s.input)[0].SerializeTo(&wire);
-  for (int64_t kind : {int64_t{0}, int64_t{5}, int64_t{-1}, int64_t{1} << 40}) {
+  // 3 is the retired exact-L1 kind of wire v4 and earlier.
+  for (int64_t kind :
+       {int64_t{0}, int64_t{3}, int64_t{5}, int64_t{-1}, int64_t{1} << 40}) {
     std::string skewed = wire;
     PatchInt64(&skewed, kTaskKindOffset, kind);
     EXPECT_TRUE(ShardTask::Deserialize(skewed.data(), skewed.size())
@@ -166,12 +164,12 @@ TEST(WireNegativeTest, TaskHugeCountsRejectedBeforeAllocation) {
                     .IsIOError())
         << "leaf count " << count;
   }
-  // Error task: its leaf vector is empty, so the probe count sits right
+  // Score task: its leaf vector is empty, so the probe count sits right
   // after it (magic 4 | kind 8 | empty vector 8 = offset 20).
-  std::string errors;
-  tasks[2].SerializeTo(&errors);
+  std::string scores;
+  tasks[2].SerializeTo(&scores);
   for (int64_t count : {int64_t{1} << 60, int64_t{-1}}) {
-    std::string skewed = errors;
+    std::string skewed = scores;
     PatchInt64(&skewed, kTaskLeafCountOffset + sizeof(int64_t), count);
     EXPECT_TRUE(ShardTask::Deserialize(skewed.data(), skewed.size())
                     .status()
@@ -220,7 +218,7 @@ TEST(WireNegativeTest, ResultWrongVersionMagicAndKindRejected) {
                     .IsIOError())
         << "magic byte '" << version << "'";
   }
-  for (int64_t kind : {int64_t{0}, int64_t{5}, int64_t{-1}}) {
+  for (int64_t kind : {int64_t{0}, int64_t{3}, int64_t{5}, int64_t{-1}}) {
     std::string skewed = wire;
     PatchInt64(&skewed, kResultKindOffset, kind);
     EXPECT_TRUE(ShardTaskResult::Deserialize(skewed.data(), skewed.size())
