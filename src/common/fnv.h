@@ -2,12 +2,15 @@
 #define CHARLES_COMMON_FNV_H_
 
 /// \file
-/// \brief FNV-1a hashing primitives, shared by the leaf-fit cache keys and
-/// the engine's run fingerprint so the algorithm and constants live in one
-/// place.
+/// \brief FNV-1a hashing primitives, shared by the leaf-fit cache keys, the
+/// engine's run fingerprint and the search-space cache key so the algorithm
+/// and constants live in one place.
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 namespace charles {
 
@@ -23,6 +26,25 @@ inline uint64_t FnvMixBytes(uint64_t h, const void* data, size_t len) {
     h = (h ^ bytes[i]) * kFnvPrime;
   }
   return h;
+}
+
+/// Folds the bit patterns of `values` into `h` (so -0.0 and NaN payloads
+/// hash by their bits, exactly as the cached computations see them).
+inline uint64_t FnvMixDoubles(uint64_t h, const std::vector<double>& values) {
+  for (double v : values) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    h = FnvMixBytes(h, &bits, sizeof(bits));
+  }
+  return h;
+}
+
+/// Folds a string and then its length into `h`; the length separates
+/// {"ab","c"} from {"a","bc"}.
+inline uint64_t FnvMixString(uint64_t h, const std::string& s) {
+  h = FnvMixBytes(h, s.data(), s.size());
+  uint64_t len = s.size();
+  return FnvMixBytes(h, &len, sizeof(len));
 }
 
 }  // namespace charles

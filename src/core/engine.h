@@ -75,6 +75,11 @@ struct SummaryList {
   /// runs when attached to an EngineContext (the cache is shared). 0 when no
   /// bound is configured.
   int64_t leaf_fit_evictions = 0;
+  /// True when phases 1–2 were served from the attached EngineContext's
+  /// phase cache (an earlier run computed the same search space). Depends on
+  /// what the context has cached, not on the inputs; always false without a
+  /// context.
+  bool phase_cache_hit = false;
   /// \name Distributed shard execution (CharlesOptions::num_shards >= 1;
   /// all zero for unsharded runs). See docs/distributed.md.
   /// @{

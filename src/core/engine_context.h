@@ -5,27 +5,34 @@
 /// \brief Long-lived execution context shared across engine runs.
 ///
 /// A CharlesEngine without a context builds everything it needs per run: a
-/// ThreadPool is spawned and joined inside every Find() call and the
-/// cross-worker leaf-fit cache dies with the run. That is the right shape for
-/// a one-shot CLI invocation, but a serving process answering many requests
-/// pays the thread spawn and re-fits every leaf on every call.
+/// ThreadPool is spawned and joined inside every Find() call, and every
+/// cache dies with the run. That is the right shape for a one-shot CLI
+/// invocation, but a serving process answering many requests pays the
+/// thread spawn and redoes the whole search on every call.
 ///
-/// EngineContext hoists both resources out of the run:
+/// An EngineContext owns three things that outlive a run:
 ///
 ///  - one ThreadPool, spawned when the context is created and reused by every
 ///    engine attached to the context (no per-request thread churn);
-///  - one SharedLeafFitCache surviving across runs, so a repeated query (same
-///    snapshots, same options) is served almost entirely from cached OLS fits.
+///  - one SharedLeafFitCache of leaf fits, so phase 3 of a repeated query
+///    (same snapshots, same options) is served almost entirely from cached
+///    OLS fits;
+///  - one small LRU phase cache of search spaces, the products of phases 1
+///    (change-signal k-means) and 2 (condition trees), so a re-query that
+///    only moves α — or returns to a c it asked before — skips both phases.
 ///
 /// Cached fits are keyed by a per-run \em fingerprint hashing everything a
 /// leaf fit depends on (target attribute, tolerance, normality options, the
 /// transformation shortlist and its column values, and the old/new target
-/// vectors), so runs over different snapshots or options can share one
-/// context without observing each other's fits (up to 64-bit hash
-/// collisions, vanishingly unlikely but not impossible).
+/// vectors). Search spaces are keyed by that fingerprint mixed with
+/// everything else phases 1–2 read: the clustering and tree options and the
+/// condition shortlist with its column values. So runs over different
+/// snapshots or options can share one context without observing each
+/// other's entries (up to 64-bit hash collisions, vanishingly unlikely but
+/// not impossible).
 ///
-/// Determinism is unaffected: leaf fits are pure functions of their key, so a
-/// warm run produces output bit-identical to a cold one.
+/// Determinism is unaffected: leaf fits and search spaces are pure functions
+/// of their keys, so a warm run produces output bit-identical to a cold one.
 
 #include <atomic>
 #include <condition_variable>
@@ -137,6 +144,15 @@ using SharedLeafFitCache = ShardedCache<LeafKey, SharedLeafFit, LeafKeyHash>;
 using SharedLeafStatsCache =
     ShardedCache<LeafKey, std::shared_ptr<const SufficientStats>, LeafKeyHash>;
 
+// The phase 1–2 products of one run that later stages read (defined in
+// core/run_pipeline.h); what the context's phase cache keeps.
+struct SearchSpace;
+
+/// Cross-run cache of search spaces, keyed by the run's 64-bit search-space
+/// key (see RunPipeline::Phase1Signals). Values are shared and immutable, so
+/// a hit copies a handle and concurrent runs read one entry safely.
+using PhaseCache = ShardedCache<uint64_t, std::shared_ptr<const SearchSpace>>;
+
 /// \brief What a context does with a Find() arriving while
 /// max_concurrent_runs are already executing.
 enum class AdmissionPolicy {
@@ -171,8 +187,8 @@ struct EngineContextOptions {
   AdmissionPolicy admission = AdmissionPolicy::kQueue;
 };
 
-/// \brief Long-lived owner of the ThreadPool and leaf-fit cache shared by
-/// repeated engine runs.
+/// \brief Long-lived owner of the ThreadPool, leaf-fit cache and phase cache
+/// shared by repeated engine runs.
 ///
 /// Construct one per process (or per tenant) and attach engines to it:
 ///
@@ -183,7 +199,7 @@ struct EngineContextOptions {
 ///   auto second = engine.Find(source, target);      // warm: served from cache
 /// \endcode
 ///
-/// Thread safety: the pool and cache are concurrency-safe, so multiple
+/// Thread safety: the pool and caches are concurrency-safe, so multiple
 /// threads may run Find() against one context simultaneously (each run
 /// schedules its waves through the shared pool). ClearCaches() is the only
 /// exception — it must not race with an active run.
@@ -252,6 +268,11 @@ class EngineContext {
   /// Resolved worker-thread count (>= 1).
   int num_threads() const { return num_threads_; }
 
+  /// Search spaces the phase cache keeps, least recently used evicted
+  /// first: room for the trade-off explorer's three values of c over a few
+  /// snapshot pairs.
+  static constexpr size_t kPhaseCacheCapacity = 8;
+
   /// \name Diagnostics
   /// @{
   /// Number of Find() calls completed against this context.
@@ -267,6 +288,12 @@ class EngineContext {
   /// Cumulative fits dropped by the cache bound (LRU eviction); 0 while the
   /// cache is unbounded and untrimmed.
   int64_t leaf_cache_evictions() const { return leaf_cache_->evictions(); }
+  /// Cumulative runs whose phases 1–2 were served from the phase cache.
+  int64_t phase_cache_hits() const { return phase_cache_->hits(); }
+  /// Cumulative runs that computed phases 1–2 (every context run looks).
+  int64_t phase_cache_misses() const { return phase_cache_->misses(); }
+  /// Search spaces currently cached (at most kPhaseCacheCapacity).
+  size_t phase_cache_entries() const { return phase_cache_->Size(); }
   /// Runs executing right now (admitted, not yet released).
   int active_runs() const;
   /// Cumulative admissions that had to wait for a slot (kQueue).
@@ -281,10 +308,13 @@ class EngineContext {
   int max_concurrent_runs() const { return max_concurrent_runs_; }
   /// @}
 
-  /// Drops every cached leaf fit (e.g. after a snapshot refresh made cached
-  /// entries unreachable and memory matters). Must not be called while a run
-  /// is in flight — runs hold pointers into the cache.
-  void ClearCaches() { leaf_cache_->Clear(); }
+  /// Drops every cached leaf fit and search space (e.g. after a snapshot
+  /// refresh made cached entries unreachable and memory matters). Must not
+  /// be called while a run is in flight — runs hold pointers into the cache.
+  void ClearCaches() {
+    leaf_cache_->Clear();
+    phase_cache_->Clear();
+  }
 
  private:
   friend class CharlesEngine;
@@ -298,9 +328,16 @@ class EngineContext {
   /// RunSlot's release path.
   void FinishRun();
 
+  /// The cross-run search-space cache; never null.
+  PhaseCache* phase_cache() const { return phase_cache_.get(); }
+
   int num_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<SharedLeafFitCache> leaf_cache_;
+  /// One lock shard: the cache is consulted once per run, and a single
+  /// shard keeps the LRU bound exact.
+  std::unique_ptr<PhaseCache> phase_cache_ =
+      std::make_unique<PhaseCache>(/*num_shards=*/1, kPhaseCacheCapacity);
   std::atomic<int64_t> runs_completed_{0};
 
   int max_concurrent_runs_ = 0;

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <map>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/combinatorics.h"
 #include "common/fnv.h"
+#include "common/string_util.h"
 #include "distributed/coordinator.h"
 #include "distributed/in_process_backend.h"
 #include "distributed/remote_backend.h"
@@ -31,40 +32,35 @@ bool UsesOldTarget(const ChangeSummary& summary) {
          attrs.end();
 }
 
+/// \brief The rank-order key of one summary.
+///
 /// Score-descending with deterministic tie-breaks: fewer CTs, then
-/// self-referential transformations, then text. Scores are quantized to a
-/// 1e-7 grid so floating-point noise cannot override the semantic
-/// tie-breaks (quantization keeps the comparison a strict weak order).
-int64_t QuantizedScore(const ChangeSummary& s) {
-  return static_cast<int64_t>(std::llround(s.scores().score * 1e7));
-}
+/// self-referential transformations, then the signature. Scores are
+/// quantized to a 1e-7 grid so floating-point noise cannot override the
+/// semantic tie-breaks. The signature is the string phase 3 computed once
+/// per work item; signatures are distinct after the best-by-signature dedup,
+/// so over deduplicated summaries the order is total.
+struct RankKey {
+  int64_t score = 0;
+  int num_cts = 0;
+  bool uses_old_target = false;
+  const std::string* signature = nullptr;
+  size_t item = 0;  ///< index into RunState::outputs (RankStream only)
 
-bool SummaryOrder(const ChangeSummary& a, const ChangeSummary& b) {
-  int64_t qa = QuantizedScore(a);
-  int64_t qb = QuantizedScore(b);
-  if (qa != qb) return qa > qb;
-  if (a.num_cts() != b.num_cts()) return a.num_cts() < b.num_cts();
-  bool a_old = UsesOldTarget(a);
-  bool b_old = UsesOldTarget(b);
-  if (a_old != b_old) return a_old;
-  return a.Signature() < b.Signature();
-}
-
-uint64_t FnvMixDoubles(uint64_t h, const std::vector<double>& values) {
-  for (double v : values) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    h = FnvMixBytes(h, &bits, sizeof(bits));
+  static RankKey Of(const ChangeSummary& summary, const std::string& signature,
+                    size_t item = 0) {
+    return RankKey{static_cast<int64_t>(std::llround(summary.scores().score * 1e7)),
+                   summary.num_cts(), UsesOldTarget(summary), &signature, item};
   }
-  return h;
-}
 
-uint64_t FnvMixString(uint64_t h, const std::string& s) {
-  h = FnvMixBytes(h, s.data(), s.size());
-  // Length separator so {"ab","c"} and {"a","bc"} hash differently.
-  uint64_t len = s.size();
-  return FnvMixBytes(h, &len, sizeof(len));
-}
+  /// True if `*this` ranks strictly before `other`.
+  bool operator<(const RankKey& other) const {
+    if (score != other.score) return score > other.score;
+    if (num_cts != other.num_cts) return num_cts < other.num_cts;
+    if (uses_old_target != other.uses_old_target) return uses_old_target;
+    return *signature < *other.signature;
+  }
+};
 
 /// \brief Hash of everything a cached leaf fit depends on beyond its LeafKey.
 ///
@@ -109,6 +105,31 @@ uint64_t ComputeRunFingerprint(const CharlesOptions& options,
   }
   h = FnvMixDoubles(h, y_old);
   h = FnvMixDoubles(h, y_new);
+  return h;
+}
+
+/// \brief Key of the context's phase cache: a hash of everything phases 1–2
+/// read.
+///
+/// The run id already covers the target, the tolerance and normality knobs,
+/// max_transform_attrs, the solver path and block size, the transformation
+/// shortlist with its values, and y_old/y_new. Mixed in here: the k-means
+/// options (max_clusters, seed), the condition shortlist names with their
+/// columns in analysis-row order, and the tree and partition caps.
+uint64_t ComputeSearchSpaceKey(const RunState& state) {
+  const CharlesOptions& options = state.options;
+  uint64_t h = FnvMixBytes(kFnvOffsetBasis, &state.run_id, sizeof(state.run_id));
+  const int64_t knobs[] = {options.max_clusters,
+                           static_cast<int64_t>(options.seed),
+                           options.max_condition_attrs,
+                           options.tree_max_depth,
+                           options.min_partition_size,
+                           options.max_partitions};
+  h = FnvMixBytes(h, knobs, sizeof(knobs));
+  for (size_t i = 0; i < state.cond_names.size(); ++i) {
+    h = FnvMixString(h, state.cond_names[i]);
+    h = state.analysis->column(state.cond_indices[i]).HashInto(h);
+  }
   return h;
 }
 
@@ -167,6 +188,33 @@ void FoldRoundDiagnostics(const CoordinatorTaskResult& merged,
   result->shard_rows_scanned += merged.rows_scanned;
   result->shard_blocks_merged += merged.blocks_merged;
   result->shard_seconds += merged.elapsed_seconds;
+}
+
+/// A NaN or infinite target value poisons every fit and score it touches,
+/// and the run would end OK with nothing ranked. Name the first such cell
+/// instead, in analysis-row order: its snapshot, row, key and value.
+Status CheckFiniteTarget(const RunState& state) {
+  for (size_t i = 0; i < state.y_old.size(); ++i) {
+    const bool old_bad = !std::isfinite(state.y_old[i]);
+    if (!old_bad && std::isfinite(state.y_new[i])) continue;
+    const SnapshotDiff::AlignedPair& pair = state.diff.pairs()[i];
+    const Table& table = old_bad ? state.source : state.target;
+    const int64_t row = old_bad ? pair.source_row : pair.target_row;
+    std::string key;
+    for (const std::string& column : state.options.key_columns) {
+      Result<int> index = table.schema().FieldIndex(column);
+      if (!index.ok()) continue;
+      if (!key.empty()) key += ", ";
+      key += column + "=" + table.GetValue(row, *index).ToString();
+    }
+    return Status::InvalidArgument(
+        "target attribute '" + state.options.target_attribute + "' is " +
+        FormatDouble(old_bad ? state.y_old[i] : state.y_new[i]) + " in the " +
+        (old_bad ? "source" : "target") + " snapshot at row " +
+        std::to_string(row) + " (key " + key +
+        "); the target must be finite in both snapshots");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -230,7 +278,7 @@ Status RunPipeline::DiffAlign(RunState& state) {
                            state.diff.SourceValues(state.options.target_attribute));
   CHARLES_ASSIGN_OR_RETURN(state.y_new,
                            state.diff.TargetValues(state.options.target_attribute));
-  return Status::OK();
+  return CheckFiniteTarget(state);
 }
 
 // --- Stage: Setup -----------------------------------------------------------
@@ -322,6 +370,23 @@ Status RunPipeline::Phase1Signals(RunState& state) {
   state.result.run_id = obs::FormatRunId(state.run_id);
   if (state.recorder != nullptr) state.recorder->set_trace_id(state.run_id);
   obs::RunIdScope run_scope(state.run_id);
+
+  // Phase cache: a context keeps the phase 1–2 products of recent runs. On
+  // a hit this stage takes the cached shortlist moments (bit-identical to a
+  // fresh fold or kSignalStats round) and skips the k-means; Phase2Trees
+  // installs the cached partitions. Runs without a context never look.
+  if (state.context != nullptr) {
+    state.search_space_key = ComputeSearchSpaceKey(state);
+    std::shared_ptr<const SearchSpace> cached;
+    if (state.context->phase_cache()->Lookup(state.search_space_key, &cached)) {
+      state.search_space = std::move(cached);
+      state.shortlist_stats = state.search_space->shortlist_stats;
+      state.t_attr_names = state.search_space->t_attr_names;
+      state.result.labelings = state.search_space->labelings;
+      state.result.phase_cache_hit = true;
+      return Status::OK();
+    }
+  }
 
   // Sufficient statistics of the full transformation shortlist over all
   // rows, accumulated through the canonical block fold (AccumulateRowBlocks)
@@ -430,6 +495,11 @@ Status RunPipeline::Phase1Signals(RunState& state) {
 
 Status RunPipeline::Phase2Trees(RunState& state) {
   const CharlesOptions& options = state.options;
+  if (state.search_space != nullptr) {  // phase-cache hit (Phase1Signals)
+    state.partitions = state.search_space->partitions;
+    state.result.partitions = static_cast<int64_t>(state.partitions.size());
+    return Status::OK();
+  }
 
   // One tree per (C, labeling), partitions deduplicated globally by their
   // condition signature. Workers fan out over C-subsets against the shared
@@ -492,6 +562,16 @@ Status RunPipeline::Phase2Trees(RunState& state) {
     state.partitions.resize(static_cast<size_t>(options.max_partitions));
   }
   state.result.partitions = static_cast<int64_t>(state.partitions.size());
+
+  // Only a run whose phases 1–2 both completed publishes its search space.
+  if (state.context != nullptr) {
+    auto space = std::make_shared<SearchSpace>();
+    space->t_attr_names = state.t_attr_names;
+    space->partitions = state.partitions;
+    space->shortlist_stats = state.shortlist_stats;
+    space->labelings = state.result.labelings;
+    state.context->phase_cache()->Insert(state.search_space_key, std::move(space));
+  }
   return Status::OK();
 }
 
@@ -831,20 +911,23 @@ Status RunPipeline::Phase3Fits(RunState& state) {
   auto merge_into_top = [&state](const std::string& signature,
                                  const ChangeSummary& summary) {
     auto& top = state.stream_merge.top;
+    const RankKey key = RankKey::Of(summary, signature);
+    auto key_of = [](const auto& entry) {
+      return RankKey::Of(entry.second, entry.first);
+    };
     auto same = std::find_if(top.begin(), top.end(), [&](const auto& entry) {
       return entry.first == signature;
     });
     if (same != top.end()) {
-      if (!SummaryOrder(summary, same->second)) return false;
+      if (!(key < key_of(*same))) return false;
       top.erase(same);
     } else if (static_cast<int>(top.size()) >= state.options.top_n &&
-               !SummaryOrder(summary, top.back().second)) {
+               !(key < key_of(top.back()))) {
       return false;
     }
-    auto pos = std::upper_bound(top.begin(), top.end(), summary,
-                                [](const ChangeSummary& s, const auto& entry) {
-                                  return SummaryOrder(s, entry.second);
-                                });
+    auto pos = std::upper_bound(
+        top.begin(), top.end(), key,
+        [&](const RankKey& k, const auto& entry) { return k < key_of(entry); });
     top.emplace(pos, signature, summary);
     if (static_cast<int>(top.size()) > state.options.top_n) top.pop_back();
     return true;
@@ -976,28 +1059,32 @@ Status RunPipeline::RankStream(RunState& state) {
     result.leaf_fit_evictions = state.shared_cache->evictions();
   }
 
-  std::map<std::string, ChangeSummary> best_by_signature;
-  for (RunState::WorkItemOutput& built : state.outputs) {
+  // Best summary per signature, replaying the serial (partition, T) visit
+  // order so ties keep the first-visited summary. Keys point into
+  // state.outputs; only the top_n survivors are moved out.
+  std::vector<RankKey> best;
+  std::unordered_map<std::string_view, size_t> best_by_signature;
+  best_by_signature.reserve(state.outputs.size());
+  for (size_t i = 0; i < state.outputs.size(); ++i) {
+    const RunState::WorkItemOutput& built = state.outputs[i];
     if (!built.ok) continue;
     ++result.candidates_evaluated;
-    auto it = best_by_signature.find(built.signature);
-    if (it == best_by_signature.end()) {
-      best_by_signature.emplace(std::move(built.signature), std::move(built.summary));
+    const RankKey key = RankKey::Of(built.summary, built.signature, i);
+    auto [it, inserted] = best_by_signature.emplace(built.signature, best.size());
+    if (inserted) {
+      best.push_back(key);
     } else {
       ++result.candidates_deduped;
-      if (SummaryOrder(built.summary, it->second)) {
-        it->second = std::move(built.summary);
-      }
+      if (key < best[it->second]) best[it->second] = key;
     }
   }
 
-  result.summaries.reserve(best_by_signature.size());
-  for (auto& [signature, summary] : best_by_signature) {
-    result.summaries.push_back(std::move(summary));
-  }
-  std::sort(result.summaries.begin(), result.summaries.end(), SummaryOrder);
-  if (static_cast<int>(result.summaries.size()) > state.options.top_n) {
-    result.summaries.resize(static_cast<size_t>(state.options.top_n));
+  const size_t kept = std::min(best.size(), static_cast<size_t>(state.options.top_n));
+  std::partial_sort(best.begin(), best.begin() + static_cast<std::ptrdiff_t>(kept),
+                    best.end());
+  result.summaries.reserve(kept);
+  for (size_t r = 0; r < kept; ++r) {
+    result.summaries.push_back(std::move(state.outputs[best[r].item].summary));
   }
   return Status::OK();
 }

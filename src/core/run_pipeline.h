@@ -14,10 +14,13 @@
 ///  - **DiffAlign** — snapshot diff, row alignment, target extraction;
 ///  - **Setup** — attribute shortlists (assistant or overrides) and the
 ///    (C, T) subset enumeration;
-///  - **Phase1Signals** — change-signal clustering: column cache, the run's
-///    shortlist moments (central fold, or a distributed kSignalStats sweep
-///    when sharding is on), per-T clusterings, pooled labelings;
-///  - **Phase2Trees** — condition-tree induction and partition dedup;
+///  - **Phase1Signals** — change-signal clustering: column cache, run id,
+///    the phase-cache lookup (runs with a context), then — on a miss — the
+///    run's shortlist moments (central fold, or a distributed kSignalStats
+///    sweep when sharding is on), per-T clusterings, pooled labelings;
+///  - **Phase2Trees** — condition-tree induction and partition dedup, or
+///    the cached partitions on a phase-cache hit; a miss with a context
+///    inserts its search space afterwards;
 ///  - **Phase3Fits** — the (partition, T) transformation sweep, preceded by
 ///    the distributed kLeafMoments / kScorePartials rounds (with warm-cache
 ///    elision) when sharding is on;
@@ -136,8 +139,16 @@ struct RunState {
   /// on it). Tags log lines, rides the execute wire to workers, doubles as
   /// the trace id, and surfaces as SummaryList::run_id.
   uint64_t run_id = 0;
+  /// Pooled labelings; left empty on a phase-cache hit (only their count,
+  /// result.labelings, is cached).
   std::vector<std::vector<int>> labelings;
   std::vector<std::vector<std::string>> t_attr_names;  ///< names per T-subset
+  /// Key of the context's phase cache: the run id mixed with everything
+  /// else phases 1–2 read. 0 without a context.
+  uint64_t search_space_key = 0;
+  /// The cached search space on a phase-cache hit (Phase2Trees installs its
+  /// partitions); null on a miss and without a context.
+  std::shared_ptr<const SearchSpace> search_space;
   /// @}
 
   /// \name Phase2Trees products.
@@ -211,6 +222,16 @@ struct RunState {
   /// on the emission.
   Status Cancelled(const std::string& where);
   /// @}
+};
+
+/// \brief The phase 1–2 products that later stages and diagnostics read, as
+/// the context's phase cache keeps them: everything Phase3Fits and
+/// RankStream need from phases 1–2, but not the labelings themselves.
+struct SearchSpace {
+  std::vector<std::vector<std::string>> t_attr_names;
+  std::vector<RunState::PartitionEntry> partitions;  ///< capped, final order
+  std::shared_ptr<const SufficientStats> shortlist_stats;
+  int64_t labelings = 0;  ///< SummaryList::labelings of the computing run
 };
 
 /// \brief The staged driver CharlesEngine::Find delegates to.

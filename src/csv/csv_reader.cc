@@ -1,6 +1,8 @@
 #include "csv/csv_reader.h"
 
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -15,6 +17,22 @@ bool IsNullToken(const std::string& cell, const CsvReadOptions& options) {
     if (cell == token) return true;
   }
   return false;
+}
+
+/// ParseDouble plus the non-finite spellings `nan`, `inf`, `+inf` and `-inf`
+/// (any case). A column holding them then infers as numeric, so the engine
+/// can name the bad cell instead of failing on a schema mismatch.
+std::optional<double> ParseCsvDouble(const std::string& cell) {
+  if (std::optional<double> value = ParseDouble(cell)) return value;
+  std::string_view text = TrimView(cell);
+  if (EqualsIgnoreCase(text, "nan")) return std::numeric_limits<double>::quiet_NaN();
+  const bool negative = !text.empty() && text.front() == '-';
+  if (!text.empty() && (text.front() == '-' || text.front() == '+')) {
+    text.remove_prefix(1);
+  }
+  if (!EqualsIgnoreCase(text, "inf")) return std::nullopt;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return negative ? -kInf : kInf;
 }
 
 /// Column type lattice walked during inference: int64 -> double -> bool ->
@@ -32,7 +50,7 @@ TypeKind InferColumnType(const std::vector<std::vector<std::string>>& records,
     if (IsNullToken(cell, options)) continue;
     saw_value = true;
     if (all_int && !ParseInt64(cell).has_value()) all_int = false;
-    if (all_double && !ParseDouble(cell).has_value()) all_double = false;
+    if (all_double && !ParseCsvDouble(cell).has_value()) all_double = false;
     if (all_bool && !ParseBool(cell).has_value()) all_bool = false;
     if (!all_int && !all_double && !all_bool) return TypeKind::kString;
   }
@@ -56,7 +74,7 @@ Result<Value> CellToValue(const std::string& cell, TypeKind type,
       return Value(*v);
     }
     case TypeKind::kDouble: {
-      auto v = ParseDouble(cell);
+      auto v = ParseCsvDouble(cell);
       if (!v) {
         return Status::InvalidArgument("record " + std::to_string(record_number) +
                                        ": '" + cell + "' is not a double");

@@ -24,6 +24,7 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.leaf_fits_computed = summary.leaf_fits_computed;
   d.leaf_fits_reused = summary.leaf_fits_reused;
   d.leaf_fit_evictions = summary.leaf_fit_evictions;
+  d.phase_cache_hit = summary.phase_cache_hit;
 
   d.shards_used = summary.shards_used;
   d.shard_rows_scanned = summary.shard_rows_scanned;
@@ -78,6 +79,7 @@ std::string RunDiagnostics::ToJson() const {
   w.Key("leaf_fits_computed").Int(leaf_fits_computed);
   w.Key("leaf_fits_reused").Int(leaf_fits_reused);
   w.Key("leaf_fit_evictions").Int(leaf_fit_evictions);
+  w.Key("phase_cache_hit").Bool(phase_cache_hit);
   w.EndObject();
 
   w.Key("shards").BeginObject();

@@ -48,10 +48,11 @@ struct RunDiagnostics {
   int threads_used = 1;
   std::string kernel_used;
 
-  // Leaf-fit cache.
+  // Leaf-fit and phase caches.
   int64_t leaf_fits_computed = 0;
   int64_t leaf_fits_reused = 0;
   int64_t leaf_fit_evictions = 0;
+  bool phase_cache_hit = false;
 
   // Sharded execution.
   int shards_used = 0;

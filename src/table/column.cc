@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 
 namespace charles {
@@ -249,6 +250,31 @@ bool Column::Equals(const Column& other) const {
     if (!IsNull(i) && GetValue(i) != other.GetValue(i)) return false;
   }
   return true;
+}
+
+uint64_t Column::HashInto(uint64_t h) const {
+  const int type = static_cast<int>(type_);
+  h = FnvMixBytes(h, &type, sizeof(type));
+  h = FnvMixBytes(h, validity_.data(), validity_.size());
+  switch (type_) {
+    case TypeKind::kInt64: {
+      const auto& values = std::get<std::vector<int64_t>>(data_);
+      return FnvMixBytes(h, values.data(), values.size() * sizeof(int64_t));
+    }
+    case TypeKind::kDouble:
+      return FnvMixDoubles(h, std::get<std::vector<double>>(data_));
+    case TypeKind::kString:
+      for (const std::string& value : std::get<std::vector<std::string>>(data_)) {
+        h = FnvMixString(h, value);
+      }
+      return h;
+    case TypeKind::kBool: {
+      const auto& values = std::get<std::vector<uint8_t>>(data_);
+      return FnvMixBytes(h, values.data(), values.size());
+    }
+    default:
+      return h;
+  }
 }
 
 }  // namespace charles

@@ -72,6 +72,11 @@ class Column {
 
   bool Equals(const Column& other) const;
 
+  /// Folds the column's type, validity and stored values into the running
+  /// FNV-1a hash `h` (common/fnv.h) and returns the result. Cache keys use
+  /// it to cover a column's exact contents.
+  uint64_t HashInto(uint64_t h) const;
+
  private:
   using Storage = std::variant<std::monostate,            // kNull
                                std::vector<int64_t>,      // kInt64

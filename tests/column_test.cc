@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
+
 namespace charles {
 namespace {
 
@@ -112,6 +114,29 @@ TEST(ColumnTest, EqualsChecksTypeLengthValuesValidity) {
   Column c(TypeKind::kDouble);
   ASSERT_TRUE(c.Append(Value(1.0)).ok());
   EXPECT_FALSE(a.Equals(c));  // type differs even though values compare equal
+}
+
+TEST(ColumnTest, HashIntoCoversTypeValuesAndValidity) {
+  auto make = [](TypeKind type, std::vector<Value> values) {
+    Column col(type);
+    for (const Value& v : values) {
+      if (v.is_null()) {
+        col.AppendNull();
+      } else {
+        EXPECT_TRUE(col.Append(v).ok());
+      }
+    }
+    return col.HashInto(kFnvOffsetBasis);
+  };
+  const uint64_t ints = make(TypeKind::kInt64, {Value(1), Value(2)});
+  EXPECT_EQ(ints, make(TypeKind::kInt64, {Value(1), Value(2)}));
+  EXPECT_NE(ints, make(TypeKind::kInt64, {Value(1), Value(3)}));
+  EXPECT_NE(ints, make(TypeKind::kDouble, {Value(1.0), Value(2.0)}));
+  EXPECT_NE(make(TypeKind::kInt64, {Value(1), Value(0)}),
+            make(TypeKind::kInt64, {Value(1), Value::Null()}));
+  // Each string's length is mixed in, so cells cannot trade characters.
+  EXPECT_NE(make(TypeKind::kString, {Value("ab"), Value("c")}),
+            make(TypeKind::kString, {Value("a"), Value("bc")}));
 }
 
 TEST(ColumnTest, NullColumnHoldsOnlyNulls) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
+#include "core/engine.h"
 #include "csv/csv_reader.h"
 #include "csv/csv_writer.h"
 #include "table/table_builder.h"
@@ -99,6 +101,49 @@ TEST(CsvReaderTest, CellTrimming) {
   Table t = CsvReader::ReadString("a,b\n  1 ,  spaced text \n").ValueOrDie();
   EXPECT_EQ(t.GetValue(0, 0), Value(1));
   EXPECT_EQ(t.GetValue(0, 1), Value("spaced text"));
+}
+
+TEST(CsvReaderTest, NonFiniteSpellingsParseAsDoubles) {
+  Table t =
+      CsvReader::ReadString("x\n1\nnan\nInf\n+inf\n-INF\n NaN \n2.5\n").ValueOrDie();
+  ASSERT_EQ(t.schema().field(0).type, TypeKind::kDouble);
+  EXPECT_EQ(t.GetValue(0, 0), Value(1.0));
+  EXPECT_TRUE(std::isnan(t.GetValue(1, 0).AsDouble().ValueOrDie()));
+  EXPECT_EQ(t.GetValue(2, 0).AsDouble().ValueOrDie(), HUGE_VAL);
+  EXPECT_EQ(t.GetValue(3, 0).AsDouble().ValueOrDie(), HUGE_VAL);
+  EXPECT_EQ(t.GetValue(4, 0).AsDouble().ValueOrDie(), -HUGE_VAL);
+  EXPECT_TRUE(std::isnan(t.GetValue(5, 0).AsDouble().ValueOrDie()));
+  EXPECT_EQ(t.GetValue(6, 0), Value(2.5));
+}
+
+TEST(CsvReaderTest, OnlyTheFourNonFiniteSpellingsAreNumeric) {
+  for (const char* cell : {"infinity", "-nan", "+nan", "nan(1)", "in", "--inf"}) {
+    Table t = CsvReader::ReadString(std::string("x\n1\n") + cell + "\n").ValueOrDie();
+    EXPECT_EQ(t.schema().field(0).type, TypeKind::kString) << cell;
+  }
+}
+
+TEST(CsvReaderTest, NonFiniteTargetCellIsNamedNotASchemaMismatch) {
+  // A `nan` cell used to make the target's column a string column, so the
+  // run failed on mismatched schemas. It now reads as a double, and the
+  // engine names the cell.
+  Table source = CsvReader::ReadString(
+                     "name,gender,bonus\nann,F,10\nbob,M,20\ncid,M,30\ndee,F,40\n")
+                     .ValueOrDie();
+  Table target = CsvReader::ReadString(
+                     "name,gender,bonus\nann,F,11\nbob,M,nan\ncid,M,33\ndee,F,44\n")
+                     .ValueOrDie();
+  auto unified = UnifyNumericTypes(source, target).ValueOrDie();
+  CharlesOptions options;
+  options.target_attribute = "bonus";
+  options.key_columns = {"name"};
+  Status status =
+      SummarizeChanges(unified.first, unified.second, options).status();
+  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  for (const char* part : {"'bonus'", "is nan", "target snapshot", "row 1 ", "name=bob"}) {
+    EXPECT_NE(status.message().find(part), std::string::npos)
+        << "missing '" << part << "' in: " << status.ToString();
+  }
 }
 
 TEST(CsvWriterTest, QuotesSpecialCells) {

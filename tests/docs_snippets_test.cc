@@ -73,6 +73,28 @@ class BoundedSummaryService {
   charles::EngineContext context_;  // long-lived: the bound is its point
 };
 
+// --- docs/api.md "Exploring the trade-off" ---------------------------------
+
+#include <vector>
+
+#include "core/charles.h"
+
+std::vector<charles::SummaryList> ExploreTradeoff(
+    const charles::Table& source, const charles::Table& target,
+    charles::CharlesOptions options, charles::EngineContext* context) {
+  std::vector<charles::SummaryList> steps;
+  for (int c : {3, 2, 1}) {
+    for (double alpha : {0.2, 0.5, 0.8}) {
+      options.max_condition_attrs = c;
+      options.alpha = alpha;
+      charles::Result<charles::SummaryList> step =
+          charles::SummarizeChanges(source, target, options, context);
+      if (step.ok()) steps.push_back(std::move(*step));
+    }
+  }
+  return steps;  // 9 rankings; phases 1–2 ran 3 times
+}
+
 // --- docs/api.md "Streaming" -----------------------------------------------
 
 #include <cstdio>
@@ -245,6 +267,26 @@ TEST(DocsSnippetsTest, ServingSnippetWarmsAcrossQueries) {
   for (size_t i = 0; i < cold.summaries.size(); ++i) {
     EXPECT_EQ(cold.summaries[i].ToString(), warm.summaries[i].ToString());
   }
+}
+
+TEST(DocsSnippetsTest, ExploreSnippetComputesPhasesOneAndTwoOncePerC) {
+  Table source = MakeExample1Source().ValueOrDie();
+  Table target = MakeExample1Target().ValueOrDie();
+  CharlesOptions options;
+  options.target_attribute = "bonus";
+  options.key_columns = {"name"};
+
+  EngineContext context;
+  std::vector<SummaryList> steps = ExploreTradeoff(source, target, options, &context);
+  ASSERT_EQ(steps.size(), 9u);
+  EXPECT_EQ(context.phase_cache_misses(), 3);
+  EXPECT_EQ(context.phase_cache_hits(), 6);
+  for (size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_EQ(steps[i].phase_cache_hit, i % 3 != 0) << "step " << i;
+  }
+  context.ClearCaches();
+  EXPECT_EQ(context.phase_cache_entries(), 0u);
+  EXPECT_EQ(context.leaf_cache_entries(), 0u);
 }
 
 TEST(DocsSnippetsTest, BoundedServiceSnippetWarmsUnderTheBound) {

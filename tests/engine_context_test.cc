@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -11,6 +13,7 @@
 #include "core/engine_context.h"
 #include "workload/employee_gen.h"
 #include "workload/example1.h"
+#include "workload/montgomery_gen.h"
 
 namespace charles {
 namespace {
@@ -23,7 +26,8 @@ void ExpectIdenticalRuns(const SummaryList& expected, const SummaryList& actual)
     const ChangeSummary& a = expected.summaries[i];
     const ChangeSummary& b = actual.summaries[i];
     EXPECT_EQ(a.Signature(), b.Signature()) << "rank " << i;
-    EXPECT_EQ(a.scores().score, b.scores().score) << "rank " << i;
+    const double sa = a.scores().score, sb = b.scores().score;
+    EXPECT_EQ(std::memcmp(&sa, &sb, sizeof(double)), 0) << "rank " << i;
     EXPECT_EQ(a.scores().accuracy, b.scores().accuracy) << "rank " << i;
     EXPECT_EQ(a.ToString(), b.ToString()) << "rank " << i;
   }
@@ -234,6 +238,208 @@ TEST(EngineContextTest, ClearCachesDropsEntries) {
   EXPECT_EQ(context.leaf_cache_entries(), 0u);
   SummaryList recold = engine.Find(source, target).ValueOrDie();
   EXPECT_GT(recold.leaf_fits_computed, 0);
+}
+
+/// The run a context-free engine gives: the reference every warm run must
+/// reproduce.
+SummaryList NoContextRun(const Table& source, const Table& target,
+                         CharlesOptions options) {
+  options.num_threads = 1;
+  return SummarizeChanges(source, target, options).ValueOrDie();
+}
+
+TEST(PhaseCacheTest, RepeatHitsAndSkipsPhasesOneAndTwo) {
+  Table source = MakeExample1Source().ValueOrDie();
+  Table target = MakeExample1Target().ValueOrDie();
+  EngineContextOptions ctx_options;
+  ctx_options.num_threads = 2;
+  EngineContext context(ctx_options);
+  CharlesEngine engine(Example1Options(), &context);
+  SummaryList cold = engine.Find(source, target).ValueOrDie();
+  SummaryList warm = engine.Find(source, target).ValueOrDie();
+
+  EXPECT_FALSE(cold.phase_cache_hit);
+  EXPECT_TRUE(warm.phase_cache_hit);
+  EXPECT_EQ(context.phase_cache_misses(), 1);
+  EXPECT_EQ(context.phase_cache_hits(), 1);
+  EXPECT_EQ(context.phase_cache_entries(), 1u);
+  ExpectIdenticalRuns(NoContextRun(source, target, Example1Options()), warm);
+  EXPECT_NE(warm.ToJson().find("\"phase_cache_hit\":true"), std::string::npos);
+  EXPECT_NE(cold.ToJson().find("\"phase_cache_hit\":false"), std::string::npos);
+
+  // Runs without a context never touch a phase cache.
+  CharlesOptions options = Example1Options();
+  options.num_threads = 1;
+  EXPECT_FALSE(SummarizeChanges(source, target, options).ValueOrDie().phase_cache_hit);
+}
+
+TEST(PhaseCacheTest, EveryInputOfPhasesOneAndTwoIsInTheKey) {
+  EmployeeGenOptions gen;
+  gen.num_rows = 120;
+  const Table source = GenerateEmployees(gen).ValueOrDie();
+  const Table target = MakeEmployeeBonusPolicy().Apply(source).ValueOrDie();
+  CharlesOptions base;
+  base.target_attribute = "bonus";
+  base.key_columns = {"emp_id"};
+  base.stats_block_rows = 64;
+  base.max_condition_attrs = 2;
+
+  // One changed condition-column cell, the same in both snapshots, so the
+  // target (and with it the run id) is unchanged. The columns are forced so
+  // the shortlists cannot move with the cell.
+  CharlesOptions forced = base;
+  forced.condition_attributes = {"edu", "gender", "exp"};
+  forced.transform_attributes = {"bonus", "salary"};
+  Table edited_source = source;
+  Table edited_target = target;
+  const int gender = source.schema().FieldIndex("gender").ValueOrDie();
+  const Value flipped(source.GetValue(7, gender).ToString() == "F" ? "M" : "F");
+  ASSERT_TRUE(edited_source.SetValue(7, gender, flipped).ok());
+  ASSERT_TRUE(edited_target.SetValue(7, gender, flipped).ok());
+
+  struct Flip {
+    const char* name;
+    std::function<void(CharlesOptions&)> apply;
+    bool from_forced = false;  ///< flips `forced` instead of `base`
+  };
+  const std::vector<Flip> flips = {
+      {"numeric_tolerance", [](CharlesOptions& o) { o.numeric_tolerance = 1e-5; }},
+      {"normality", [](CharlesOptions& o) { o.normality.enable_snapping = false; }},
+      {"max_transform_attrs", [](CharlesOptions& o) { o.max_transform_attrs = 1; }},
+      {"use_sufficient_stats", [](CharlesOptions& o) { o.use_sufficient_stats = false; }},
+      {"stats_block_rows", [](CharlesOptions& o) { o.stats_block_rows = 32; }},
+      {"max_clusters", [](CharlesOptions& o) { o.max_clusters = 4; }},
+      {"seed", [](CharlesOptions& o) { o.seed = 7; }},
+      {"max_condition_attrs", [](CharlesOptions& o) { o.max_condition_attrs = 1; }},
+      {"tree_max_depth", [](CharlesOptions& o) { o.tree_max_depth = 2; }},
+      {"min_partition_size", [](CharlesOptions& o) { o.min_partition_size = 5; }},
+      {"max_partitions", [](CharlesOptions& o) { o.max_partitions = 20; }},
+      {"condition_attributes",
+       [](CharlesOptions& o) { o.condition_attributes = {"edu", "exp"}; }, true},
+      {"transform_attributes",
+       [](CharlesOptions& o) { o.transform_attributes = {"bonus"}; }, true},
+  };
+
+  EngineContextOptions ctx_options;
+  ctx_options.num_threads = 2;
+  EngineContext context(ctx_options);
+  auto expect_miss = [&](const char* name, const Table& flip_source,
+                         const Table& flip_target, const CharlesOptions& warm_options,
+                         const CharlesOptions& flip_options) {
+    SCOPED_TRACE(name);
+    SummarizeChanges(source, target, warm_options, &context).ValueOrDie();
+    const int64_t misses = context.phase_cache_misses();
+    SummaryList flipped_run =
+        SummarizeChanges(flip_source, flip_target, flip_options, &context).ValueOrDie();
+    EXPECT_FALSE(flipped_run.phase_cache_hit);
+    EXPECT_EQ(context.phase_cache_misses(), misses + 1);
+    ExpectIdenticalRuns(NoContextRun(flip_source, flip_target, flip_options),
+                        flipped_run);
+  };
+  for (const Flip& flip : flips) {
+    const CharlesOptions& warm = flip.from_forced ? forced : base;
+    CharlesOptions options = warm;
+    flip.apply(options);
+    expect_miss(flip.name, source, target, warm, options);
+  }
+  expect_miss("condition cell", edited_source, edited_target, forced, forced);
+
+  // Options phases 1–2 do not read leave the search space warm.
+  for (const Flip& flip : std::vector<Flip>{
+           {"alpha", [](CharlesOptions& o) { o.alpha = 0.9; }},
+           {"top_n", [](CharlesOptions& o) { o.top_n = 3; }},
+           {"weights", [](CharlesOptions& o) { o.weights.coverage = 0.5; }}}) {
+    SCOPED_TRACE(flip.name);
+    CharlesOptions options = base;
+    flip.apply(options);
+    SummarizeChanges(source, target, base, &context).ValueOrDie();
+    SummaryList hit = SummarizeChanges(source, target, options, &context).ValueOrDie();
+    EXPECT_TRUE(hit.phase_cache_hit);
+    ExpectIdenticalRuns(NoContextRun(source, target, options), hit);
+  }
+  EXPECT_LE(context.phase_cache_entries(), EngineContext::kPhaseCacheCapacity);
+}
+
+/// The trade-off explorer's shape (α × c over one snapshot pair). The
+/// benchmark's 3k rows and 512 partitions are cut to 200 rows and 64
+/// partitions to keep the test quick.
+struct ExploreInputs {
+  Table source;
+  Table target;
+  CharlesOptions Step(double alpha, int c) const {
+    CharlesOptions options;
+    options.target_attribute = "base_salary";
+    options.key_columns = {"employee_id"};
+    options.alpha = alpha;
+    options.max_condition_attrs = c;
+    options.max_partitions = 64;
+    return options;
+  }
+};
+
+ExploreInputs MakeExploreInputs() {
+  MontgomeryGenOptions gen;
+  gen.num_rows = 200;
+  ExploreInputs inputs;
+  inputs.source = GenerateMontgomery2016(gen).ValueOrDie();
+  inputs.target = GenerateMontgomery2017(inputs.source).ValueOrDie();
+  return inputs;
+}
+
+TEST(PhaseCacheTest, AllNineExploreStepsEqualNoContextRuns) {
+  const ExploreInputs inputs = MakeExploreInputs();
+  EngineContextOptions ctx_options;
+  ctx_options.num_threads = 3;
+  EngineContext context(ctx_options);
+  for (double alpha : {0.2, 0.5, 0.8}) {
+    for (int c : {3, 2, 1}) {
+      SCOPED_TRACE("alpha " + std::to_string(alpha) + " c " + std::to_string(c));
+      const CharlesOptions options = inputs.Step(alpha, c);
+      SummaryList warm =
+          SummarizeChanges(inputs.source, inputs.target, options, &context).ValueOrDie();
+      // Only the first step of each c computes phases 1–2.
+      EXPECT_EQ(warm.phase_cache_hit, alpha != 0.2);
+      ExpectIdenticalRuns(NoContextRun(inputs.source, inputs.target, options), warm);
+    }
+  }
+  EXPECT_EQ(context.phase_cache_misses(), 3);
+  EXPECT_EQ(context.phase_cache_hits(), 6);
+  EXPECT_EQ(context.phase_cache_entries(), 3u);
+
+  context.ClearCaches();
+  EXPECT_EQ(context.phase_cache_entries(), 0u);
+  SummaryList recold = SummarizeChanges(inputs.source, inputs.target,
+                                        inputs.Step(0.5, 2), &context)
+                           .ValueOrDie();
+  EXPECT_FALSE(recold.phase_cache_hit);
+}
+
+TEST(PhaseCacheTest, ConcurrentRunsWithDifferentCShareOneContext) {
+  const ExploreInputs inputs = MakeExploreInputs();
+  const SummaryList reference3 =
+      NoContextRun(inputs.source, inputs.target, inputs.Step(0.5, 3));
+  const SummaryList reference1 =
+      NoContextRun(inputs.source, inputs.target, inputs.Step(0.5, 1));
+  EngineContextOptions ctx_options;
+  ctx_options.num_threads = 2;
+  EngineContext context(ctx_options);
+  auto client = [&](int c) {
+    std::vector<SummaryList> runs;
+    for (int i = 0; i < 3; ++i) {
+      runs.push_back(SummarizeChanges(inputs.source, inputs.target,
+                                      inputs.Step(0.5, c), &context)
+                         .ValueOrDie());
+    }
+    return runs;
+  };
+  auto deep = std::async(std::launch::async, client, 3);
+  auto shallow = std::async(std::launch::async, client, 1);
+  for (const SummaryList& run : deep.get()) ExpectIdenticalRuns(reference3, run);
+  for (const SummaryList& run : shallow.get()) ExpectIdenticalRuns(reference1, run);
+  // Concurrent first runs of one c may both miss; every run looked once.
+  EXPECT_EQ(context.phase_cache_hits() + context.phase_cache_misses(), 6);
+  EXPECT_GE(context.phase_cache_hits(), 2);
+  EXPECT_EQ(context.phase_cache_entries(), 2u);
 }
 
 TEST(StreamingFindTest, EmitsPartialsBeforeResolveAndMatchesSerial) {
@@ -448,7 +654,9 @@ TEST(EngineContextTest, WarmShardedRunElidesEveryLeafMomentsTask) {
   EXPECT_GT(cold.shard_tasks_executed, 0);
 
   // Warm: every leaf's fits are cached, so the moments round issues zero
-  // tasks; only the phase-1 signal round still scans rows.
+  // tasks, and the phase cache serves the shortlist moments, so the
+  // phase-1 signal round does not run either.
+  EXPECT_TRUE(warm.phase_cache_hit);
   EXPECT_EQ(warm.shard_moment_leaves_swept, 0);
   EXPECT_EQ(warm.shard_moment_leaves_elided, cold.shard_moment_leaves_swept);
   EXPECT_EQ(warm.shard_score_probes, 0);
@@ -464,9 +672,11 @@ TEST(EngineContextTest, WarmShardedRunElidesEveryLeafMomentsTask) {
   // fingerprint when a context is attached).
   ASSERT_EQ(cold.run_id.size(), 16u);
   EXPECT_EQ(warm.run_id, cold.run_id);
-  // The signal round executed on every shard; the moments/error rounds
-  // added none, so exactly one round's worth of tasks ran.
-  EXPECT_EQ(warm.shard_tasks_executed, static_cast<int64_t>(warm.shards_used));
+  // No round ran: the cold run's signal round covered every shard, the warm
+  // run took its moments from the phase cache.
+  EXPECT_GT(cold.shard_signal_seconds, 0.0);
+  EXPECT_EQ(warm.shard_tasks_executed, 0);
+  EXPECT_EQ(warm.shard_signal_seconds, 0.0);
 
   // Elision never changes output: warm equals cold equals a fresh unsharded
   // serial engine.

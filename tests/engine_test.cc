@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "core/engine_context.h"
 #include "csv/csv_reader.h"
 #include "workload/billionaires_gen.h"
 #include "workload/employee_gen.h"
@@ -236,6 +240,78 @@ TEST(EngineTest, HeaderOnlyCsvSnapshotsAreRejectedAsEmpty) {
   EXPECT_NE(status.message().find("source and target snapshots are empty"),
             std::string::npos)
       << status.ToString();
+}
+
+/// Runs 300 employee rows under the bonus policy with `bad` written into the
+/// bonus of rows 40 and 200 of one snapshot, and checks the run fails with
+/// an error naming the target, the snapshot, row 40, its key and the value —
+/// never an OK run with nothing ranked.
+void ExpectNonFiniteBonusRejected(CharlesOptions options, EngineContext* context) {
+  EmployeeGenOptions gen;
+  gen.num_rows = 300;
+  const Table clean_source = GenerateEmployees(gen).ValueOrDie();
+  const Table clean_target = MakeEmployeeBonusPolicy().Apply(clean_source).ValueOrDie();
+  const int bonus = clean_source.schema().FieldIndex("bonus").ValueOrDie();
+  const std::string key =
+      "emp_id=" + clean_source.GetValueByName(40, "emp_id").ValueOrDie().ToString();
+  options.target_attribute = "bonus";
+  options.key_columns = {"emp_id"};
+  options.stats_block_rows = 64;  // enough blocks for 4 shards
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    double value;
+    const char* spelled;
+  } cases[] = {{std::numeric_limits<double>::quiet_NaN(), "is nan"},
+               {kInf, "is inf"},
+               {-kInf, "is -inf"}};
+  for (const auto& bad : cases) {
+    for (const bool in_source : {false, true}) {
+      Table source = clean_source;
+      Table target = clean_target;
+      Table& poisoned = in_source ? source : target;
+      ASSERT_TRUE(poisoned.SetValue(40, bonus, Value(bad.value)).ok());
+      ASSERT_TRUE(poisoned.SetValue(200, bonus, Value(bad.value)).ok());
+      Status status = SummarizeChanges(source, target, options, context).status();
+      SCOPED_TRACE(std::string(bad.spelled) + (in_source ? " in source" : " in target"));
+      ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
+      for (const std::string& part :
+           {std::string("'bonus'"), std::string(bad.spelled),
+            std::string(in_source ? "source snapshot" : "target snapshot"),
+            std::string("row 40 "), key}) {
+        EXPECT_NE(status.message().find(part), std::string::npos)
+            << "missing '" << part << "' in: " << status.ToString();
+      }
+    }
+  }
+}
+
+TEST(EngineTest, NonFiniteTargetIsRejectedSerial) {
+  CharlesOptions options;
+  options.num_threads = 1;
+  ExpectNonFiniteBonusRejected(options, nullptr);
+}
+
+TEST(EngineTest, NonFiniteTargetIsRejectedAtFourThreads) {
+  CharlesOptions options;
+  options.num_threads = 4;
+  ExpectNonFiniteBonusRejected(options, nullptr);
+}
+
+TEST(EngineTest, NonFiniteTargetIsRejectedAtFourShards) {
+  CharlesOptions options;
+  options.num_threads = 2;
+  options.num_shards = 4;
+  ExpectNonFiniteBonusRejected(options, nullptr);
+}
+
+TEST(EngineTest, NonFiniteTargetIsRejectedWithAContext) {
+  EngineContextOptions context_options;
+  context_options.num_threads = 2;
+  EngineContext context(context_options);
+  ExpectNonFiniteBonusRejected(CharlesOptions{}, &context);
+  // A rejected run caches nothing.
+  EXPECT_EQ(context.phase_cache_entries(), 0u);
+  EXPECT_EQ(context.leaf_cache_entries(), 0u);
 }
 
 TEST(EngineTest, SearchSpaceDiagnosticsPopulated) {
