@@ -136,45 +136,9 @@ WarmRow RunWarm(const Workload& workload, int threads, double cold_pair_s,
   return row;
 }
 
-/// P1d: end-to-end wall clock of one serial run with the leaf-fit fast path
-/// off (QR per (leaf, T)) versus on (sufficient statistics) — the engine-
-/// level payoff of bench_leaf_fit's microbenchmark.
-struct FitPathRow {
-  double qr_s = 0;
-  double suffstats_s = 0;
-  int64_t qr_fits = 0, suffstats_fits = 0;
-  bool same_top = false;  ///< identical top-summary signatures (semantics)
-};
-
-FitPathRow RunFitPathComparison(const Workload& workload) {
-  FitPathRow row;
-  CharlesOptions options = ScalingOptions(1);
-  options.use_sufficient_stats = false;
-  auto qr_start = std::chrono::steady_clock::now();
-  SummaryList qr =
-      SummarizeChanges(workload.source, workload.target, options).ValueOrDie();
-  row.qr_s = WallSeconds(qr_start);
-  row.qr_fits = qr.leaf_fits_computed;
-
-  options.use_sufficient_stats = true;
-  auto fast_start = std::chrono::steady_clock::now();
-  SummaryList fast =
-      SummarizeChanges(workload.source, workload.target, options).ValueOrDie();
-  row.suffstats_s = WallSeconds(fast_start);
-  row.suffstats_fits = fast.leaf_fits_computed;
-
-  // The two solvers agree to ~1e-9 per fit, so scores can differ in their
-  // last ULPs — compare the ranked signatures, not the bits.
-  row.same_top = qr.summaries.size() == fast.summaries.size();
-  for (size_t i = 0; row.same_top && i < qr.summaries.size(); ++i) {
-    row.same_top = qr.summaries[i].Signature() == fast.summaries[i].Signature();
-  }
-  return row;
-}
-
 void WriteJson(const std::string& path, const std::vector<ColdRow>& cold,
-               const std::vector<WarmRow>& warm, const FitPathRow& fit_path,
-               double stream_first_s, double stream_total_s) {
+               const std::vector<WarmRow>& warm, double stream_first_s,
+               double stream_total_s) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -207,16 +171,7 @@ void WriteJson(const std::string& path, const std::vector<ColdRow>& cold,
                  i + 1 < warm.size() ? "," : "");
   }
   std::fprintf(f,
-               "  ],\n  \"leaf_fit_path\": {\"qr_s\": %.4f, \"suffstats_s\": %.4f, "
-               "\"speedup\": %.2f, \"qr_fits\": %lld, \"suffstats_fits\": %lld, "
-               "\"same_top\": %s},\n",
-               fit_path.qr_s, fit_path.suffstats_s,
-               fit_path.suffstats_s > 0 ? fit_path.qr_s / fit_path.suffstats_s : 0.0,
-               static_cast<long long>(fit_path.qr_fits),
-               static_cast<long long>(fit_path.suffstats_fits),
-               fit_path.same_top ? "true" : "false");
-  std::fprintf(f,
-               "  \"streaming\": {\"first_partial_s\": %.4f, "
+               "  ],\n  \"streaming\": {\"first_partial_s\": %.4f, "
                "\"total_s\": %.4f}\n}\n",
                stream_first_s, stream_total_s);
   std::fclose(f);
@@ -289,17 +244,6 @@ void PrintExperiment() {
   }
   PrintRule(wwidths);
 
-  // --- Leaf-fit path: QR per (leaf, T) vs sufficient statistics. ----------
-  PrintHeader("P1d: end-to-end serial run, QR leaf fits vs sufficient statistics",
-              "suffstats leaf fits cut phase-3 cost; same ranked summaries");
-  FitPathRow fit_path = RunFitPathComparison(workload);
-  std::printf("QR path %.2fs (%lld fits), suffstats path %.2fs (%lld fits): "
-              "%.2fx end-to-end, same top summaries: %s\n",
-              fit_path.qr_s, static_cast<long long>(fit_path.qr_fits),
-              fit_path.suffstats_s, static_cast<long long>(fit_path.suffstats_fits),
-              fit_path.suffstats_s > 0 ? fit_path.qr_s / fit_path.suffstats_s : 0.0,
-              fit_path.same_top ? "yes" : "NO");
-
   // --- Streaming: time to first ranked partial vs full sweep. -------------
   PrintHeader("P1c: streaming time-to-first-partial (FindAsync + SummaryStream)",
               "interactive search: first ranked partial long before the sweep ends");
@@ -323,8 +267,7 @@ void PrintExperiment() {
                 first_partial_s, total_s, static_cast<long long>(shards_total.load()),
                 static_cast<long long>(stream.updates_emitted()),
                 IdenticalRanking(streamed, serial) ? "yes" : "NO");
-    WriteJson("BENCH_parallel.json", cold_rows, warm_rows, fit_path, first_partial_s,
-              total_s);
+    WriteJson("BENCH_parallel.json", cold_rows, warm_rows, first_partial_s, total_s);
   }
 }
 

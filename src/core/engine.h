@@ -11,11 +11,9 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
-#include "linalg/error_partials.h"
 #include "linalg/score_partials.h"
 #include "core/engine_context.h"
 #include "core/options.h"
@@ -25,7 +23,6 @@
 #include "core/summary.h"
 #include "diff/diff.h"
 #include "distributed/remote_counters.h"
-#include "parallel/sharded_cache.h"
 #include "table/table.h"
 
 namespace charles {
@@ -35,6 +32,7 @@ class TraceRecorder;
 }  // namespace obs
 
 class Scorer;
+class SufficientStats;
 
 /// \brief Output of one engine run: ranked summaries plus search diagnostics.
 struct SummaryList {
@@ -68,12 +66,17 @@ struct SummaryList {
   /// "simd", "simd-avx2"; see CharlesOptions::kernel_backend). Reporting
   /// only — every kernel produces bit-identical output.
   std::string kernel_used;
-  int64_t leaf_fits_computed = 0;   ///< OLS leaf fits actually performed
-  int64_t leaf_fits_reused = 0;     ///< leaf fits served from a cache
-  /// Fits dropped from the shared leaf-fit cache by its LRU bound, as of the
-  /// end of this run: per-run for a self-contained engine, cumulative across
-  /// runs when attached to an EngineContext (the cache is shared). 0 when no
-  /// bound is configured.
+  /// Leaf fits performed: the distinct (leaf, T) slots of the run's fit
+  /// table that the context cache did not serve. Deterministic — each slot
+  /// is filled exactly once, on any thread count or shard count.
+  int64_t leaf_fits_computed = 0;
+  /// Leaf visits served without fitting (a slot filled earlier in the run
+  /// or by the context cache). Deterministic like leaf_fits_computed.
+  int64_t leaf_fits_reused = 0;
+  /// Fits dropped from the attached EngineContext's leaf-fit cache by its
+  /// LRU bound (EngineContextOptions::max_cache_entries), cumulative across
+  /// the context's runs as of the end of this run. 0 without a context or
+  /// bound.
   int64_t leaf_fit_evictions = 0;
   /// True when phases 1–2 were served from the attached EngineContext's
   /// phase cache (an earlier run computed the same search space). Depends on
@@ -111,12 +114,14 @@ struct SummaryList {
   /// @{
   /// Candidates scored row-free from merged per-leaf score partials.
   int64_t score_partials_candidates = 0;
-  /// Candidates that fell back to materializing a run-wide ŷ and row-scan
-  /// scoring. Zero for every engine-driven run; nonzero only for external
-  /// BuildSummary callers that pass no run scorer.
+  /// Candidates scored by materializing a run-wide ŷ. Always zero: engine
+  /// runs score every candidate row-free (only the public BuildSummary
+  /// builds ŷ, and it reports no SummaryList). Kept for the diagnostics
+  /// schema.
   int64_t score_yhat_materializations = 0;
   /// Per-leaf score folds performed centrally (evidence misses / snapped
   /// models); folds served from shard evidence or a warm cache don't count.
+  /// Deterministic: at most one per computed fit.
   int64_t score_leaf_folds = 0;
   /// @}
   /// \name Remote backend (shard_backend = kRemote; empty/zero otherwise).
@@ -289,8 +294,7 @@ class SummaryStream {
 class CharlesEngine {
  public:
   /// An engine owning its execution resources: each Find() spawns (and
-  /// joins) a private pool of CharlesOptions::num_threads workers and uses a
-  /// run-local leaf-fit cache.
+  /// joins) a private pool of CharlesOptions::num_threads workers.
   explicit CharlesEngine(CharlesOptions options) : options_(std::move(options)) {}
 
   /// \brief An engine attached to a long-lived EngineContext.
@@ -350,153 +354,79 @@ class CharlesEngine {
     return Find(source, target);
   }
 
-  /// \name Leaf-fit cache machinery
-  /// Shared with EngineContext; see engine_context.h. The nested aliases are
-  /// kept so existing callers keep compiling.
-  /// @{
-  using LeafFit = ::charles::LeafFit;
-  using RowIndicesHash = ::charles::RowIndicesHash;
-  /// Thread-local tier: one per (worker, T), keyed by rows alone (lock-free).
-  using LeafFitCache =
-      std::unordered_map<std::vector<int64_t>, LeafFit, RowIndicesHash>;
-  using LeafKey = ::charles::LeafKey;
-  using LeafKeyHash = ::charles::LeafKeyHash;
-  using SharedLeafFit = ::charles::SharedLeafFit;
-  using SharedLeafFitCache = ::charles::SharedLeafFitCache;
-  using SharedLeafStatsCache = ::charles::SharedLeafStatsCache;
-  /// Thread-local tier of the per-leaf sufficient-statistics cache, keyed by
-  /// rows alone (stats are T-independent). Values are shared_ptrs into the
-  /// cross-worker tier, so promotion between tiers copies a handle.
-  using LeafStatsCache =
-      std::unordered_map<std::vector<int64_t>,
-                         std::shared_ptr<const SufficientStats>, RowIndicesHash>;
-  /// \brief One leaf's exact score evidence from a distributed
-  /// kScorePartials sweep: per transformation subset, the merged
-  /// (Σ|y − ŷ|, exact-within-tolerance count, n) of the leaf's *unsnapped*
-  /// fast-path model. `valid[t]` marks subsets whose probe was solved and
-  /// evaluated; both vectors are indexed by t_index. The L1 component
-  /// (ScorePartials::error()) doubles as the SnapModel accuracy baseline, so
-  /// no separate error round is needed.
-  struct LeafScoreEvidence {
-    std::vector<uint8_t> valid;
-    std::vector<ScorePartials> partials;
-  };
-  /// Keyed by the leaf's row indices (like the no-change evidence), so
-  /// per-fit lookups probe with the leaf's own vector — no key copies.
-  using LeafScoreEvidenceMap =
-      std::unordered_map<std::vector<int64_t>, LeafScoreEvidence, RowIndicesHash>;
-  /// @}
-
-  /// \brief Per-shard view of the run's sufficient-statistics machinery,
-  /// threaded through BuildSummary into FitLeaf.
-  ///
-  /// `shortlist` names every transformation-candidate column in stats
-  /// accumulation order; `t_subset` holds the current T's indices into that
-  /// order. A leaf's stats are looked up in `local`, then `shared`, then
-  /// accumulated in one scan over the leaf's rows (serial row order, so the
-  /// moments are bit-identical on any thread) and published to both tiers.
-  /// All pointers must outlive the BuildSummary call; any of them may be
-  /// null, which (like a null workspace) disables the fast path.
-  struct LeafStatsWorkspace {
-    const std::vector<std::string>* shortlist = nullptr;
-    const std::vector<int>* t_subset = nullptr;
-    LeafStatsCache* local = nullptr;
-    SharedLeafStatsCache* shared = nullptr;
-    uint64_t fingerprint = 0;
-    /// Block size of the canonical block-structured accumulation (see
-    /// AccumulateRowBlocks); must be set to CharlesOptions::stats_block_rows
-    /// so lazily accumulated leaves match coordinator-merged ones
-    /// bit-for-bit. Deliberately defaulted to an invalid 0 — a workspace
-    /// without an explicit block size disables the stats fast path (QR per
-    /// leaf) rather than silently folding at a block size the rest of the
-    /// run is not using.
-    int64_t block_rows = 0;
-    /// Per-leaf snap evidence from a distributed sweep, keyed by the leaf's
-    /// row indices: max |y_new − y_old| over the leaf. When a leaf is
-    /// present, FitLeaf decides no-change from it instead of rescanning the
-    /// rows (max folds exactly across shards, so the decision is identical).
-    /// Null or missing entries fall back to the serial scan.
-    const std::unordered_map<std::vector<int64_t>, double, RowIndicesHash>*
-        nochange_max_delta = nullptr;
-    /// Exact score evidence from a distributed kScorePartials sweep, keyed
-    /// by the leaf's row indices. When the current t_index is marked valid,
-    /// FitLeaf hands the merged partials' L1 projection to SnapModel as the
-    /// accuracy-guard baseline; when snapping is a no-op the partials also
-    /// become the leaf's score fold verbatim — bit-identical to the central
-    /// canonical fold they replace
-    /// (docs/distributed.md#the-determinism-argument). Null or missing
-    /// entries fold the same partials centrally.
-    const LeafScoreEvidenceMap* score_evidence = nullptr;
-    /// The run Scorer's exactness band (Scorer::exact_tolerance()). Every
-    /// per-leaf ScorePartials fold must use the band of the scorer that will
-    /// consume it; a negative value (the default) disables row-free scoring
-    /// so a workspace built without a run scorer keeps the ŷ row-scan path.
-    double score_tolerance = -1.0;
-  };
-
-  /// Per-worker counters folded into SummaryList diagnostics at the barrier.
-  struct LeafFitStats {
-    int64_t computed = 0;     ///< FitLeaf invocations
-    int64_t local_hits = 0;   ///< served by the worker's own cache
-    int64_t shared_hits = 0;  ///< served via SharedLeafFitCache
-    /// Candidates scored row-free from merged per-leaf ScorePartials.
-    int64_t score_partials_candidates = 0;
-    /// Candidates scored by materializing a run-wide ŷ (no run scorer).
-    int64_t score_yhat_materializations = 0;
-    /// Per-leaf score folds performed centrally inside FitLeaf/BuildSummary.
-    int64_t score_leaf_folds = 0;
-  };
-
   /// \brief Builds and scores one summary for a fixed partitioning.
   ///
   /// Exposed for tests, baselines, and ablations: fits a transformation on
-  /// every leaf (detecting no-change partitions), snaps constants, assembles
-  /// predictions, and scores. `y_old`/`y_new` align with source rows. When
-  /// `cache` is non-null, leaf fits are reused across calls sharing the same
-  /// transformation subset. `shared_cache` (keyed by `t_index` and
-  /// `cache_fingerprint`) additionally shares fits across workers of a
-  /// parallel run and across runs of an EngineContext; `stats` tallies
-  /// compute/reuse counts for diagnostics. `column_cache` (optional, must
-  /// cover `transform_attrs` over `source`) lets leaf fits gather features
-  /// from pre-converted columns instead of re-converting per leaf.
-  /// `stats_workspace` (optional) enables the sufficient-statistics OLS fast
-  /// path — one row scan per leaf shared across every T — with automatic QR
-  /// fallback per leaf; see LeafStatsWorkspace. `scorer` (optional) is the
-  /// run-level Scorer: when non-null and the workspace carries its
-  /// score_tolerance, the summary is scored row-free by merging per-leaf
-  /// ScorePartials in leaf order — no run-wide ŷ vector is ever built; when
-  /// null, the call falls back to materializing ŷ and constructing a
-  /// per-call Scorer (external/ablation path).
+  /// every leaf by row-level QR (detecting no-change partitions), snaps
+  /// constants, assembles predictions, and scores them with a Scorer built
+  /// for this call. `y_old`/`y_new` align with source rows. Engine runs do
+  /// not use this entry: phase 3 fits each distinct (leaf, T) once into the
+  /// run's fit table and scores row-free (see RunPipeline::Phase3Fits).
   Result<ChangeSummary> BuildSummary(
       const Table& source, const std::vector<double>& y_old,
       const std::vector<double>& y_new, const PartitionCandidate& candidate,
       const std::vector<std::string>& transform_attrs,
-      const std::vector<std::string>& condition_attrs, LeafFitCache* cache = nullptr,
-      SharedLeafFitCache* shared_cache = nullptr, size_t t_index = 0,
-      LeafFitStats* stats = nullptr, uint64_t cache_fingerprint = 0,
-      const ColumnCache* column_cache = nullptr,
-      const LeafStatsWorkspace* stats_workspace = nullptr,
-      const Scorer* scorer = nullptr) const;
+      const std::vector<std::string>& condition_attrs) const;
 
  private:
-  /// The staged pipeline Find() delegates to; stages call BuildSummary and
-  /// read the engine's options/context (see core/run_pipeline.h).
+  /// The staged pipeline Find() delegates to; stages call FitLeaf and the
+  /// fit-table BuildSummary and read the engine's options/context (see
+  /// core/run_pipeline.h).
   friend class RunPipeline;
 
-  /// Fits one partition's transformation: no-change detection, OLS on T
-  /// (sufficient-statistics solve when `stats_workspace` provides one, row-
-  /// level QR otherwise or on ill-conditioning), normality snapping with an
-  /// exact L1 baseline (shard-merged or centrally folded; see
-  /// LeafStatsWorkspace::score_evidence), and — when the workspace carries a
-  /// score_tolerance — a canonical per-leaf ScorePartials fold stored on the
-  /// returned fit. `column_cache` as in BuildSummary.
-  Result<LeafFit> FitLeaf(const Table& source, const std::vector<double>& y_old,
-                          const std::vector<double>& y_new, const RowSet& rows,
-                          const std::vector<std::string>& transform_attrs,
-                          const ColumnCache* column_cache = nullptr,
-                          const LeafStatsWorkspace* stats_workspace = nullptr,
-                          size_t t_index = 0,
-                          LeafFitStats* stats = nullptr) const;
+  /// \brief What phase 3 knows about one (leaf, T) slot before fitting it.
+  ///
+  /// Every field is computed before the sweep (RunPipeline::Phase3Fits):
+  /// `max_abs_delta` by the central scan or the kLeafMoments round,
+  /// `moments` by phase 1 (the all-rows leaf), the moments pre-sweep or the
+  /// kLeafMoments round, and `score_evidence` by the kScorePartials round.
+  /// All pointers must outlive the FitLeaf call.
+  struct LeafStatsWorkspace {
+    /// The run's transformation columns (shortlist order = moments order).
+    const ColumnCache* columns = nullptr;
+    /// The leaf's moments over the full shortlist; null for an unchanged
+    /// leaf, whose fit never reads them.
+    const SufficientStats* moments = nullptr;
+    /// The current T's indices into the shortlist.
+    const std::vector<int>* t_subset = nullptr;
+    /// max |y_new − y_old| over the leaf; decides no-change.
+    double max_abs_delta = 0.0;
+    /// The shard-merged (Σ|y − ŷ|, exact count, n) of the leaf's unsnapped
+    /// fast-path model, or null. Its L1 projection is the SnapModel
+    /// baseline; when snapping is a no-op it is the leaf's score fold
+    /// verbatim — bit-identical to the central canonical fold it replaces
+    /// (docs/distributed.md#the-determinism-argument).
+    const ScorePartials* score_evidence = nullptr;
+    /// Block size of the canonical folds (CharlesOptions::stats_block_rows).
+    int64_t block_rows = 0;
+    /// The run Scorer's exactness band (Scorer::exact_tolerance()).
+    double score_tolerance = 0.0;
+    /// Incremented once per per-leaf score fold performed centrally.
+    int64_t* score_folds = nullptr;
+  };
+
+  /// \brief Fits one leaf's transformation.
+  ///
+  /// With a workspace (engine runs): no-change from `max_abs_delta`, OLS
+  /// solved from the leaf moments (row-level QR when the system is
+  /// ill-conditioned), normality snapping against the exact canonical L1
+  /// baseline, and the leaf's canonical ScorePartials. Without one (the
+  /// public BuildSummary): a serial no-change scan, row-level QR, and a
+  /// serial MAE. `predictions` (optional) receives ŷ over the leaf's rows.
+  Result<SharedLeafFit> FitLeaf(const Table& source, const std::vector<double>& y_old,
+                                const std::vector<double>& y_new, const RowSet& rows,
+                                const std::vector<std::string>& transform_attrs,
+                                const LeafStatsWorkspace* ws,
+                                std::vector<double>* predictions) const;
+
+  /// \brief Assembles and scores one summary from fit-table slots, one per
+  /// candidate leaf in leaf order: the per-leaf ScorePartials merge in leaf
+  /// order, so no run-wide ŷ is ever built.
+  ChangeSummary BuildSummary(const PartitionCandidate& candidate,
+                             const std::vector<const SharedLeafFit*>& fits,
+                             const std::vector<std::string>& transform_attrs,
+                             const std::vector<std::string>& condition_attrs,
+                             const Scorer& scorer) const;
 
   CharlesOptions options_;
   EngineContext* context_ = nullptr;

@@ -45,49 +45,20 @@
 #include "core/stop_token.h"
 #include "core/transform.h"
 #include "linalg/score_partials.h"
-#include "linalg/suffstats.h"
 #include "parallel/sharded_cache.h"
 #include "parallel/thread_pool.h"
 
 namespace charles {
 
-/// \brief A fitted leaf transformation, cacheable by (fingerprint, T, rows).
-///
-/// Distinct condition trees frequently share leaves (the same row set
-/// described by different conditions); the engine memoizes leaf fits per
-/// transformation subset so each (rows, T) pair is fitted once.
-struct LeafFit {
-  /// The fitted (or no-change) transformation for the leaf.
-  LinearTransform transform;
-  /// Predicted new target values, aligned with the partition rows.
-  std::vector<double> predictions;
-  /// Mean absolute error of the transformation on its partition.
-  double partition_mae = 0.0;
-  /// Canonical accuracy partials of the leaf (Σ|ŷ − y_new|, exact count, n),
-  /// folded with the run's exact tolerance. Valid only when has_score is
-  /// set — fits produced without a score tolerance (external BuildSummary
-  /// callers, QR-path runs) leave it unset and the candidate falls back to
-  /// the row-scan scorer.
-  ScorePartials score;
-  bool has_score = false;
-};
-
-/// FNV-1a over a row-index vector; used by both leaf-fit cache tiers.
-struct RowIndicesHash {
-  size_t operator()(const std::vector<int64_t>& rows) const {
-    uint64_t h = kFnvOffsetBasis;
-    for (int64_t r : rows) h = (h ^ static_cast<uint64_t>(r)) * kFnvPrime;
-    return static_cast<size_t>(h);
-  }
-};
-
-/// \brief Key of the cross-worker, cross-run leaf-fit cache.
+/// \brief Key of the context's cross-run leaf-fit cache.
 ///
 /// `t_index` indexes the run's transformation-subset enumeration (the same
 /// partition fitted on different T yields different models). `fingerprint`
-/// identifies the run inputs that determine a fit (see engine_context.h file
-/// docs); per-run caches use 0, so a key never matches across unrelated runs
-/// sharing a long-lived cache.
+/// identifies the run inputs that determine a fit (see the file docs), so a
+/// key never matches across unrelated runs sharing one context. Within a run
+/// leaves are interned to dense ids (RunState::leaves); this whole-row key
+/// is only built at the context boundary — one lookup per (leaf, T) slot
+/// before the sweep, one insert per fit the sweep computes.
 struct LeafKey {
   uint64_t fingerprint = 0;
   size_t t_index = 0;
@@ -98,51 +69,44 @@ struct LeafKey {
   }
 };
 
-/// Hash for LeafKey, mixing all three components.
+/// Hash for LeafKey: FNV-1a over the rows, mixed with the other two
+/// components.
 struct LeafKeyHash {
   size_t operator()(const LeafKey& key) const {
-    size_t h = RowIndicesHash{}(key.rows);
+    uint64_t rows_hash = kFnvOffsetBasis;
+    for (int64_t r : key.rows) {
+      rows_hash = (rows_hash ^ static_cast<uint64_t>(r)) * kFnvPrime;
+    }
+    size_t h = static_cast<size_t>(rows_hash);
     h ^= key.t_index * 0x9e3779b97f4a7c15ull;
     h ^= static_cast<size_t>(key.fingerprint * 0xc2b2ae3d27d4eb4full);
     return h;
   }
 };
 
-/// \brief The compact, cacheable form of a LeafFit: the fitted transform and
-/// its MAE, without the per-row predictions.
+/// \brief One fitted (leaf, T) slot: the transformation, its exact MAE, and
+/// the leaf's canonical score partials — everything row-free scoring reads,
+/// and no per-row predictions.
 ///
-/// Predictions dominate a LeafFit's footprint (one double per partition row)
-/// yet are a pure function of the transform and the cached feature columns,
-/// so shared tiers store this compact form and the engine rehydrates the
-/// predictions on a hit — bit-identically, because every prediction path
-/// funnels through LinearModel::PredictRow.
+/// This is both the value of the context's cross-run cache and the entry of
+/// a run's fit table (Phase3Fits), so a context hit is used as is.
 struct SharedLeafFit {
+  /// The fitted (or no-change) transformation for the leaf.
   LinearTransform transform;
+  /// Mean absolute error of the transformation on its partition.
   double partition_mae = 0.0;
-  /// Compact score partials (three words — nothing like the per-row
-  /// predictions), cached so a warm repeat skips even the per-leaf score
-  /// fold. The fingerprint key covers numeric_tolerance and y_new, the two
-  /// inputs of the exact tolerance, so a cached entry can never be replayed
-  /// under a different tolerance.
+  /// Canonical accuracy partials of the leaf (Σ|ŷ − y_new|, exact count, n),
+  /// folded with the run's exact tolerance. The fingerprint key covers
+  /// numeric_tolerance and y_new, the two inputs of that tolerance, so a
+  /// cached entry can never be replayed under a different one.
   ScorePartials score;
-  bool has_score = false;
 };
 
-/// Lock-sharded cache shared by every worker of a run — and, when owned by an
-/// EngineContext, by every run attached to the context. Workers consult their
-/// thread-local cache first (lock-free), then this, and publish freshly
-/// computed fits here so other workers (and later runs) reuse them. May be
-/// LRU-bounded (EngineContextOptions / CharlesOptions `max_cache_entries`),
-/// so readers use the copy-out Lookup, never held pointers.
+/// Lock-sharded cross-run cache of leaf fits owned by an EngineContext and
+/// shared by every run attached to it. May be LRU-bounded
+/// (EngineContextOptions::max_cache_entries), so readers use the copy-out
+/// Lookup, never held pointers.
 using SharedLeafFitCache = ShardedCache<LeafKey, SharedLeafFit, LeafKeyHash>;
-
-/// Cross-worker cache of per-leaf sufficient statistics over the run's full
-/// transformation shortlist (see SufficientStats): one row scan per leaf,
-/// shared by every transformation subset T and every worker. Keyed like leaf
-/// fits but with t_index = 0 — stats are T-independent by construction.
-/// Values are shared_ptrs so a Lookup copies a handle, not the moments.
-using SharedLeafStatsCache =
-    ShardedCache<LeafKey, std::shared_ptr<const SufficientStats>, LeafKeyHash>;
 
 // The phase 1–2 products of one run that later stages read (defined in
 // core/run_pipeline.h); what the context's phase cache keeps.
@@ -172,11 +136,10 @@ struct EngineContextOptions {
   /// Lock shards of the leaf-fit cache. 0 = 4 x resolved thread count.
   int cache_shards = 0;
   /// Entry cap on the cross-run leaf-fit cache, enforced on every insert by
-  /// evicting least-recently-used fits. 0 = unbounded (an engine-side
-  /// CharlesOptions::max_cache_entries can still trim after each run). The
-  /// budget is split across the cache's lock shards (rounding down, at
-  /// least one entry per shard — see ShardedCache). Evictions never affect
-  /// results — a missing fit is simply recomputed.
+  /// evicting least-recently-used fits. 0 = unbounded. The budget is split
+  /// across the cache's lock shards (rounding down, at least one entry per
+  /// shard — see ShardedCache). Evictions never affect results — a missing
+  /// fit is simply recomputed.
   int64_t max_cache_entries = 0;
   /// Admission control: Find() calls allowed to execute concurrently
   /// against this context. 0 = unbounded. The pool is shared, so admitting
@@ -286,7 +249,7 @@ class EngineContext {
   /// Cumulative shared-cache lookup misses.
   int64_t leaf_cache_misses() const { return leaf_cache_->misses(); }
   /// Cumulative fits dropped by the cache bound (LRU eviction); 0 while the
-  /// cache is unbounded and untrimmed.
+  /// cache is unbounded.
   int64_t leaf_cache_evictions() const { return leaf_cache_->evictions(); }
   /// Cumulative runs whose phases 1–2 were served from the phase cache.
   int64_t phase_cache_hits() const { return phase_cache_->hits(); }

@@ -34,16 +34,8 @@ Status CharlesOptions::Validate() const {
   if (num_threads < 0) {
     return Status::OutOfRange("num_threads must be >= 0 (0 = hardware concurrency)");
   }
-  if (max_cache_entries < 0) {
-    return Status::OutOfRange("max_cache_entries must be >= 0 (0 = unbounded)");
-  }
   if (num_shards < 0) {
     return Status::OutOfRange("num_shards must be >= 0 (0 = unsharded)");
-  }
-  if (num_shards > 0 && !use_sufficient_stats) {
-    return Status::InvalidArgument(
-        "num_shards requires use_sufficient_stats: shards exchange leaf "
-        "moments, which the QR-per-leaf path never forms");
   }
   if (stats_block_rows < 1) {
     return Status::OutOfRange("stats_block_rows must be >= 1");

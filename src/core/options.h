@@ -119,15 +119,6 @@ struct CharlesOptions {
   /// long-lived pool (and its thread count) is used instead.
   int num_threads = 0;
 
-  /// Fit leaf transformations from additively accumulated sufficient
-  /// statistics (XᵀX, Xᵀy) with a p×p Cholesky solve, falling back to the
-  /// row-level Householder QR on ill-conditioned leaves. One scan per leaf
-  /// serves every transformation subset, so phase-3 fit cost no longer
-  /// scales with rows × subsets. Off = always use the QR-per-leaf path
-  /// (the two paths agree to ~1e-9 on well-conditioned data; either way
-  /// parallel output stays bit-identical to serial).
-  bool use_sufficient_stats = true;
-
   /// \name Distributed shard execution (docs/distributed.md).
   /// @{
   /// Row-range shards the leaf-statistics sweep is split into. 0 (default)
@@ -136,7 +127,7 @@ struct CharlesOptions {
   /// into `num_shards` contiguous block-aligned row ranges (clamped to the
   /// block count), each executed by `shard_backend`, and the per-leaf
   /// moments are merged exactly — output is bit-identical to the unsharded
-  /// engine at every shard count. Requires use_sufficient_stats.
+  /// engine at every shard count.
   int num_shards = 0;
   /// Executor for the shards when num_shards >= 1.
   ShardBackendKind shard_backend = ShardBackendKind::kInProcess;
@@ -175,15 +166,6 @@ struct CharlesOptions {
   /// (unhealthy workers are then re-probed only when the fleet runs dry).
   int remote_health_check_interval_ms = 0;
   /// @}
-
-  /// Upper bound on entries in the shared leaf-fit cache the run publishes
-  /// to: the run-local cross-worker cache, and — when the engine is attached
-  /// to an EngineContext — the context's cross-run cache, which is trimmed
-  /// to this bound (least-recently-used first) at the end of each run.
-  /// 0 = unbounded. Evictions are reported in SummaryList and EngineContext
-  /// diagnostics. See also EngineContextOptions::max_cache_entries, which
-  /// bounds the context cache at insert time.
-  int64_t max_cache_entries = 0;
 
   /// Record a trace of this run: every pipeline stage, shard dispatch and
   /// merge, and — over the remote wire — worker-side task execution becomes

@@ -36,11 +36,10 @@ Result<Matrix> GatherTransformFeatures(const Table& source,
 /// Global-model fast path for ClusterResiduals: solve the T-subset's normal
 /// equations from the run's pre-accumulated shortlist moments. Returns false
 /// (leaving `model` untouched) when the fast path is unavailable — no stats
-/// attached, stats disabled, a malformed subset mapping, or an
-/// ill-conditioned system — so the caller falls back to the QR path.
-bool FitGlobalFromStats(const PartitionFinder::Input& input,
-                        const CharlesOptions& options, LinearModel* model) {
-  if (input.shortlist_stats == nullptr || !options.use_sufficient_stats ||
+/// attached, a malformed subset mapping, or an ill-conditioned system — so
+/// the caller falls back to the QR path.
+bool FitGlobalFromStats(const PartitionFinder::Input& input, LinearModel* model) {
+  if (input.shortlist_stats == nullptr ||
       input.shortlist_subset.size() != input.transform_attrs.size()) {
     return false;
   }
@@ -140,7 +139,7 @@ Result<PartitionFinder::ResidualClusterings> PartitionFinder::ClusterResiduals(
   // for a given model regardless of which path produced the predictions.
   LinearModel global;
   std::vector<double> predicted;
-  bool from_stats = FitGlobalFromStats(input, options, &global) &&
+  bool from_stats = FitGlobalFromStats(input, &global) &&
                     PredictFromCache(global, input.column_cache, n, &predicted);
   if (!from_stats) {
     CHARLES_ASSIGN_OR_RETURN(

@@ -130,9 +130,8 @@ class PartitionFinder {
     const ColumnCache* column_cache = nullptr;
     /// Optional pre-accumulated OLS moments over the run's full
     /// transformation shortlist and y_new, covering every source row. When
-    /// set (and CharlesOptions::use_sufficient_stats allows), each
-    /// T-subset's global model is a p×p sub-solve of these moments instead
-    /// of an O(n·p²) QR — the engine accumulates them once per run and
+    /// set, each T-subset's global model is a p×p sub-solve of these moments
+    /// instead of an O(n·p²) QR — the engine accumulates them once per run and
     /// shares them across all T-subset workers. `shortlist_subset` maps
     /// `transform_attrs` (in order) to the stats' feature indices; both
     /// fields must be set together and the stats must stay valid for the

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/combinatorics.h"
 #include "common/fnv.h"
@@ -85,18 +86,10 @@ uint64_t ComputeRunFingerprint(const CharlesOptions& options,
                           options.normality.max_relative_accuracy_loss,
                           options.normality.exactness_tolerance,
                           static_cast<double>(options.max_transform_attrs),
-                          // The two solvers round differently at the ~1e-12
-                          // level, so runs on different paths must never
-                          // observe each other's fits. The statistics block
-                          // size picks the evaluation order within the fast
-                          // path, so it separates fits the same way.
-                          options.use_sufficient_stats ? 1.0 : 0.0,
-                          // Only the fast path folds at block granularity;
-                          // QR-path runs with different block sizes produce
-                          // identical fits and may share cache entries.
-                          options.use_sufficient_stats
-                              ? static_cast<double>(options.stats_block_rows)
-                              : 0.0};
+                          // The block size picks the evaluation order of
+                          // every canonical fold, so fits at different block
+                          // sizes differ at the ~1e-12 level.
+                          static_cast<double>(options.stats_block_rows)};
   h = FnvMixBytes(h, knobs, sizeof(knobs));
   for (const std::string& name : tran_names) {
     h = FnvMixString(h, name);
@@ -112,7 +105,7 @@ uint64_t ComputeRunFingerprint(const CharlesOptions& options,
 /// read.
 ///
 /// The run id already covers the target, the tolerance and normality knobs,
-/// max_transform_attrs, the solver path and block size, the transformation
+/// max_transform_attrs, the block size, the transformation
 /// shortlist with its values, and y_old/y_new. Mixed in here: the k-means
 /// options (max_clusters, seed), the condition shortlist names with their
 /// columns in analysis-row order, and the tree and partition caps.
@@ -190,31 +183,79 @@ void FoldRoundDiagnostics(const CoordinatorTaskResult& merged,
   result->shard_seconds += merged.elapsed_seconds;
 }
 
+/// The InvalidArgument for a non-finite cell the run reads: `what` (the
+/// column's role and name), its value, and where it is — snapshot, row and
+/// key — followed by the rule it breaks. `pair` is the cell's analysis row.
+Status NonFiniteCell(const RunState& state, const std::string& what, double value,
+                     bool in_source, size_t pair, const std::string& rule) {
+  const SnapshotDiff::AlignedPair& aligned = state.diff.pairs()[pair];
+  const Table& table = in_source ? state.source : state.target;
+  const int64_t row = in_source ? aligned.source_row : aligned.target_row;
+  std::string key;
+  for (const std::string& column : state.options.key_columns) {
+    Result<int> index = table.schema().FieldIndex(column);
+    if (!index.ok()) continue;
+    if (!key.empty()) key += ", ";
+    key += column + "=" + table.GetValue(row, *index).ToString();
+  }
+  return Status::InvalidArgument(what + " is " + FormatDouble(value) + " in the " +
+                                 (in_source ? "source" : "target") +
+                                 " snapshot at row " + std::to_string(row) +
+                                 " (key " + key + "); " + rule);
+}
+
 /// A NaN or infinite target value poisons every fit and score it touches,
 /// and the run would end OK with nothing ranked. Name the first such cell
-/// instead, in analysis-row order: its snapshot, row, key and value.
+/// instead, in analysis-row order.
 Status CheckFiniteTarget(const RunState& state) {
   for (size_t i = 0; i < state.y_old.size(); ++i) {
     const bool old_bad = !std::isfinite(state.y_old[i]);
     if (!old_bad && std::isfinite(state.y_new[i])) continue;
-    const SnapshotDiff::AlignedPair& pair = state.diff.pairs()[i];
-    const Table& table = old_bad ? state.source : state.target;
-    const int64_t row = old_bad ? pair.source_row : pair.target_row;
-    std::string key;
-    for (const std::string& column : state.options.key_columns) {
-      Result<int> index = table.schema().FieldIndex(column);
-      if (!index.ok()) continue;
-      if (!key.empty()) key += ", ";
-      key += column + "=" + table.GetValue(row, *index).ToString();
-    }
-    return Status::InvalidArgument(
-        "target attribute '" + state.options.target_attribute + "' is " +
-        FormatDouble(old_bad ? state.y_old[i] : state.y_new[i]) + " in the " +
-        (old_bad ? "source" : "target") + " snapshot at row " +
-        std::to_string(row) + " (key " + key +
-        "); the target must be finite in both snapshots");
+    return NonFiniteCell(
+        state, "target attribute '" + state.options.target_attribute + "'",
+        old_bad ? state.y_old[i] : state.y_new[i], old_bad, i,
+        "the target must be finite in both snapshots");
   }
   return Status::OK();
+}
+
+/// The same contract for the shortlisted columns the search reads from the
+/// analysis (source) rows: numeric condition attributes split the trees, and
+/// transformation attributes feed every fit.
+Status CheckFiniteShortlist(const RunState& state) {
+  const Table& analysis = *state.analysis;
+  auto check = [&](const std::string& role, const std::string& name) -> Status {
+    CHARLES_ASSIGN_OR_RETURN(int index, analysis.schema().FieldIndex(name));
+    const int64_t row = analysis.column(index).FirstNonFinite();
+    if (row < 0) return Status::OK();
+    return NonFiniteCell(state, role + " '" + name + "'",
+                         analysis.GetValue(row, index).dbl(), /*in_source=*/true,
+                         static_cast<size_t>(row),
+                         "shortlisted columns must be finite");
+  };
+  for (const std::string& name : state.cond_names) {
+    CHARLES_RETURN_NOT_OK(check("condition attribute", name));
+  }
+  for (const std::string& name : state.tran_names) {
+    CHARLES_RETURN_NOT_OK(check("transformation attribute", name));
+  }
+  return Status::OK();
+}
+
+/// Finite cells can still overflow a sum of squares (two ±1e308 values do),
+/// and every fit would then solve on inf. The all-rows moments bound every
+/// leaf's, so checking them once covers the whole search.
+Status CheckFiniteMoments(const RunState& state) {
+  const int64_t column = state.shortlist_stats->FirstNonFiniteColumn();
+  if (column < 0) return Status::OK();
+  const bool target = column == static_cast<int64_t>(state.tran_names.size());
+  const std::string what =
+      target ? "target attribute '" + state.options.target_attribute + "'"
+             : "transformation attribute '" +
+                   state.tran_names[static_cast<size_t>(column)] + "'";
+  return Status::InvalidArgument(
+      what + " overflows: the sum of its squares over all rows is not a finite "
+             "double, though every cell is; rescale the column");
 }
 
 }  // namespace
@@ -343,7 +384,7 @@ Status RunPipeline::Setup(RunState& state) {
 
   state.result.condition_subsets = static_cast<int64_t>(state.c_subsets.size());
   state.result.transform_subsets = static_cast<int64_t>(state.t_subsets.size());
-  return Status::OK();
+  return CheckFiniteShortlist(state);
 }
 
 // --- Stage: Phase1Signals ---------------------------------------------------
@@ -392,54 +433,53 @@ Status RunPipeline::Phase1Signals(RunState& state) {
   // rows, accumulated through the canonical block fold (AccumulateRowBlocks)
   // every other stats producer uses. Phase 1 solves every T-subset's global
   // model from these moments (a p×p sub-solve instead of an O(n·p²) QR per
-  // subset), and phase 3 seeds its leaf-stats cache with them — the k = 1
+  // subset), and phase 3 reuses them for the all-rows leaf — the k = 1
   // "universal" partitions cover exactly these rows in exactly this order.
   // A sharded run accumulates them through a kSignalStats task round —
   // shards emit the identical per-block partials and the coordinator folds
   // them in block order, so the merged moments are bit-identical to the
   // central fold (this is the phase-1 row scan that used to stay on the
   // coordinator even when sharding was on).
-  if (options.use_sufficient_stats) {
-    std::vector<const std::vector<double>*> shortlist_columns;
-    bool resolved =
-        state.tran_columns.ResolveColumns(state.tran_names, &shortlist_columns);
-    CHARLES_CHECK(resolved);  // Build() covered exactly these names
-    ShardPlan plan;
-    if (options.num_shards > 0) {
-      plan = PlanShards(state.analysis->num_rows(), options.stats_block_rows,
-                        options.num_shards);
-    }
-    if (plan.num_shards() > 0) {
-      ShardInput shard_input;
-      shard_input.shortlist = &state.tran_names;
-      shard_input.columns = &state.tran_columns;
-      shard_input.y_old = &state.y_old;
-      shard_input.y_new = &state.y_new;
-      CHARLES_ASSIGN_OR_RETURN(ShardBackend* backend,
-                               SelectShardBackend(state));
-      ShardTask task;
-      task.kind = ShardTaskKind::kSignalStats;
-      Result<CoordinatorTaskResult> merged =
-          Coordinator::RunTask(shard_input, plan, backend, state.pool, task,
-                               state.stop);
-      if (!merged.ok()) {
-        if (merged.status().IsCancelled()) {
-          return state.Cancelled("during the signal-stats shard round");
-        }
-        return merged.status();
-      }
-      state.shortlist_stats =
-          std::make_shared<const SufficientStats>(std::move(merged->signal_stats));
-      state.result.shard_signal_seconds = merged->elapsed_seconds;
-      FoldRoundDiagnostics(*merged, plan, &state.result);
-      FoldRemoteDiagnostics(state);
-    } else {
-      state.shortlist_stats = std::make_shared<const SufficientStats>(
-          AccumulateRangeBlocks(shortlist_columns, state.y_new,
-                                static_cast<int64_t>(state.y_new.size()),
-                                options.stats_block_rows));
-    }
+  std::vector<const std::vector<double>*> shortlist_columns;
+  bool resolved =
+      state.tran_columns.ResolveColumns(state.tran_names, &shortlist_columns);
+  CHARLES_CHECK(resolved);  // Build() covered exactly these names
+  ShardPlan plan;
+  if (options.num_shards > 0) {
+    plan = PlanShards(state.analysis->num_rows(), options.stats_block_rows,
+                      options.num_shards);
   }
+  if (plan.num_shards() > 0) {
+    ShardInput shard_input;
+    shard_input.shortlist = &state.tran_names;
+    shard_input.columns = &state.tran_columns;
+    shard_input.y_old = &state.y_old;
+    shard_input.y_new = &state.y_new;
+    CHARLES_ASSIGN_OR_RETURN(ShardBackend* backend,
+                             SelectShardBackend(state));
+    ShardTask task;
+    task.kind = ShardTaskKind::kSignalStats;
+    Result<CoordinatorTaskResult> merged =
+        Coordinator::RunTask(shard_input, plan, backend, state.pool, task,
+                             state.stop);
+    if (!merged.ok()) {
+      if (merged.status().IsCancelled()) {
+        return state.Cancelled("during the signal-stats shard round");
+      }
+      return merged.status();
+    }
+    state.shortlist_stats =
+        std::make_shared<const SufficientStats>(std::move(merged->signal_stats));
+    state.result.shard_signal_seconds = merged->elapsed_seconds;
+    FoldRoundDiagnostics(*merged, plan, &state.result);
+    FoldRemoteDiagnostics(state);
+  } else {
+    state.shortlist_stats = std::make_shared<const SufficientStats>(
+        AccumulateRangeBlocks(shortlist_columns, state.y_new,
+                              static_cast<int64_t>(state.y_new.size()),
+                              options.stats_block_rows));
+  }
+  CHARLES_RETURN_NOT_OK(CheckFiniteMoments(state));
 
   // Phase 1 — change-signal clusterings. Residual clusterings depend on the
   // transformation subset T; delta/relative-delta clusterings do not, so
@@ -493,11 +533,64 @@ Status RunPipeline::Phase1Signals(RunState& state) {
 
 // --- Stage: Phase2Trees -----------------------------------------------------
 
+namespace {
+
+/// \brief Interns the candidate leaves of the final (capped) partitions:
+/// leaves with equal row sets share one dense id, numbered by first
+/// occurrence in partition then leaf order; RunState::leaves holds each id's
+/// rows.
+///
+/// Distinct condition trees share most of their leaves, so phase 3 keys its
+/// moments, no-change evidence, score evidence and fits by these ids instead
+/// of by row vectors. Equal row hashes are confirmed by comparing the rows.
+void InternLeaves(RunState& state) {
+  std::unordered_multimap<uint64_t, int64_t> ids_by_hash;
+  state.leaves.clear();
+  for (RunState::PartitionEntry& entry : state.partitions) {
+    entry.leaf_ids.clear();
+    for (const DecisionTree::Leaf& leaf : entry.candidate.leaves) {
+      uint64_t h = kFnvOffsetBasis;
+      for (int64_t row : leaf.rows) h = (h ^ static_cast<uint64_t>(row)) * kFnvPrime;
+      int64_t id = -1;
+      auto [begin, end] = ids_by_hash.equal_range(h);
+      for (auto it = begin; it != end && id < 0; ++it) {
+        if (state.leaves[static_cast<size_t>(it->second)]->indices() ==
+            leaf.rows.indices()) {
+          id = it->second;
+        }
+      }
+      if (id < 0) {
+        id = static_cast<int64_t>(state.leaves.size());
+        ids_by_hash.emplace(h, id);
+        state.leaves.push_back(&leaf.rows);
+      }
+      entry.leaf_ids.push_back(id);
+    }
+  }
+}
+
+/// RunState::leaves for partitions whose leaf ids are already set (a
+/// phase-cache hit). Ids are numbered by first occurrence, so one walk in
+/// partition order meets them in id order.
+void IndexLeaves(RunState& state) {
+  state.leaves.clear();
+  for (const RunState::PartitionEntry& entry : state.partitions) {
+    for (size_t l = 0; l < entry.leaf_ids.size(); ++l) {
+      if (entry.leaf_ids[l] == static_cast<int64_t>(state.leaves.size())) {
+        state.leaves.push_back(&entry.candidate.leaves[l].rows);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Status RunPipeline::Phase2Trees(RunState& state) {
   const CharlesOptions& options = state.options;
   if (state.search_space != nullptr) {  // phase-cache hit (Phase1Signals)
     state.partitions = state.search_space->partitions;
     state.result.partitions = static_cast<int64_t>(state.partitions.size());
+    IndexLeaves(state);
     return Status::OK();
   }
 
@@ -544,7 +637,7 @@ Status RunPipeline::Phase2Trees(RunState& state) {
     for (size_t i = 0; i < c_result.candidates.size(); ++i) {
       if (!seen_partitions.insert(c_result.signatures[i]).second) continue;
       state.partitions.push_back(RunState::PartitionEntry{
-          std::move(c_result.candidates[i]), c_result.attr_names});
+          std::move(c_result.candidates[i]), c_result.attr_names, {}});
     }
   }
 
@@ -562,6 +655,7 @@ Status RunPipeline::Phase2Trees(RunState& state) {
     state.partitions.resize(static_cast<size_t>(options.max_partitions));
   }
   state.result.partitions = static_cast<int64_t>(state.partitions.size());
+  InternLeaves(state);
 
   // Only a run whose phases 1–2 both completed publishes its search space.
   if (state.context != nullptr) {
@@ -579,83 +673,116 @@ Status RunPipeline::Phase2Trees(RunState& state) {
 
 namespace {
 
-/// True when the context's cross-run cache holds a fit for every
-/// transformation subset of this leaf — the warm-cache elision predicate:
-/// such a leaf's moments are never consulted by the sweep (every BuildSummary
-/// visit is served by rehydrating the cached fit), so scanning it again
-/// would be pure waste. If a concurrent trim evicts an entry between this
-/// check and the sweep, FitLeaf falls back to the central canonical
-/// accumulation — identical bits, just without the saved scan.
-bool AllLeafFitsCached(const RunState& state, const RowSet& rows,
-                       int64_t t_count) {
-  if (state.context == nullptr || state.fingerprint == 0) return false;
-  SharedLeafFitCache* cache = state.context->leaf_cache();
-  // One key (and one row-vector copy) per leaf, re-pointed per subset.
-  LeafKey key{state.fingerprint, 0, rows.indices()};
-  for (int64_t ti = 0; ti < t_count; ++ti) {
-    key.t_index = static_cast<size_t>(ti);
-    SharedLeafFit cached;
-    if (!cache->Lookup(key, &cached)) return false;
-  }
-  return true;
-}
+/// \brief The run's fit table: one slot per distinct (leaf, T), plus the
+/// per-leaf inputs of the fits, in flat arrays indexed by leaf id
+/// (RunState::leaves) and t_index.
+struct FitTable {
+  struct Slot {
+    /// Served by the context cache in step 1; never written after it.
+    bool resolved = false;
+    /// Fills an unresolved slot exactly once, on first demand in the sweep.
+    std::once_flag once;
+    Status status;  ///< the fit's failure, if it failed
+    SharedLeafFit fit;
+    /// The kScorePartials round's evidence for this slot (sharded runs).
+    std::optional<ScorePartials> evidence;
+  };
 
-/// \brief The distributed task rounds of phase 3: kLeafMoments over the
-/// not-yet-cached leaves, then kScorePartials for the candidate transforms
-/// those moments admit.
+  FitTable(size_t num_leaves, size_t t_count)
+      : t_count(t_count),
+        slots(num_leaves * t_count),
+        max_abs_delta(num_leaves, 0.0),
+        moments(num_leaves) {}
+
+  Slot& at(int64_t leaf, size_t ti) {
+    return slots[static_cast<size_t>(leaf) * t_count + ti];
+  }
+
+  /// True when some slot of the leaf was not served by the context cache.
+  bool NeedsFit(int64_t leaf) {
+    for (size_t ti = 0; ti < t_count; ++ti) {
+      if (!at(leaf, ti).resolved) return true;
+    }
+    return false;
+  }
+
+  size_t t_count;
+  std::vector<Slot> slots;
+  /// max |y_new − y_old| of every leaf that needs a fit (steps 1–2).
+  std::vector<double> max_abs_delta;
+  /// Moments over the shortlist of every changed leaf that needs a fit.
+  std::vector<std::shared_ptr<const SufficientStats>> moments;
+};
+
+/// \brief Step 1: looks every (leaf, T) slot up in the context cache once,
+/// in parallel over leaves, and keeps what it finds.
 ///
-/// Seeds `run_stats_cache` with the merged leaf moments (keyed exactly as
-/// lazy accumulation would key them), `nochange_evidence` with the folded
-/// max |Δy| per swept leaf, and `score_evidence` with the exact
-/// (Σ|y − ŷ|, exact count) of every successfully pre-solved (leaf, T)
-/// model — all bit-identical to the central computations they replace, so
-/// the sweep below runs unchanged. The score probes' L1 projection doubles
-/// as the SnapModel baseline, so no separate error round is needed.
-Status RunShardRounds(
-    RunState& state, SharedLeafStatsCache& run_stats_cache,
-    std::unordered_map<std::vector<int64_t>, double, RowIndicesHash>*
-        nochange_evidence,
-    CharlesEngine::LeafScoreEvidenceMap* score_evidence) {
-  const CharlesOptions& options = state.options;
-  ShardInput shard_input;
-  shard_input.shortlist = &state.tran_names;
-  shard_input.columns = &state.tran_columns;
-  shard_input.y_old = &state.y_old;
-  shard_input.y_new = &state.y_new;
-  // Leaves are deduplicated by row set in partition enumeration order
-  // (stats are T-independent), so each is scanned once regardless of how
-  // many condition trees share it.
-  std::unordered_set<std::vector<int64_t>, RowIndicesHash> seen_leaves;
-  for (const RunState::PartitionEntry& entry : state.partitions) {
-    for (const DecisionTree::Leaf& leaf : entry.candidate.leaves) {
-      if (seen_leaves.insert(leaf.rows.indices()).second) {
-        shard_input.leaves.push_back(&leaf.rows);
+/// Unsharded runs also fold max |y_new − y_old| here for every leaf left
+/// with an empty slot (sharded runs take it from the kLeafMoments round).
+/// Max folds exactly, so it equals what any other producer computes.
+void ResolveSlots(const RunState& state, bool scan_deltas, FitTable* table) {
+  SharedLeafFitCache* cache =
+      state.context != nullptr ? state.context->leaf_cache() : nullptr;
+  const int64_t num_leaves = static_cast<int64_t>(state.leaves.size());
+  ParallelFor(state.pool, num_leaves, [&](int64_t leaf) {
+    const RowSet& rows = *state.leaves[static_cast<size_t>(leaf)];
+    if (cache != nullptr) {
+      LeafKey key{state.fingerprint, 0, rows.indices()};
+      for (size_t ti = 0; ti < table->t_count; ++ti) {
+        key.t_index = ti;
+        FitTable::Slot& slot = table->at(leaf, ti);
+        slot.resolved = cache->Lookup(key, &slot.fit);
       }
     }
-  }
-  ShardPlan plan = PlanShards(state.analysis->num_rows(), options.stats_block_rows,
-                              options.num_shards);
-  if (plan.num_shards() == 0 || shard_input.leaves.empty()) return Status::OK();
-  CHARLES_ASSIGN_OR_RETURN(ShardBackend* backend, SelectShardBackend(state));
-  const int64_t t_count = static_cast<int64_t>(state.t_attr_names.size());
+    if (!scan_deltas || !table->NeedsFit(leaf)) return;
+    double max_delta = 0.0;
+    for (int64_t row : rows) {
+      const double delta = std::abs(state.y_new[static_cast<size_t>(row)] -
+                                    state.y_old[static_cast<size_t>(row)]);
+      if (delta > max_delta) max_delta = delta;
+    }
+    table->max_abs_delta[static_cast<size_t>(leaf)] = max_delta;
+  });
+}
 
-  // Round 1 — kLeafMoments, with warm-cache elision: a leaf whose every
-  // (leaf, T) fit is already in the context's cross-run cache is simply not
-  // requested (resolving the ROADMAP's warm-rescan waste: a warm repeat run
-  // issues zero moment tasks).
+/// The shard input every phase-3 task round reads: the run's columns and
+/// targets, and the interned leaves (task payloads refer to leaf ids).
+ShardInput LeafShardInput(const RunState& state) {
+  ShardInput input;
+  input.shortlist = &state.tran_names;
+  input.columns = &state.tran_columns;
+  input.y_old = &state.y_old;
+  input.y_new = &state.y_new;
+  input.leaves = state.leaves;
+  return input;
+}
+
+/// \brief Step 2, sharded: the distributed task rounds — kLeafMoments over
+/// the leaves with an empty slot, then kScorePartials for the empty slots'
+/// candidate transforms those moments admit.
+///
+/// Fills the table's max |Δy| and moments for every swept leaf and each
+/// probed slot's score evidence — all bit-identical to the central
+/// computations they replace, so the sweep runs unchanged. The score
+/// probes' L1 projection doubles as the SnapModel baseline, so no separate
+/// error round is needed. Leaves whose every slot the context served are
+/// elided: a warm repeat run issues no moment task at all.
+Status RunShardRounds(RunState& state, const ShardPlan& plan, FitTable* table) {
+  const ShardInput shard_input = LeafShardInput(state);
   ShardTask moments;
   moments.kind = ShardTaskKind::kLeafMoments;
-  for (size_t l = 0; l < shard_input.leaves.size(); ++l) {
-    if (AllLeafFitsCached(state, *shard_input.leaves[l], t_count)) {
-      state.result.shard_moment_leaves_elided += 1;
+  for (int64_t leaf = 0; leaf < static_cast<int64_t>(state.leaves.size()); ++leaf) {
+    if (table->NeedsFit(leaf)) {
+      moments.leaves.push_back(leaf);
     } else {
-      moments.leaves.push_back(static_cast<int64_t>(l));
+      state.result.shard_moment_leaves_elided += 1;
     }
   }
   state.result.shard_moment_leaves_swept =
       static_cast<int64_t>(moments.leaves.size());
   if (moments.leaves.empty()) return Status::OK();
 
+  CHARLES_ASSIGN_OR_RETURN(ShardBackend* backend, SelectShardBackend(state));
   Result<CoordinatorTaskResult> merged =
       Coordinator::RunTask(shard_input, plan, backend, state.pool, moments,
                            state.stop);
@@ -667,40 +794,51 @@ Status RunShardRounds(
   }
   state.result.shard_moments_seconds = merged->elapsed_seconds;
   FoldRoundDiagnostics(*merged, plan, &state.result);
-
-  // Round 2 — kScorePartials: pre-solve every changed (leaf, T) candidate
-  // model from the merged moments (row-free p×p solves) and have the shards
-  // evaluate its exact score partials — Σ|y − ŷ| plus the within-band
-  // count, folded where the rows live. Unchanged leaves (max |Δy| within
-  // tolerance) snap to no-change centrally and need no probe; failed solves
-  // fall back to the row-level QR ladder centrally and need none either.
-  ShardTask errors;
-  errors.kind = ShardTaskKind::kScorePartials;
-  errors.score_tolerance = state.scorer->exact_tolerance();
-  std::vector<size_t> probe_t_index;
   for (size_t i = 0; i < moments.leaves.size(); ++i) {
-    const LeafRollup& rollup = merged->leaves[i];
-    if (rollup.max_abs_delta <= options.numeric_tolerance) continue;
-    for (int64_t ti = 0; ti < t_count; ++ti) {
-      Result<LinearModel> fast = LinearRegression::FitFromStats(
-          rollup.stats, state.t_subsets[static_cast<size_t>(ti)],
-          state.t_attr_names[static_cast<size_t>(ti)]);
-      if (!fast.ok()) continue;
-      ErrorProbe probe;
-      probe.leaf = moments.leaves[i];
-      probe.intercept = fast->intercept;
-      probe.coefficients = fast->coefficients;
-      probe.features.reserve(state.t_subsets[static_cast<size_t>(ti)].size());
-      for (int f : state.t_subsets[static_cast<size_t>(ti)]) {
-        probe.features.push_back(f);
-      }
-      errors.probes.push_back(std::move(probe));
-      probe_t_index.push_back(static_cast<size_t>(ti));
+    const size_t leaf = static_cast<size_t>(moments.leaves[i]);
+    LeafRollup& rollup = merged->leaves[i];
+    table->max_abs_delta[leaf] = rollup.max_abs_delta;
+    // The all-rows leaf keeps phase 1's moments (bit-identical anyway).
+    if (table->moments[leaf] == nullptr) {
+      table->moments[leaf] =
+          std::make_shared<const SufficientStats>(std::move(rollup.stats));
     }
   }
-  if (!errors.probes.empty()) {
+
+  // Round 2 — kScorePartials: pre-solve every empty slot of a changed leaf
+  // from its merged moments (row-free p×p solves) and have the shards
+  // evaluate the model's exact score partials — Σ|y − ŷ| plus the
+  // within-band count, folded where the rows live. Unchanged leaves snap to
+  // no-change centrally and need no probe; failed solves fall back to the
+  // row-level QR ladder centrally and need none either.
+  ShardTask scores;
+  scores.kind = ShardTaskKind::kScorePartials;
+  scores.score_tolerance = state.scorer->exact_tolerance();
+  std::vector<FitTable::Slot*> probed;
+  for (int64_t leaf : moments.leaves) {
+    if (table->max_abs_delta[static_cast<size_t>(leaf)] <=
+        state.options.numeric_tolerance) {
+      continue;
+    }
+    for (size_t ti = 0; ti < table->t_count; ++ti) {
+      FitTable::Slot& slot = table->at(leaf, ti);
+      if (slot.resolved) continue;
+      Result<LinearModel> fast = LinearRegression::FitFromStats(
+          *table->moments[static_cast<size_t>(leaf)], state.t_subsets[ti],
+          state.t_attr_names[ti]);
+      if (!fast.ok()) continue;
+      ErrorProbe probe;
+      probe.leaf = leaf;
+      probe.intercept = fast->intercept;
+      probe.coefficients = fast->coefficients;
+      probe.features.assign(state.t_subsets[ti].begin(), state.t_subsets[ti].end());
+      scores.probes.push_back(std::move(probe));
+      probed.push_back(&slot);
+    }
+  }
+  if (!scores.probes.empty()) {
     Result<CoordinatorTaskResult> score_merged =
-        Coordinator::RunTask(shard_input, plan, backend, state.pool, errors,
+        Coordinator::RunTask(shard_input, plan, backend, state.pool, scores,
                              state.stop);
     if (!score_merged.ok()) {
       if (score_merged.status().IsCancelled()) {
@@ -708,116 +846,44 @@ Status RunShardRounds(
       }
       return score_merged.status();
     }
-    for (size_t p = 0; p < errors.probes.size(); ++p) {
-      const RowSet* rows =
-          shard_input.leaves[static_cast<size_t>(errors.probes[p].leaf)];
-      CharlesEngine::LeafScoreEvidence& evidence =
-          (*score_evidence)[rows->indices()];
-      if (evidence.valid.empty()) {
-        evidence.valid.assign(static_cast<size_t>(t_count), 0);
-        evidence.partials.assign(static_cast<size_t>(t_count), ScorePartials{});
-      }
-      evidence.valid[probe_t_index[p]] = 1;
-      evidence.partials[probe_t_index[p]] =
-          score_merged->score_probes[p].partials;
+    for (size_t p = 0; p < probed.size(); ++p) {
+      probed[p]->evidence = score_merged->score_probes[p].partials;
     }
-    state.result.shard_score_probes =
-        static_cast<int64_t>(errors.probes.size());
+    state.result.shard_score_probes = static_cast<int64_t>(scores.probes.size());
     state.result.shard_score_seconds = score_merged->elapsed_seconds;
     FoldRoundDiagnostics(*score_merged, plan, &state.result);
-  }
-
-  // Seed the run's stats machinery with the merged rollups (moved, so this
-  // happens after the probes above read them).
-  nochange_evidence->reserve(moments.leaves.size());
-  for (size_t i = 0; i < moments.leaves.size(); ++i) {
-    const RowSet* rows =
-        shard_input.leaves[static_cast<size_t>(moments.leaves[i])];
-    LeafRollup& rollup = merged->leaves[i];
-    run_stats_cache.Insert(
-        LeafKey{state.fingerprint, 0, rows->indices()},
-        std::make_shared<const SufficientStats>(std::move(rollup.stats)));
-    nochange_evidence->emplace(rows->indices(), rollup.max_abs_delta);
   }
   FoldRemoteDiagnostics(state);
   return Status::OK();
 }
 
-/// \brief The unsharded moments pre-sweep of phase 3.
+/// \brief Step 2, unsharded: the central moments pre-sweep.
 ///
-/// The lazy central path accumulates each leaf's moments on first FitLeaf
-/// demand, from whichever worker happens to need the leaf first. When two or
-/// more candidate leaves await moments, this pre-sweep instead routes the
-/// not-yet-cached changed leaves through one kLeafMoments task on a stack
+/// Routes every changed leaf with an empty slot (and no moments yet — the
+/// all-rows leaf has phase 1's) through one kLeafMoments task on a stack
 /// InProcessBackend, planned as one block-aligned range per pool thread, so
-/// the column walks run block-parallel before the sweep starts. The merged
-/// rollups seed `run_stats_cache` under exactly the keys lazy accumulation
-/// would use and `nochange_evidence` carries the serial max |Δy| scans, so
-/// FitLeaf behaves as if it had done the work itself — bit-identically, per
-/// the distributed contract (the coordinator's block-order merge replays the
-/// canonical fold). Deliberately not a shard round: shards_used and the
-/// shard_* diagnostics stay zero.
-Status RunCentralMomentsSweep(
-    RunState& state, SharedLeafStatsCache& run_stats_cache,
-    std::unordered_map<std::vector<int64_t>, double, RowIndicesHash>*
-        nochange_evidence) {
-  const CharlesOptions& options = state.options;
-  const int64_t t_count = static_cast<int64_t>(state.t_attr_names.size());
-
-  // Same leaf universe as the sharded rounds: deduplicated by row set in
-  // partition enumeration order, warm-cache-elided leaves never swept.
-  std::vector<const RowSet*> candidates;
-  std::unordered_set<std::vector<int64_t>, RowIndicesHash> seen_leaves;
-  for (const RunState::PartitionEntry& entry : state.partitions) {
-    for (const DecisionTree::Leaf& leaf : entry.candidate.leaves) {
-      if (!seen_leaves.insert(leaf.rows.indices()).second) continue;
-      if (AllLeafFitsCached(state, leaf.rows, t_count)) continue;
-      candidates.push_back(&leaf.rows);
-    }
-  }
-  if (candidates.size() < 2) return Status::OK();
-
-  // Serial max |Δy| per candidate leaf (max folds exactly, so this equals
-  // the scan FitLeaf would run). Unchanged leaves snap to no-change and
-  // their moments are never consulted; leaves whose moments are already
-  // cached (the phase-1-seeded all-rows leaf) need no second scan. Only the
-  // rest join the task.
-  ShardInput input;
-  input.shortlist = &state.tran_names;
-  input.columns = &state.tran_columns;
-  input.y_old = &state.y_old;
-  input.y_new = &state.y_new;
+/// the column walks run block-parallel before the sweep starts. The
+/// coordinator's block-order merge replays the canonical fold, so the
+/// moments are bit-identical at any range count. Deliberately not a shard
+/// round: shards_used and the shard_* diagnostics stay zero.
+Status RunCentralMomentsSweep(RunState& state, FitTable* table) {
   ShardTask moments;
   moments.kind = ShardTaskKind::kLeafMoments;
-  for (const RowSet* rows : candidates) {
-    double max_delta = 0.0;
-    for (int64_t row : *rows) {
-      const double delta = std::abs(state.y_new[static_cast<size_t>(row)] -
-                                    state.y_old[static_cast<size_t>(row)]);
-      if (delta > max_delta) max_delta = delta;
+  for (int64_t leaf = 0; leaf < static_cast<int64_t>(state.leaves.size()); ++leaf) {
+    const size_t l = static_cast<size_t>(leaf);
+    if (table->moments[l] == nullptr &&
+        table->max_abs_delta[l] > state.options.numeric_tolerance &&
+        table->NeedsFit(leaf)) {
+      moments.leaves.push_back(leaf);
     }
-    nochange_evidence->emplace(rows->indices(), max_delta);
-    if (max_delta <= options.numeric_tolerance) continue;
-    std::shared_ptr<const SufficientStats> cached;
-    if (run_stats_cache.Lookup(LeafKey{state.fingerprint, 0, rows->indices()},
-                               &cached)) {
-      continue;
-    }
-    input.leaves.push_back(rows);
-    moments.leaves.push_back(static_cast<int64_t>(input.leaves.size()) - 1);
   }
   if (moments.leaves.empty()) return Status::OK();
-
-  // One block-aligned range per pool thread: the sweep parallelizes like
-  // phase 3 would have, and the coordinator's block-order merge keeps the
-  // rollups bit-identical at any range count (the distributed contract).
   ShardPlan plan =
-      PlanShards(state.analysis->num_rows(), options.stats_block_rows,
+      PlanShards(state.analysis->num_rows(), state.options.stats_block_rows,
                  state.pool != nullptr ? state.num_threads : 1);
-  if (plan.num_shards() == 0) return Status::OK();
   InProcessBackend backend;
   Result<CoordinatorTaskResult> merged = Coordinator::RunTask(
-      input, plan, &backend, state.pool, moments, state.stop);
+      LeafShardInput(state), plan, &backend, state.pool, moments, state.stop);
   if (!merged.ok()) {
     if (merged.status().IsCancelled()) {
       return state.Cancelled("during the leaf-moments pre-sweep");
@@ -825,11 +891,8 @@ Status RunCentralMomentsSweep(
     return merged.status();
   }
   for (size_t i = 0; i < moments.leaves.size(); ++i) {
-    const RowSet* rows = input.leaves[i];
-    LeafRollup& rollup = merged->leaves[i];
-    run_stats_cache.Insert(
-        LeafKey{state.fingerprint, 0, rows->indices()},
-        std::make_shared<const SufficientStats>(std::move(rollup.stats)));
+    table->moments[static_cast<size_t>(moments.leaves[i])] =
+        std::make_shared<const SufficientStats>(std::move(merged->leaves[i].stats));
   }
   return Status::OK();
 }
@@ -839,64 +902,39 @@ Status RunCentralMomentsSweep(
 Status RunPipeline::Phase3Fits(RunState& state) {
   const CharlesOptions& options = state.options;
   const CharlesEngine& engine = state.engine;
-  const int64_t t_count = static_cast<int64_t>(state.t_attr_names.size());
-  state.work_items = static_cast<int64_t>(state.partitions.size()) * t_count;
+  const size_t t_count = state.t_attr_names.size();
+  state.work_items =
+      static_cast<int64_t>(state.partitions.size()) * static_cast<int64_t>(t_count);
 
-  // The run's one Scorer — the single y_old/y_new copy of the whole sweep
-  // (BuildSummary used to construct one per candidate). Built before the
-  // shard rounds: its exactness band is what the kScorePartials round ships
-  // to workers.
+  // The run's one Scorer — the single y_old/y_new copy of the whole sweep.
+  // Built before the shard rounds: its exactness band is what the
+  // kScorePartials round ships to workers.
   state.scorer = std::make_unique<Scorer>(options, state.y_old, state.y_new);
 
-  // A bounded run-local cache never gets more shards than entries (the
-  // per-shard budget floors at one, which would silently raise the bound).
-  const size_t run_cache_bound =
-      options.max_cache_entries > 0 ? static_cast<size_t>(options.max_cache_entries)
-                                    : 0;
-  int run_cache_shards = state.pool != nullptr ? state.num_threads * 4 : 1;
-  if (run_cache_bound > 0 &&
-      static_cast<size_t>(run_cache_shards) > run_cache_bound) {
-    run_cache_shards = static_cast<int>(run_cache_bound);
+  // Step 1 — resolve: one context lookup per (leaf, T) slot.
+  FitTable table(state.leaves.size(), t_count);
+  ShardPlan plan;
+  if (options.num_shards > 0) {
+    plan = PlanShards(state.analysis->num_rows(), options.stats_block_rows,
+                      options.num_shards);
   }
-  state.run_leaf_cache =
-      std::make_unique<SharedLeafFitCache>(run_cache_shards, run_cache_bound);
-  state.shared_cache = nullptr;
-  if (state.context != nullptr) {
-    state.shared_cache = state.context->leaf_cache();  // warm across runs
-  } else if (state.pool != nullptr) {
-    state.shared_cache = state.run_leaf_cache.get();
-  }
+  const bool sharded = plan.num_shards() > 0;
+  ResolveSlots(state, /*scan_deltas=*/!sharded, &table);
 
-  // Cross-worker tier of the per-leaf sufficient-statistics cache. Kept
-  // per-run (cross-run reuse already happens at the fit level), and used by
-  // serial runs too — a leaf's one accumulation scan is what every
-  // T-subset's sub-solve amortizes against. Seeded with the all-rows moments
-  // accumulated in phase 1: the k = 1 "universal" leaves cover exactly
-  // those rows in exactly that order.
-  SharedLeafStatsCache run_stats_cache(state.pool != nullptr
-                                           ? state.num_threads * 4
-                                           : 1);
-  if (state.shortlist_stats != nullptr) {
-    run_stats_cache.Insert(
-        LeafKey{state.fingerprint, 0,
-                RowSet::All(state.analysis->num_rows()).indices()},
-        state.shortlist_stats);
+  // Step 2 — moments for every changed leaf with an empty slot, so no fit
+  // ever scans for them. The k = 1 "universal" leaves cover every row in
+  // order: phase 1 already folded their moments (leaf rows ascend, so a
+  // leaf of all n rows is exactly 0..n−1).
+  const int64_t num_rows = state.analysis->num_rows();
+  for (size_t leaf = 0; leaf < state.leaves.size(); ++leaf) {
+    if (state.leaves[leaf]->size() == num_rows) {
+      table.moments[leaf] = state.shortlist_stats;
+    }
   }
-
-  // Distributed task rounds (CharlesOptions::num_shards >= 1): merged
-  // moments seed the stats cache, folded max |Δy| seeds the no-change
-  // evidence, and merged score partials seed the exact score/MAE evidence —
-  // so the sweep below runs unchanged, re-solving every leaf fit from
-  // currencies bit-identical to the ones it would have computed itself.
-  std::unordered_map<std::vector<int64_t>, double, RowIndicesHash>
-      nochange_evidence;
-  CharlesEngine::LeafScoreEvidenceMap score_evidence;
-  if (options.num_shards > 0 && options.use_sufficient_stats) {
-    CHARLES_RETURN_NOT_OK(RunShardRounds(state, run_stats_cache,
-                                         &nochange_evidence, &score_evidence));
-  } else if (options.use_sufficient_stats) {
-    CHARLES_RETURN_NOT_OK(
-        RunCentralMomentsSweep(state, run_stats_cache, &nochange_evidence));
+  if (sharded) {
+    CHARLES_RETURN_NOT_OK(RunShardRounds(state, plan, &table));
+  } else {
+    CHARLES_RETURN_NOT_OK(RunCentralMomentsSweep(state, &table));
   }
 
   // Streaming: completed work items merge a copy of their summary into a
@@ -933,29 +971,52 @@ Status RunPipeline::Phase3Fits(RunState& state) {
     return true;
   };
 
-  // Phase 3 — transformation discovery and scoring: every surviving
-  // partitioning is paired with every transformation subset. Work is
-  // sharded by (partition, T) pair — finer than per-partition, so the pool
-  // stays balanced even when few partitionings survive dedup. Each worker
-  // owns a thread-local LeafFitCache per T (lock-free) backed by one
-  // cross-worker ShardedCache (the context's cross-run cache when
-  // attached), and the per-worker caches and counters are merged at the
-  // barrier. The best-by-signature reduction in RankStream then replays the
-  // serial (partition, T) visit order, so the surviving summary per
-  // signature is scheduling-independent.
+  // Fills one empty slot: the fit from the table's per-leaf inputs,
+  // published to the context cache for later runs.
+  auto fill_slot = [&](int64_t leaf, size_t ti, FitTable::Slot& slot,
+                       int64_t* score_folds) {
+    const size_t l = static_cast<size_t>(leaf);
+    CharlesEngine::LeafStatsWorkspace workspace;
+    workspace.columns = &state.tran_columns;
+    workspace.moments = table.moments[l].get();
+    workspace.t_subset = &state.t_subsets[ti];
+    workspace.max_abs_delta = table.max_abs_delta[l];
+    workspace.score_evidence = slot.evidence.has_value() ? &*slot.evidence : nullptr;
+    workspace.block_rows = options.stats_block_rows;
+    workspace.score_tolerance = state.scorer->exact_tolerance();
+    workspace.score_folds = score_folds;
+    const RowSet& rows = *state.leaves[l];
+    Result<SharedLeafFit> fit =
+        engine.FitLeaf(*state.analysis, state.y_old, state.y_new, rows,
+                       state.t_attr_names[ti], &workspace, /*predictions=*/nullptr);
+    if (!fit.ok()) {
+      slot.status = fit.status();
+      return;
+    }
+    slot.fit = std::move(*fit);
+    if (state.context != nullptr) {
+      state.context->leaf_cache()->Insert(
+          LeafKey{state.fingerprint, ti, rows.indices()}, slot.fit);
+    }
+  };
+
+  // Step 3 — the sweep: every surviving partitioning is paired with every
+  // transformation subset. Work is sharded by (partition, T) pair — finer
+  // than per-partition, so the pool stays balanced even when few
+  // partitionings survive dedup. Each leaf's slot is filled exactly once,
+  // by whichever item reaches it first (the others wait on its once_flag),
+  // so the fit counters are deterministic. The best-by-signature reduction
+  // in RankStream then replays the serial (partition, T) visit order, so
+  // the surviving summary per signature is scheduling-independent.
   struct Phase3Worker {
-    std::vector<CharlesEngine::LeafFitCache> caches;
-    CharlesEngine::LeafStatsCache leaf_stats;  ///< per-leaf moments, all T
-    CharlesEngine::LeafFitStats stats;
+    int64_t fits_computed = 0;
+    int64_t fits_reused = 0;
+    int64_t score_folds = 0;
+    int64_t candidates_scored = 0;
   };
   std::vector<Phase3Worker> workers;
   state.outputs = ParallelMapWithState<RunState::WorkItemOutput, Phase3Worker>(
-      state.pool, state.work_items,
-      [&]() {
-        Phase3Worker worker;
-        worker.caches.resize(state.t_attr_names.size());
-        return worker;
-      },
+      state.pool, state.work_items, [] { return Phase3Worker{}; },
       [&](Phase3Worker& worker, int64_t item) {
         RunState::WorkItemOutput out;
         // Cancellation point between (partition, T) work items: a stopped
@@ -963,30 +1024,31 @@ Status RunPipeline::Phase3Fits(RunState& state) {
         // them) and the post-barrier check below turns the run into
         // Status::Cancelled.
         if (state.StopRequested()) return out;
-        const size_t pi = static_cast<size_t>(item / t_count);
-        const size_t ti = static_cast<size_t>(item % t_count);
+        const size_t pi = static_cast<size_t>(item) / t_count;
+        const size_t ti = static_cast<size_t>(item) % t_count;
         const RunState::PartitionEntry& entry = state.partitions[pi];
-        CharlesEngine::LeafStatsWorkspace stats_workspace;
-        stats_workspace.shortlist = &state.tran_names;
-        stats_workspace.t_subset = &state.t_subsets[ti];
-        stats_workspace.local = &worker.leaf_stats;
-        stats_workspace.shared = &run_stats_cache;
-        stats_workspace.fingerprint = state.fingerprint;
-        stats_workspace.block_rows = options.stats_block_rows;
-        stats_workspace.nochange_max_delta =
-            nochange_evidence.empty() ? nullptr : &nochange_evidence;
-        stats_workspace.score_evidence =
-            score_evidence.empty() ? nullptr : &score_evidence;
-        stats_workspace.score_tolerance = state.scorer->exact_tolerance();
-        Result<ChangeSummary> summary = engine.BuildSummary(
-            *state.analysis, state.y_old, state.y_new, entry.candidate,
-            state.t_attr_names[ti], entry.condition_attrs, &worker.caches[ti],
-            state.shared_cache, ti, &worker.stats, state.fingerprint,
-            &state.tran_columns, &stats_workspace, state.scorer.get());
-        if (summary.ok()) {
-          out.signature = summary->Signature();
-          out.summary = std::move(*summary);
+        std::vector<const SharedLeafFit*> fits;
+        fits.reserve(entry.leaf_ids.size());
+        for (int64_t leaf : entry.leaf_ids) {
+          FitTable::Slot& slot = table.at(leaf, ti);
+          bool filled = false;
+          if (!slot.resolved) {
+            std::call_once(slot.once, [&] {
+              fill_slot(leaf, ti, slot, &worker.score_folds);
+              filled = true;
+            });
+          }
+          ++(filled ? worker.fits_computed : worker.fits_reused);
+          if (!slot.status.ok()) break;
+          fits.push_back(&slot.fit);
+        }
+        if (fits.size() == entry.leaf_ids.size()) {
+          out.summary = engine.BuildSummary(entry.candidate, fits,
+                                            state.t_attr_names[ti],
+                                            entry.condition_attrs, *state.scorer);
+          out.signature = out.summary.Signature();
           out.ok = true;
+          ++worker.candidates_scored;
         }
         // Completed-item count is tracked stream or no stream (the
         // cancellation diagnostic reports it), but only streamed runs pay
@@ -1030,14 +1092,10 @@ Status RunPipeline::Phase3Fits(RunState& state) {
   }
 
   for (const Phase3Worker& worker : workers) {
-    state.result.leaf_fits_computed += worker.stats.computed;
-    state.result.leaf_fits_reused +=
-        worker.stats.local_hits + worker.stats.shared_hits;
-    state.result.score_partials_candidates +=
-        worker.stats.score_partials_candidates;
-    state.result.score_yhat_materializations +=
-        worker.stats.score_yhat_materializations;
-    state.result.score_leaf_folds += worker.stats.score_leaf_folds;
+    state.result.leaf_fits_computed += worker.fits_computed;
+    state.result.leaf_fits_reused += worker.fits_reused;
+    state.result.score_partials_candidates += worker.candidates_scored;
+    state.result.score_leaf_folds += worker.score_folds;
   }
   return Status::OK();
 }
@@ -1047,16 +1105,8 @@ Status RunPipeline::Phase3Fits(RunState& state) {
 Status RunPipeline::RankStream(RunState& state) {
   SummaryList& result = state.result;
 
-  // Cache bound: a context's cache is trimmed (LRU) at the end of each run
-  // when the engine options cap it — the context-level bound, if any, was
-  // already enforced on every insert. The run-local cache was constructed
-  // with the bound.
-  if (state.context != nullptr && state.options.max_cache_entries > 0) {
-    state.context->leaf_cache()->TrimToSize(
-        static_cast<size_t>(state.options.max_cache_entries));
-  }
-  if (state.shared_cache != nullptr) {
-    result.leaf_fit_evictions = state.shared_cache->evictions();
+  if (state.context != nullptr) {
+    result.leaf_fit_evictions = state.context->leaf_cache()->evictions();
   }
 
   // Best summary per signature, replaying the serial (partition, T) visit

@@ -18,12 +18,15 @@
 ///    the phase-cache lookup (runs with a context), then — on a miss — the
 ///    run's shortlist moments (central fold, or a distributed kSignalStats
 ///    sweep when sharding is on), per-T clusterings, pooled labelings;
-///  - **Phase2Trees** — condition-tree induction and partition dedup, or
-///    the cached partitions on a phase-cache hit; a miss with a context
-///    inserts its search space afterwards;
-///  - **Phase3Fits** — the (partition, T) transformation sweep, preceded by
-///    the distributed kLeafMoments / kScorePartials rounds (with warm-cache
-///    elision) when sharding is on;
+///  - **Phase2Trees** — condition-tree induction, partition dedup and leaf
+///    interning, or the cached partitions on a phase-cache hit; a miss with
+///    a context inserts its search space afterwards;
+///  - **Phase3Fits** — one fit table slot per distinct (leaf, T): resolve
+///    the slots the context cache holds, compute the moments of every
+///    changed leaf with an empty slot (centrally, or by the distributed
+///    kLeafMoments / kScorePartials rounds when sharding is on), then the
+///    (partition, T) sweep, which fills each empty slot once on first
+///    demand;
 ///  - **RankStream** — deterministic best-by-signature reduction, ranking,
 ///    truncation, and diagnostics fold.
 ///
@@ -45,7 +48,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -156,8 +158,14 @@ struct RunState {
   struct PartitionEntry {
     PartitionCandidate candidate;
     std::vector<std::string> condition_attrs;
+    /// Interned id of each candidate leaf (leaf order): leaves with equal
+    /// row sets share an id, whichever conditions describe them.
+    std::vector<int64_t> leaf_ids;
   };
   std::vector<PartitionEntry> partitions;
+  /// The distinct leaves by id: each id's rows, from its first occurrence
+  /// in partition order. Phase 3 keys everything by these ids.
+  std::vector<const RowSet*> leaves;
   /// @}
 
   /// \name Phase3Fits products.
@@ -169,11 +177,6 @@ struct RunState {
   };
   std::vector<WorkItemOutput> outputs;  ///< one per (partition, T), item order
   int64_t work_items = 0;               ///< |partitions| × |T-subsets|
-  /// Run-local cross-worker fit cache (used when no context is attached)
-  /// and the tier the sweep actually published to (context cache or the
-  /// run-local one) — RankStream reads eviction counts from it.
-  std::unique_ptr<SharedLeafFitCache> run_leaf_cache;
-  SharedLeafFitCache* shared_cache = nullptr;
   /// The one run-level Scorer: constructed once at the top of Phase3Fits
   /// (the single y_old/y_new copy of the whole sweep) and shared by every
   /// work item — BuildSummary scores row-free against it from merged
@@ -229,7 +232,7 @@ struct RunState {
 /// RankStream need from phases 1–2, but not the labelings themselves.
 struct SearchSpace {
   std::vector<std::vector<std::string>> t_attr_names;
-  std::vector<RunState::PartitionEntry> partitions;  ///< capped, final order
+  std::vector<RunState::PartitionEntry> partitions;  ///< capped, leaf ids set
   std::shared_ptr<const SufficientStats> shortlist_stats;
   int64_t labelings = 0;  ///< SummaryList::labelings of the computing run
 };

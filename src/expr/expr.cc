@@ -1,9 +1,11 @@
 #include "expr/expr.h"
 
 #include <algorithm>
+#include <cctype>
 #include <charconv>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace charles {
 
@@ -47,6 +49,31 @@ std::string QuoteLiteral(const Value& v) {
   return out;
 }
 
+/// A column name as the parser reads it back: bare when it lexes as one
+/// plain identifier that is not a keyword, else backquoted (a backquote in
+/// the name doubled).
+std::string QuoteIdentifier(const std::string& name) {
+  static const char* const kKeywords[] = {"AND", "OR",    "NOT",  "IN",
+                                          "TRUE", "FALSE", "NULL"};
+  bool plain = !name.empty() &&
+               (std::isalpha(static_cast<unsigned char>(name[0])) || name[0] == '_');
+  for (char c : name) {
+    plain = plain &&
+            (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.');
+  }
+  for (const char* keyword : kKeywords) {
+    plain = plain && !EqualsIgnoreCase(name, keyword);
+  }
+  if (plain) return name;
+  std::string out = "`";
+  for (char c : name) {
+    if (c == '`') out += '`';  // escape by doubling
+    out += c;
+  }
+  out += "`";
+  return out;
+}
+
 class TrueExpr final : public Expr {
  public:
   TrueExpr() : Expr(Kind::kTrue) {}
@@ -67,7 +94,7 @@ class ColumnRefExpr final : public Expr {
   Result<Value> Evaluate(const Table& table, int64_t row) const override {
     return table.GetValueByName(row, name_);
   }
-  std::string ToString() const override { return name_; }
+  std::string ToString() const override { return QuoteIdentifier(name_); }
   int NumDescriptors() const override { return 0; }
   bool Equals(const Expr& other) const override {
     return other.kind() == Kind::kColumnRef &&
@@ -293,7 +320,7 @@ class InExpr final : public Expr {
     return Value(false);
   }
   std::string ToString() const override {
-    std::string out = column_ + " IN (";
+    std::string out = QuoteIdentifier(column_) + " IN (";
     for (size_t i = 0; i < values_.size(); ++i) {
       if (i > 0) out += ", ";
       out += QuoteLiteral(values_[i]);

@@ -10,6 +10,7 @@ namespace {
 
 enum class TokenType {
   kIdentifier,
+  kQuotedIdentifier,  // `name`: always a column, never a keyword
   kNumber,
   kString,
   kOperator,  // = == != <> < <= > >=
@@ -111,8 +112,13 @@ class Lexer {
     while (pos_ < input_.size()) {
       char c = input_[pos_];
       if (c == '`') {
+        if (pos_ + 1 < input_.size() && input_[pos_ + 1] == '`') {
+          text += '`';
+          pos_ += 2;
+          continue;
+        }
         ++pos_;
-        return Token{TokenType::kIdentifier, std::move(text), start};
+        return Token{TokenType::kQuotedIdentifier, std::move(text), start};
       }
       text += c;
       ++pos_;
@@ -280,8 +286,9 @@ class Parser {
         return Status::InvalidArgument("expected ')' to close IN list");
       }
       Advance();
-      std::string column = lhs->ToString();
-      return MakeIn(std::move(column), std::move(values));
+      std::vector<std::string> column;
+      lhs->CollectColumns(&column);
+      return MakeIn(std::move(column[0]), std::move(values));
     }
     if (Current().type != TokenType::kOperator) {
       return Status::InvalidArgument("expected comparison operator at position " +
@@ -325,6 +332,11 @@ class Parser {
           Advance();
           return MakeLiteral(Value::Null());
         }
+        std::string name = token.text;
+        Advance();
+        return MakeColumnRef(std::move(name));
+      }
+      case TokenType::kQuotedIdentifier: {
         std::string name = token.text;
         Advance();
         return MakeColumnRef(std::move(name));

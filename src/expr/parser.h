@@ -23,6 +23,9 @@ namespace charles {
 ///   literal     := number | 'single-quoted string' | true | false | NULL
 ///   identifier  := [A-Za-z_][A-Za-z0-9_.]* or `backquoted name`
 ///
+/// A backquoted name is always a column, never a keyword or literal; a
+/// backquote inside it is written doubled, as a quote inside a string is.
+///
 /// The printer (Expr::ToString) emits this grammar, so
 /// ParseExpr(e->ToString())->Equals(*e) holds for every constructible tree.
 Result<ExprPtr> ParseExpr(std::string_view input);

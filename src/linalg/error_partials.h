@@ -21,7 +21,7 @@
 /// order.
 ///
 /// This is the evaluator behind FitLeaf's exact leaf MAE and SnapModel's
-/// accuracy baseline under CharlesOptions::use_sufficient_stats. Shards never
+/// accuracy baseline on every engine run. Shards never
 /// ship ErrorPartials themselves: the kScorePartials task replays the same Σ
 /// chain (linalg/score_partials.h), and ScorePartials::error() projects it
 /// back onto this type.

@@ -81,15 +81,6 @@ struct Kernel {
   /// One block partial of Σ|values[i]|, summed in index order from zero.
   double (*abs_sum)(const double* values, int64_t count);
 
-  /// One block partial of Σ|y[row] − ŷ(row)| for a probe model, where
-  /// ŷ = intercept + Σ_f coefficients[f]·columns[f][row] accumulated
-  /// left-to-right — exactly LinearModel::PredictRow's evaluation order.
-  /// probe_score_sum's Σ chain replays this one exactly.
-  double (*probe_abs_error_sum)(
-      double intercept, const double* coefficients,
-      const std::vector<const std::vector<double>*>& columns,
-      const std::vector<double>& y, const int64_t* rows, int64_t count);
-
   /// Strided gather: dst[i·dst_stride] = src[rows[i]] for i in [0, count).
   /// dst_stride >= 1 (1 = contiguous, cols() = one matrix column).
   void (*gather)(const double* src, const int64_t* rows, int64_t count,
@@ -110,8 +101,9 @@ struct Kernel {
                          double tolerance, double* abs_sum, int64_t* exact);
 
   /// One block partial of (Σ|y[row] − ŷ(row)|, within-tolerance count) for a
-  /// probe model, with ŷ accumulated left-to-right exactly as
-  /// probe_abs_error_sum — which is what lets a kScorePartials shard round
+  /// probe model, where ŷ = intercept + Σ_f coefficients[f]·columns[f][row]
+  /// accumulated left-to-right — exactly LinearModel::PredictRow's
+  /// evaluation order, which is what lets a kScorePartials shard round
   /// double as the SnapModel error baseline (ScorePartials::error()).
   void (*probe_score_sum)(double intercept, const double* coefficients,
                           const std::vector<const std::vector<double>*>& columns,

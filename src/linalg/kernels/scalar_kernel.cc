@@ -42,22 +42,6 @@ double AbsSumScalar(const double* values, int64_t count) {
   return sum;
 }
 
-double ProbeAbsErrorSumScalar(
-    double intercept, const double* coefficients,
-    const std::vector<const std::vector<double>*>& columns,
-    const std::vector<double>& y, const int64_t* rows, int64_t count) {
-  double sum = 0.0;
-  for (int64_t i = 0; i < count; ++i) {
-    size_t row = static_cast<size_t>(rows[i]);
-    double y_hat = intercept;
-    for (size_t f = 0; f < columns.size(); ++f) {
-      y_hat += coefficients[f] * (*columns[f])[row];
-    }
-    sum += std::abs(y[row] - y_hat);
-  }
-  return sum;
-}
-
 /// Score fold: AbsDiffSumScalar's exact sum chain, with the within-tolerance
 /// tally taken from the same per-row |error| before it joins the sum.
 void ScoreDiffSumScalar(const double* a, const double* b, int64_t count,
@@ -73,8 +57,9 @@ void ScoreDiffSumScalar(const double* a, const double* b, int64_t count,
   *exact = within;
 }
 
-/// Probe score: ProbeAbsErrorSumScalar's exact ŷ and sum chains, tallying
-/// the within-tolerance count from the same per-row error.
+/// Probe score: ŷ = intercept + Σ_f c_f·x_f accumulated left-to-right
+/// (LinearModel::PredictRow's order) and Σ|y − ŷ| in row order, tallying the
+/// within-tolerance count from the same per-row error.
 void ProbeScoreSumScalar(double intercept, const double* coefficients,
                          const std::vector<const std::vector<double>*>& columns,
                          const std::vector<double>& y, const int64_t* rows,
@@ -104,9 +89,8 @@ void GatherScalar(const double* src, const int64_t* rows, int64_t count,
 }
 
 constexpr Kernel kScalarKernel = {
-    "scalar",          SuffStatsBlockScalar, AbsDiffSumScalar,
-    AbsSumScalar,      ProbeAbsErrorSumScalar, GatherScalar,
-    ScoreDiffSumScalar, ProbeScoreSumScalar,
+    "scalar",     SuffStatsBlockScalar, AbsDiffSumScalar,   AbsSumScalar,
+    GatherScalar, ScoreDiffSumScalar,   ProbeScoreSumScalar,
 };
 
 }  // namespace

@@ -204,40 +204,6 @@ double AbsSumSimd(const double* values, int64_t count) {
   return sum;
 }
 
-double ProbeAbsErrorSumSimd(
-    double intercept, const double* coefficients,
-    const std::vector<const std::vector<double>*>& columns,
-    const std::vector<double>& y, const int64_t* rows, int64_t count) {
-  double sum = 0.0;
-  double y_hat[kChunk];
-  double err[kChunk];
-  const size_t num_features = columns.size();
-  const double* yp = y.data();
-  for (int64_t at = 0; at < count; at += kChunk) {
-    const int64_t n = std::min(kChunk, count - at);
-    const int64_t* idx = rows + at;
-    // Each lane's ŷ chain is intercept, then += c_f·x_f in feature order —
-    // exactly the scalar probe's (and LinearModel::PredictRow's) left-to-
-    // right evaluation, run on many rows at once.
-#pragma omp simd
-    for (int64_t l = 0; l < n; ++l) y_hat[l] = intercept;
-    for (size_t f = 0; f < num_features; ++f) {
-      const double c = coefficients[f];
-      const double* col = columns[f]->data();
-#pragma omp simd
-      for (int64_t l = 0; l < n; ++l) {
-        y_hat[l] += c * col[idx[l]];
-      }
-    }
-#pragma omp simd
-    for (int64_t l = 0; l < n; ++l) {
-      err[l] = std::abs(yp[idx[l]] - y_hat[l]);
-    }
-    for (int64_t l = 0; l < n; ++l) sum += err[l];
-  }
-  return sum;
-}
-
 /// Score fold: AbsDiffSumSimd's chunked |a−b| lanes and serial Σ chain,
 /// with the within-tolerance tally taken in the same serial pass (it is an
 /// integer count, so the pass structure is free — serial keeps it obvious).
@@ -263,8 +229,10 @@ void ScoreDiffSumSimd(const double* a, const double* b, int64_t count,
   *exact = within;
 }
 
-/// Probe score: ProbeAbsErrorSumSimd's chunked lanes (identical per-lane ŷ
-/// chain) with the serial Σ + tally pass at the chunk tail.
+/// Probe score: chunked lanes with the serial Σ + tally pass at the chunk
+/// tail. Each lane's ŷ chain is intercept, then += c_f·x_f in feature order
+/// — exactly the scalar probe's (and LinearModel::PredictRow's)
+/// left-to-right evaluation, run on many rows at once.
 void ProbeScoreSumSimd(double intercept, const double* coefficients,
                        const std::vector<const std::vector<double>*>& columns,
                        const std::vector<double>& y, const int64_t* rows,
@@ -323,8 +291,7 @@ constexpr Kernel kSimdKernel = {
     "simd",
 #endif
     SuffStatsBlockSimd, AbsDiffSumSimd,   AbsSumSimd,
-    ProbeAbsErrorSumSimd, GatherSimd,
-    ScoreDiffSumSimd, ProbeScoreSumSimd,
+    GatherSimd,         ScoreDiffSumSimd, ProbeScoreSumSimd,
 };
 
 }  // namespace

@@ -265,6 +265,17 @@ Result<SufficientStats::Solution> SufficientStats::SolveOls() const {
   return SolveOls(all);
 }
 
+int64_t SufficientStats::FirstNonFiniteColumn() const {
+  // Each column's sum of squares bounds its other moments (Cauchy–Schwarz:
+  // |Σab| ≤ √(Σa²·Σb²), |Σa| ≤ √(n·Σa²)), so checking the squares names the
+  // overflowing column rather than a partner whose cross term it poisoned.
+  const int64_t dim = p_ + 1;
+  for (int64_t f = 1; f <= p_; ++f) {
+    if (!std::isfinite(gram_[static_cast<size_t>(f * dim + f)])) return f - 1;
+  }
+  return std::isfinite(yty_) ? -1 : p_;
+}
+
 using wire::AppendRaw;
 using wire::ReadRaw;
 

@@ -120,6 +120,13 @@ class SufficientStats {
   /// SolveOls over every feature, in order.
   Result<Solution> SolveOls() const;
 
+  /// The first column whose moments are not finite — a feature index in
+  /// [0, num_features()), or num_features() for the response — or -1 when
+  /// every moment is finite. Finite inputs can still overflow a sum of
+  /// squares (two ±1e308 values do); callers that fold finite cells use
+  /// this to reject such data instead of solving on inf.
+  int64_t FirstNonFiniteColumn() const;
+
   /// \name Wire format (distributed shard execution).
   ///
   /// Shard workers ship per-leaf moments to the coordinator as raw bytes.

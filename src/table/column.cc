@@ -1,5 +1,6 @@
 #include "table/column.h"
 
+#include <cmath>
 #include <unordered_set>
 
 #include "common/fnv.h"
@@ -194,6 +195,17 @@ Result<std::vector<double>> Column::GatherDoubles(const RowSet& rows) const {
     }
   }
   return out;
+}
+
+int64_t Column::FirstNonFinite() const {
+  if (type_ != TypeKind::kDouble) return -1;
+  const auto& values = std::get<std::vector<double>>(data_);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (validity_[i] != 0 && !std::isfinite(values[i])) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return -1;
 }
 
 Column Column::Take(const RowSet& rows) const {

@@ -64,6 +64,10 @@ class Column {
   /// doubles). Anything else is a TypeError.
   Result<Column> CastTo(TypeKind target_type) const;
 
+  /// The first non-NULL row holding a NaN or ±inf (double columns only),
+  /// or -1 when every cell is finite.
+  int64_t FirstNonFinite() const;
+
   /// Number of distinct non-NULL values.
   int64_t CountDistinct() const;
 

@@ -656,13 +656,5 @@ TEST(ShardParityTest, ShardedRunWorksWithEngineContext) {
   EXPECT_EQ(context.runs_completed(), 2);
 }
 
-TEST(ShardParityTest, ShardingRequiresSufficientStats) {
-  Workload w = MakeEmployeeWorkload();
-  CharlesOptions options = w.options;
-  options.num_shards = 2;
-  options.use_sufficient_stats = false;
-  EXPECT_TRUE(SummarizeChanges(w.source, w.target, options).status().IsInvalidArgument());
-}
-
 }  // namespace
 }  // namespace charles

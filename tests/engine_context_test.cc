@@ -209,24 +209,6 @@ TEST(EngineContextTest, BoundedCacheEvictsLruAndStaysCorrect) {
   EXPECT_EQ(warm.leaf_fit_evictions, context.leaf_cache_evictions());
 }
 
-TEST(EngineContextTest, EngineOptionTrimsContextCacheAfterRun) {
-  Table source = MakeExample1Source().ValueOrDie();
-  Table target = MakeExample1Target().ValueOrDie();
-  CharlesOptions options = Example1Options();
-  options.max_cache_entries = 4;
-
-  EngineContextOptions ctx_options;
-  ctx_options.cache_shards = 1;
-  EngineContext context(ctx_options);  // context itself is unbounded
-  CharlesEngine engine(options, &context);
-  SummaryList result = engine.Find(source, target).ValueOrDie();
-  EXPECT_FALSE(result.summaries.empty());
-  // The run published every fit, then trimmed the cache down to the cap.
-  EXPECT_LE(context.leaf_cache_entries(), 4u);
-  EXPECT_GT(context.leaf_cache_evictions(), 0);
-  EXPECT_EQ(result.leaf_fit_evictions, context.leaf_cache_evictions());
-}
-
 TEST(EngineContextTest, ClearCachesDropsEntries) {
   Table source = MakeExample1Source().ValueOrDie();
   Table target = MakeExample1Target().ValueOrDie();
@@ -306,7 +288,6 @@ TEST(PhaseCacheTest, EveryInputOfPhasesOneAndTwoIsInTheKey) {
       {"numeric_tolerance", [](CharlesOptions& o) { o.numeric_tolerance = 1e-5; }},
       {"normality", [](CharlesOptions& o) { o.normality.enable_snapping = false; }},
       {"max_transform_attrs", [](CharlesOptions& o) { o.max_transform_attrs = 1; }},
-      {"use_sufficient_stats", [](CharlesOptions& o) { o.use_sufficient_stats = false; }},
       {"stats_block_rows", [](CharlesOptions& o) { o.stats_block_rows = 32; }},
       {"max_clusters", [](CharlesOptions& o) { o.max_clusters = 4; }},
       {"seed", [](CharlesOptions& o) { o.seed = 7; }},

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/engine.h"
+#include "core/engine_context.h"
 #include "core/normality.h"
 #include "core/partition_finder.h"
+#include "core/run_pipeline.h"
 #include "core/scoring.h"
 #include "workload/example1.h"
 
@@ -30,61 +34,75 @@ class CacheEquivalenceTest : public ::testing::Test {
   void SetUp() override {
     source_ = MakeExample1Source().ValueOrDie();
     target_ = MakeExample1Target().ValueOrDie();
-    y_old_ = *source_.ColumnAsDoubles("bonus");
-    y_new_ = *target_.ColumnAsDoubles("bonus");
     options_.target_attribute = "bonus";
     options_.key_columns = {"name"};
+    options_.num_threads = 1;
   }
 
-  PartitionCandidate MakeCandidate() {
-    PartitionFinder::Input input;
-    input.source = &source_;
-    input.y_old = &y_old_;
-    input.y_new = &y_new_;
-    input.transform_attrs = {"bonus"};
-    int edu = *source_.schema().FieldIndex("edu");
-    int exp = *source_.schema().FieldIndex("exp");
-    auto candidates =
-        PartitionFinder::Find(input, {edu, exp}, options_).ValueOrDie();
-    // Pick the largest partitioning (most leaves to exercise the cache).
-    size_t best = 0;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (candidates[i].leaves.size() > candidates[best].leaves.size()) best = i;
+  /// Drives DiffAlign through Phase3Fits by hand and returns phase 3's
+  /// per-(partition, T) outputs, with the run's diagnostics in `*result`.
+  std::vector<RunState::WorkItemOutput> Phase3Outputs(const CharlesEngine& engine,
+                                                      SummaryList* result) {
+    RunState state(engine, source_, target_, /*stream=*/nullptr, /*stop=*/nullptr);
+    size_t count = 0;
+    const RunPipeline::StageSpec* stages = RunPipeline::Stages(&count);
+    for (size_t s = 0; s + 1 < count; ++s) {
+      Status status = stages[s].fn(state);
+      EXPECT_TRUE(status.ok()) << stages[s].name << ": " << status.ToString();
     }
-    return candidates[best];
+    *result = state.result;
+    return std::move(state.outputs);
+  }
+
+  void ExpectSameOutputs(const std::vector<RunState::WorkItemOutput>& expected,
+                         const std::vector<RunState::WorkItemOutput>& actual) {
+    ASSERT_EQ(expected.size(), actual.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(expected[i].ok, actual[i].ok) << "item " << i;
+      if (!expected[i].ok) continue;
+      EXPECT_EQ(expected[i].signature, actual[i].signature) << "item " << i;
+      const double a = expected[i].summary.scores().score;
+      const double b = actual[i].summary.scores().score;
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "item " << i;
+      EXPECT_EQ(expected[i].summary.ToString(), actual[i].summary.ToString())
+          << "item " << i;
+    }
   }
 
   Table source_;
   Table target_;
-  std::vector<double> y_old_;
-  std::vector<double> y_new_;
   CharlesOptions options_;
 };
 
 TEST_F(CacheEquivalenceTest, CachedAndUncachedSummariesAgree) {
-  CharlesEngine engine(options_);
-  PartitionCandidate candidate = MakeCandidate();
-  CharlesEngine::LeafFitCache cache;
-  ChangeSummary cached = engine
-                             .BuildSummary(source_, y_old_, y_new_, candidate,
-                                           {"bonus"}, {"edu", "exp"}, &cache)
-                             .ValueOrDie();
-  ChangeSummary uncached = engine
-                               .BuildSummary(source_, y_old_, y_new_, candidate,
-                                             {"bonus"}, {"edu", "exp"}, nullptr)
-                               .ValueOrDie();
-  EXPECT_EQ(cached.Signature(), uncached.Signature());
-  EXPECT_DOUBLE_EQ(cached.scores().score, uncached.scores().score);
-  EXPECT_FALSE(cache.empty());
+  // Every (partition, T) summary phase 3 builds from fits the context cache
+  // served equals the one built from freshly computed fits.
+  SummaryList fresh;
+  std::vector<RunState::WorkItemOutput> uncached =
+      Phase3Outputs(CharlesEngine(options_), &fresh);
+  ASSERT_FALSE(uncached.empty());
 
-  // Second cached call must hit (same fits, same result).
-  size_t cache_size = cache.size();
-  ChangeSummary again = engine
-                            .BuildSummary(source_, y_old_, y_new_, candidate,
-                                          {"bonus"}, {"edu", "exp"}, &cache)
-                            .ValueOrDie();
-  EXPECT_EQ(cache.size(), cache_size);
-  EXPECT_EQ(again.Signature(), cached.Signature());
+  EngineContextOptions context_options;
+  context_options.num_threads = 1;
+  EngineContext context(context_options);
+  CharlesEngine engine(options_, &context);
+  SummaryList cold;
+  std::vector<RunState::WorkItemOutput> computed = Phase3Outputs(engine, &cold);
+  const size_t cache_size = context.leaf_cache_entries();
+  // The cold run fits each (leaf, T) slot once and publishes every fit.
+  EXPECT_EQ(cold.leaf_fits_computed, fresh.leaf_fits_computed);
+  EXPECT_EQ(static_cast<size_t>(cold.leaf_fits_computed), cache_size);
+
+  // The second run must be served entirely by the cache (same fits, same
+  // result).
+  SummaryList warm;
+  std::vector<RunState::WorkItemOutput> cached = Phase3Outputs(engine, &warm);
+  EXPECT_EQ(warm.leaf_fits_computed, 0);
+  EXPECT_EQ(warm.leaf_fits_reused, cold.leaf_fits_computed + cold.leaf_fits_reused);
+  EXPECT_EQ(context.leaf_cache_entries(), cache_size);
+
+  ExpectSameOutputs(uncached, computed);
+  ExpectSameOutputs(uncached, cached);
 }
 
 TEST(ReadabilityBudgetTest, HugeSummariesLoseInterpretability) {

@@ -314,6 +314,100 @@ TEST(EngineTest, NonFiniteTargetIsRejectedWithAContext) {
   EXPECT_EQ(context.leaf_cache_entries(), 0u);
 }
 
+/// The finite-input contract for the shortlisted columns: a NaN or ±inf
+/// cell in a transformation or numeric condition column of the source
+/// snapshot fails naming the column, the snapshot, row 40, its key and the
+/// value; finite target values so large (±1e308) that their sum of squares
+/// overflows fail naming the target. Never an OK run with nothing ranked.
+void ExpectHostileShortlistRejected(CharlesOptions options, EngineContext* context) {
+  EmployeeGenOptions gen;
+  gen.num_rows = 300;
+  gen.num_decoy_numeric = 1;
+  const Table clean_source = GenerateEmployees(gen).ValueOrDie();
+  const Table clean_target = MakeEmployeeBonusPolicy().Apply(clean_source).ValueOrDie();
+  const std::string key =
+      "emp_id=" + clean_source.GetValueByName(40, "emp_id").ValueOrDie().ToString();
+  options.target_attribute = "bonus";
+  options.key_columns = {"emp_id"};
+  options.stats_block_rows = 64;  // enough blocks for 4 shards
+  options.condition_attributes = {"edu", "exp", "decoy_num_0"};
+  options.transform_attributes = {"bonus", "salary"};
+  auto expect_rejected = [&](const Table& source, const Table& target,
+                             const std::vector<std::string>& parts) {
+    Status status = SummarizeChanges(source, target, options, context).status();
+    ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    for (const std::string& part : parts) {
+      EXPECT_NE(status.message().find(part), std::string::npos)
+          << "missing '" << part << "' in: " << status.ToString();
+    }
+  };
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    double value;
+    const char* spelled;
+  } cases[] = {{std::numeric_limits<double>::quiet_NaN(), "is nan"},
+               {kInf, "is inf"},
+               {-kInf, "is -inf"}};
+  const struct {
+    const char* column;
+    const char* role;
+  } columns[] = {{"salary", "transformation attribute"},
+                 {"decoy_num_0", "condition attribute"}};
+  for (const auto& column : columns) {
+    const int index = clean_source.schema().FieldIndex(column.column).ValueOrDie();
+    for (const auto& bad : cases) {
+      SCOPED_TRACE(std::string(column.column) + " " + bad.spelled);
+      Table source = clean_source;
+      ASSERT_TRUE(source.SetValue(40, index, Value(bad.value)).ok());
+      ASSERT_TRUE(source.SetValue(200, index, Value(bad.value)).ok());
+      expect_rejected(source, clean_target,
+                      {std::string(column.role) + " '" + column.column + "'",
+                       bad.spelled, "source snapshot", "row 40 ", key});
+    }
+  }
+
+  const int bonus = clean_source.schema().FieldIndex("bonus").ValueOrDie();
+  for (const bool in_source : {false, true}) {
+    SCOPED_TRACE(in_source ? "overflow in source" : "overflow in target");
+    Table source = clean_source;
+    Table target = clean_target;
+    Table& poisoned = in_source ? source : target;
+    ASSERT_TRUE(poisoned.SetValue(40, bonus, Value(1e308)).ok());
+    ASSERT_TRUE(poisoned.SetValue(200, bonus, Value(-1e308)).ok());
+    expect_rejected(source, target, {"'bonus'", "overflows"});
+  }
+}
+
+TEST(EngineTest, HostileShortlistIsRejectedSerial) {
+  CharlesOptions options;
+  options.num_threads = 1;
+  ExpectHostileShortlistRejected(options, nullptr);
+}
+
+TEST(EngineTest, HostileShortlistIsRejectedAtFourThreads) {
+  CharlesOptions options;
+  options.num_threads = 4;
+  ExpectHostileShortlistRejected(options, nullptr);
+}
+
+TEST(EngineTest, HostileShortlistIsRejectedAtFourShards) {
+  CharlesOptions options;
+  options.num_threads = 2;
+  options.num_shards = 4;
+  ExpectHostileShortlistRejected(options, nullptr);
+}
+
+TEST(EngineTest, HostileShortlistIsRejectedWithAContext) {
+  EngineContextOptions context_options;
+  context_options.num_threads = 2;
+  EngineContext context(context_options);
+  ExpectHostileShortlistRejected(CharlesOptions{}, &context);
+  // A rejected run caches nothing.
+  EXPECT_EQ(context.phase_cache_entries(), 0u);
+  EXPECT_EQ(context.leaf_cache_entries(), 0u);
+}
+
 TEST(EngineTest, SearchSpaceDiagnosticsPopulated) {
   Table source = MakeExample1Source().ValueOrDie();
   Table target = MakeExample1Target().ValueOrDie();

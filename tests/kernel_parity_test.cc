@@ -247,26 +247,50 @@ TEST(KernelParityTest, AbsDiffAndAbsFoldsBitIdentical) {
   }
 }
 
+/// The reference probe error chain: ŷ = intercept + Σ_f c_f·x_f accumulated
+/// left-to-right (LinearModel::PredictRow's order), then Σ|y − ŷ| in row
+/// order from zero. Kernels no longer carry it; probe_score_sum's Σ must
+/// replay it bit for bit, which is what lets a kScorePartials round double
+/// as the SnapModel error baseline.
+double ProbeAbsErrorSum(double intercept, const double* coefficients,
+                        const std::vector<const std::vector<double>*>& columns,
+                        const std::vector<double>& y, const int64_t* rows,
+                        int64_t count) {
+  double sum = 0.0;
+  for (int64_t i = 0; i < count; ++i) {
+    size_t row = static_cast<size_t>(rows[i]);
+    double y_hat = intercept;
+    for (size_t f = 0; f < columns.size(); ++f) {
+      y_hat += coefficients[f] * (*columns[f])[row];
+    }
+    sum += std::abs(y[row] - y_hat);
+  }
+  return sum;
+}
+
 TEST(KernelParityTest, ProbeAbsErrorSumBitIdentical) {
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 100; ++seed) {
-    std::mt19937_64 rng(seed * 2221 + 9);
-    int64_t num_rows = 1 + static_cast<int64_t>(rng() % 300);
-    int64_t num_cols = static_cast<int64_t>(rng() % 4);
-    ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/true, rng);
-    double intercept = AdversarialValue(rng);
-    std::vector<double> coefficients(static_cast<size_t>(num_cols));
-    for (double& v : coefficients) v = AdversarialValue(rng);
-    int64_t count = static_cast<int64_t>(c.rows.size());
-    for (int64_t take : {int64_t{1}, count / 3, count}) {
-      if (take < 1) continue;
-      double expected = scalar.probe_abs_error_sum(
-          intercept, coefficients.data(), c.columns, c.y, c.rows.data(), take);
-      double actual = simd.probe_abs_error_sum(
-          intercept, coefficients.data(), c.columns, c.y, c.rows.data(), take);
-      ASSERT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
-          << "seed " << seed << " take " << take;
+  for (const Kernel* kernel : {&ScalarKernel(), &SimdKernel()}) {
+    for (uint64_t seed = 0; seed < 100; ++seed) {
+      std::mt19937_64 rng(seed * 2221 + 9);
+      int64_t num_rows = 1 + static_cast<int64_t>(rng() % 300);
+      int64_t num_cols = static_cast<int64_t>(rng() % 4);
+      ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/true, rng);
+      double intercept = AdversarialValue(rng);
+      std::vector<double> coefficients(static_cast<size_t>(num_cols));
+      for (double& v : coefficients) v = AdversarialValue(rng);
+      int64_t count = static_cast<int64_t>(c.rows.size());
+      for (int64_t take : {int64_t{1}, count / 3, count}) {
+        if (take < 1) continue;
+        double expected = ProbeAbsErrorSum(intercept, coefficients.data(),
+                                           c.columns, c.y, c.rows.data(), take);
+        double actual = 0.0;
+        int64_t exact = 0;
+        kernel->probe_score_sum(intercept, coefficients.data(), c.columns, c.y,
+                                c.rows.data(), take, /*tolerance=*/0.0, &actual,
+                                &exact);
+        ASSERT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
+            << kernel->name << " seed " << seed << " take " << take;
+      }
     }
   }
 }
@@ -331,9 +355,9 @@ TEST(KernelParityTest, ProbeScoreSumBitIdenticalAndSumMatchesProbeError) {
           << "seed " << seed << " take " << take;
       ASSERT_EQ(expected_exact, actual_exact)
           << "seed " << seed << " take " << take;
-      // The ŷ + Σ chain replays probe_abs_error_sum's exactly.
-      double error_sum = scalar.probe_abs_error_sum(
-          intercept, coefficients.data(), c.columns, c.y, c.rows.data(), take);
+      // The ŷ + Σ chain replays the reference probe error chain exactly.
+      double error_sum = ProbeAbsErrorSum(intercept, coefficients.data(),
+                                          c.columns, c.y, c.rows.data(), take);
       ASSERT_EQ(std::memcmp(&expected_sum, &error_sum, sizeof(double)), 0)
           << "seed " << seed << " take " << take;
     }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/run_pipeline.h"
 #include "workload/employee_gen.h"
 #include "workload/example1.h"
 
@@ -94,8 +95,58 @@ TEST(ParallelEngineTest, ParallelRunReusesLeafFits) {
   EXPECT_GT(parallel.leaf_fits_reused, 0);
   SummaryList serial = RunWithThreads(source, target, options, 1);
   // A worker count must never change how many distinct fits exist, only who
-  // computes them; serial reuse comes purely from the per-T local cache.
+  // computes them; serial reuse comes from slots earlier items filled.
   EXPECT_GT(serial.leaf_fits_reused, 0);
+}
+
+TEST(ParallelEngineTest, FitCountersAreDeterministic) {
+  // Phase 3 fills each distinct (leaf, T) slot of its fit table exactly
+  // once, whichever thread gets there first, so the fit and score-fold
+  // counters are work counts, not scheduling accidents: equal at every
+  // thread count and shard count, and exactly one fit per distinct slot.
+  EmployeeGenOptions gen;
+  gen.num_rows = 1500;
+  gen.num_decoy_numeric = 1;
+  gen.num_decoy_categorical = 1;
+  Table source = GenerateEmployees(gen).ValueOrDie();
+  Table target = MakeEmployeeBonusPolicy().Apply(source).ValueOrDie();
+  CharlesOptions options;
+  options.target_attribute = "bonus";
+  options.key_columns = {"emp_id"};
+  options.stats_block_rows = 256;  // enough blocks for 4 shards
+
+  CharlesEngine serial_engine(options);
+  RunState state(serial_engine, source, target, /*stream=*/nullptr, /*stop=*/nullptr);
+  size_t count = 0;
+  const RunPipeline::StageSpec* stages = RunPipeline::Stages(&count);
+  for (size_t s = 0; s < count; ++s) ASSERT_TRUE(stages[s].fn(state).ok());
+  const SummaryList& serial = state.result;
+  int64_t visits = 0;
+  for (const RunState::PartitionEntry& entry : state.partitions) {
+    visits += static_cast<int64_t>(entry.leaf_ids.size() * state.t_subsets.size());
+  }
+  EXPECT_EQ(serial.leaf_fits_computed,
+            static_cast<int64_t>(state.leaves.size() * state.t_subsets.size()));
+  EXPECT_EQ(serial.leaf_fits_computed + serial.leaf_fits_reused, visits);
+  EXPECT_GT(serial.score_leaf_folds, 0);
+
+  struct Config {
+    int threads;
+    int shards;
+  };
+  for (const Config& config : {Config{4, 0}, Config{8, 0}, Config{1, 4}, Config{4, 4}}) {
+    SCOPED_TRACE(std::to_string(config.threads) + " threads, " +
+                 std::to_string(config.shards) + " shards");
+    CharlesOptions run_options = options;
+    run_options.num_shards = config.shards;
+    SummaryList run = RunWithThreads(source, target, run_options, config.threads);
+    ExpectIdenticalRuns(serial, run);
+    EXPECT_EQ(run.leaf_fits_computed, serial.leaf_fits_computed);
+    EXPECT_EQ(run.leaf_fits_reused, serial.leaf_fits_reused);
+    if (config.shards == 0) {
+      EXPECT_EQ(run.score_leaf_folds, serial.score_leaf_folds);
+    }
+  }
 }
 
 TEST(ParallelEngineTest, NegativeThreadCountRejected) {

@@ -73,6 +73,24 @@ TEST(ParserTest, BackquotedIdentifier) {
   EXPECT_TRUE(e->Equals(*MakeColumnCompare("base salary", CompareOp::kGt, Value(50000))));
 }
 
+TEST(ParserTest, BackquotedNamesAreNeverKeywordsAndPrintBack) {
+  // A backquoted name is a column even when it spells a keyword or literal,
+  // and the printer quotes every name that would not read back as itself.
+  for (const char* name : {"base salary", "AND", "null", "in", "a`b", "1st"}) {
+    ExprPtr expected = MakeColumnCompare(name, CompareOp::kEq, Value(1));
+    const std::string printed = expected->ToString();
+    Result<ExprPtr> parsed = ParseExpr(printed);
+    ASSERT_TRUE(parsed.ok()) << printed << ": " << parsed.status().ToString();
+    EXPECT_TRUE((*parsed)->Equals(*expected)) << printed;
+    ExprPtr in = MakeIn(name, {Value(2)});
+    Result<ExprPtr> parsed_in = ParseExpr(in->ToString());
+    ASSERT_TRUE(parsed_in.ok()) << in->ToString();
+    EXPECT_TRUE((*parsed_in)->Equals(*in)) << in->ToString();
+  }
+  EXPECT_EQ(MakeColumnCompare("salary", CompareOp::kEq, Value(1))->ToString(),
+            "salary = 1");
+}
+
 TEST(ParserTest, BareTrueIsUniversalCondition) {
   EXPECT_TRUE((*ParseExpr("TRUE"))->Equals(*MakeTrue()));
   EXPECT_TRUE((*ParseExpr("true"))->Equals(*MakeTrue()));
