@@ -3,8 +3,15 @@
 /// k_max. Planting salary policies with 2..6 experience bands, the engine
 /// should recover the planted number of partitions whenever k_max admits it,
 /// and waste little when k_max exceeds it.
+///
+/// `--smoke` prints the same table and exits non-zero if any row with
+/// k_max >= planted k misses the planted segments (top #CTs != planted k or
+/// f1 != 1) — the CI tripwire for partition recovery.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstring>
 
 #include "bench_util.h"
 #include "workload/employee_gen.h"
@@ -13,7 +20,9 @@ namespace charles {
 namespace bench {
 namespace {
 
-void PrintExperiment() {
+/// Prints the E9 table; returns the number of rows with k_max >= planted k
+/// that did not recover the planted segments.
+int PrintExperiment() {
   PrintHeader("E9: partition-count recovery vs the cluster budget k_max",
               "recovered #CTs equals the planted segment count once k_max >= "
               "planted k");
@@ -26,6 +35,7 @@ void PrintExperiment() {
   PrintRule(widths);
   PrintTableRow(widths, {"planted k", "k_max", "top #CTs", "f1", "accuracy", "score"});
   PrintRule(widths);
+  int missed = 0;
   for (int planted : {2, 3, 4, 5, 6}) {
     Policy policy = MakeSegmentedSalaryPolicy(planted).ValueOrDie();
     Table target = policy.Apply(source).ValueOrDie();
@@ -44,9 +54,11 @@ void PrintExperiment() {
       PrintTableRow(widths, {std::to_string(planted), std::to_string(k_max),
                              std::to_string(top.num_cts()), Fmt(recovery.f1, 3),
                              Fmt(top.scores().accuracy, 3), Fmt(top.scores().score, 3)});
+      if (k_max >= planted && (top.num_cts() != planted || recovery.f1 < 1.0)) ++missed;
     }
   }
   PrintRule(widths);
+  return missed;
 }
 
 void BM_KMaxRun(benchmark::State& state) {
@@ -69,7 +81,21 @@ BENCHMARK(BM_KMaxRun)->Arg(2)->Arg(6)->Unit(benchmark::kMillisecond);
 }  // namespace charles
 
 int main(int argc, char** argv) {
-  charles::bench::PrintExperiment();
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+  const int missed = charles::bench::PrintExperiment();
+  if (smoke) {
+    if (missed > 0) {
+      std::fprintf(stderr, "FAIL: %d row(s) with k_max >= planted k missed the planted "
+                           "segments\n", missed);
+      return 1;
+    }
+    std::printf("smoke OK: every row with k_max >= planted k recovered the planted "
+                "segments\n");
+    return 0;
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

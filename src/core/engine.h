@@ -140,7 +140,7 @@ struct SummaryList {
   /// @}
   /// @}
   double elapsed_seconds = 0.0;
-  double clustering_seconds = 0.0;  ///< phase 1: change-signal k-means
+  double clustering_seconds = 0.0;  ///< phase 1: exact 1-D change-signal k-means
   double induction_seconds = 0.0;   ///< phase 2: condition trees
   double fitting_seconds = 0.0;     ///< phase 3: transforms + scoring
   /// @}

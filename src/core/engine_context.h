@@ -18,8 +18,9 @@
 ///    (same snapshots, same options) is served almost entirely from cached
 ///    OLS fits;
 ///  - one small LRU phase cache of search spaces, the products of phases 1
-///    (change-signal k-means) and 2 (condition trees), so a re-query that
-///    only moves α — or returns to a c it asked before — skips both phases.
+///    (exact 1-D k-means of the change signals) and 2 (condition trees), so
+///    a re-query that only moves α — or returns to a c it asked before —
+///    skips both phases.
 ///
 /// Cached fits are keyed by a per-run \em fingerprint hashing everything a
 /// leaf fit depends on (target attribute, tolerance, normality options, the

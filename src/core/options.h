@@ -97,8 +97,8 @@ struct CharlesOptions {
   /// (bonus_new = f(bonus_old, ...)).
   bool include_old_target_in_transform = true;
 
-  /// Partition discovery: k-means is run for k = 1..max_clusters on the
-  /// residuals from the global fit.
+  /// Partition discovery: each change signal is clustered by exact 1-D
+  /// k-means for k = 1..max_clusters.
   int max_clusters = 6;
   /// Decision-tree depth for condition induction; 0 means "use
   /// max_condition_attrs".
@@ -182,8 +182,6 @@ struct CharlesOptions {
   /// Tolerate entities present in only one snapshot (they are excluded from
   /// the analysis). Off by default: the paper assumes identical entity sets.
   bool allow_insert_delete = false;
-  /// Seed for every stochastic component (k-means restarts).
-  uint64_t seed = 42;
 
   ScoreWeights weights;
   NormalityOptions normality;

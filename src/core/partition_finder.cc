@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/logging.h"
+#include "ml/kmeans_1d.h"
 #include "parallel/parallel_for.h"
 
 namespace charles {
@@ -152,42 +153,38 @@ Result<PartitionFinder::ResidualClusterings> PartitionFinder::ClusterResiduals(
 
   // Change signals to cluster on: the paper's distance-from-the-regression-
   // line, plus raw and relative deltas when requested and available.
-  std::vector<Matrix> signals;
+  std::vector<std::vector<double>> signals;
   {
-    Matrix residuals(n, 1);
-    for (int64_t i = 0; i < n; ++i) {
-      residuals.At(i, 0) =
-          (*input.y_new)[static_cast<size_t>(i)] - predicted[static_cast<size_t>(i)];
+    std::vector<double> residuals(static_cast<size_t>(n));
+    for (size_t i = 0; i < residuals.size(); ++i) {
+      residuals[i] = (*input.y_new)[i] - predicted[i];
     }
     signals.push_back(std::move(residuals));
   }
   if (include_delta_signals && input.y_old != nullptr) {
-    Matrix delta(n, 1);
-    Matrix relative(n, 1);
-    for (int64_t i = 0; i < n; ++i) {
-      double d = (*input.y_new)[static_cast<size_t>(i)] -
-                 (*input.y_old)[static_cast<size_t>(i)];
-      delta.At(i, 0) = d;
-      double denom = std::abs((*input.y_old)[static_cast<size_t>(i)]);
-      relative.At(i, 0) = denom > 1e-12 ? d / denom : d;
+    std::vector<double> delta(static_cast<size_t>(n));
+    std::vector<double> relative(static_cast<size_t>(n));
+    for (size_t i = 0; i < delta.size(); ++i) {
+      double d = (*input.y_new)[i] - (*input.y_old)[i];
+      delta[i] = d;
+      double denom = std::abs((*input.y_old)[i]);
+      relative[i] = denom > 1e-12 ? d / denom : d;
     }
     signals.push_back(std::move(delta));
     signals.push_back(std::move(relative));
   }
 
-  KMeansOptions kmeans_options;
-  kmeans_options.seed = options.seed;
-
   ResidualClusterings out;
   out.global_model = std::move(global);
   std::set<std::vector<int>> seen_labelings;
-  int k_max = static_cast<int>(std::min<int64_t>(options.max_clusters, n));
-  for (const Matrix& signal : signals) {
-    for (int k = 1; k <= k_max; ++k) {
-      CHARLES_ASSIGN_OR_RETURN(KMeansResult clustering,
-                               KMeans::Fit(signal, k, kmeans_options));
-      if (!seen_labelings.insert(CanonicalizeLabels(clustering.labels)).second) continue;
-      out.clusterings.push_back(std::move(clustering));
+  for (const std::vector<double>& signal : signals) {
+    CHARLES_ASSIGN_OR_RETURN(KMeans1DResult clusterings,
+                             KMeans1D(signal, options.max_clusters));
+    for (const std::vector<int>& labels : clusterings.labels) {
+      std::vector<int> canonical = CanonicalizeLabels(labels);
+      if (seen_labelings.insert(canonical).second) {
+        out.labelings.push_back(std::move(canonical));
+      }
     }
   }
   return out;
@@ -243,13 +240,8 @@ Result<std::vector<PartitionCandidate>> PartitionFinder::Find(
     const CharlesOptions& options, ThreadPool* pool) {
   CHARLES_ASSIGN_OR_RETURN(ResidualClusterings clusterings,
                            ClusterResiduals(input, options));
-  std::vector<std::vector<int>> labelings;
-  labelings.reserve(clusterings.clusterings.size());
-  for (const KMeansResult& clustering : clusterings.clusterings) {
-    labelings.push_back(clustering.labels);
-  }
-  return InduceCandidates(*input.source, labelings, condition_attr_indices, options,
-                          /*cache=*/nullptr, pool);
+  return InduceCandidates(*input.source, clusterings.labelings, condition_attr_indices,
+                          options, /*cache=*/nullptr, pool);
 }
 
 }  // namespace charles

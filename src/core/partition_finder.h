@@ -10,7 +10,6 @@
 #include "core/options.h"
 #include "linalg/suffstats.h"
 #include "ml/decision_tree.h"
-#include "ml/kmeans.h"
 #include "ml/linear_regression.h"
 #include "table/table.h"
 
@@ -81,7 +80,7 @@ struct PartitionCandidate {
   std::shared_ptr<const DecisionTree> tree;
   /// Its leaves: condition + row set per partition, YES-first order.
   std::vector<DecisionTree::Leaf> leaves;
-  /// Number of residual clusters that seeded this partitioning.
+  /// Number of clusters in the labeling this partitioning describes.
   int k = 0;
   /// How faithfully the tree's leaves reproduce the cluster labels.
   double label_agreement = 0.0;
@@ -92,8 +91,9 @@ struct PartitionCandidate {
 /// For a fixed pair (C, T) of condition/transformation attribute subsets:
 ///  1. fit one global linear regression of the new target values on T over
 ///     the source snapshot;
-///  2. k-means the *signed residuals* (each row's distance from the
-///     regression line) for k = 1..max_clusters;
+///  2. cluster the *signed residuals* (each row's distance from the
+///     regression line) by exact 1-D k-means (KMeans1D) for
+///     k = 1..max_clusters: one sorted DP per signal yields every k;
 ///  3. for each clustering, fit a small CART tree over the attributes in C
 ///     that predicts cluster membership — each leaf's root path is a
 ///     candidate partition condition.
@@ -140,14 +140,16 @@ class PartitionFinder {
     std::vector<int> shortlist_subset;
   };
 
-  /// Result of steps 1–2: the global model and one clustering per k
-  /// (k = 1..max_clusters, deduplicated count may be smaller for tiny data).
+  /// Result of steps 1–2: the global model and the canonical labelings
+  /// (CanonicalizeLabels) of every signal and k, in signal then k order,
+  /// deduplicated. Fewer than signals × max_clusters when a signal has fewer
+  /// distinct values than max_clusters or two clusterings coincide.
   struct ResidualClusterings {
     LinearModel global_model;
-    std::vector<KMeansResult> clusterings;
+    std::vector<std::vector<int>> labelings;
   };
 
-  /// Steps 1–2: global fit on T, k-means over the signed residuals. The
+  /// Steps 1–2: global fit on T, exact 1-D k-means of each change signal. The
   /// delta/relative-delta signals are T-independent; pass
   /// include_delta_signals = false on all but the first call of a T sweep to
   /// avoid recomputing them.

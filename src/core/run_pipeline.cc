@@ -106,14 +106,13 @@ uint64_t ComputeRunFingerprint(const CharlesOptions& options,
 ///
 /// The run id already covers the target, the tolerance and normality knobs,
 /// max_transform_attrs, the block size, the transformation
-/// shortlist with its values, and y_old/y_new. Mixed in here: the k-means
-/// options (max_clusters, seed), the condition shortlist names with their
-/// columns in analysis-row order, and the tree and partition caps.
+/// shortlist with its values, and y_old/y_new. Mixed in here: the cluster
+/// budget max_clusters, the condition shortlist names with their columns in
+/// analysis-row order, and the tree and partition caps.
 uint64_t ComputeSearchSpaceKey(const RunState& state) {
   const CharlesOptions& options = state.options;
   uint64_t h = FnvMixBytes(kFnvOffsetBasis, &state.run_id, sizeof(state.run_id));
   const int64_t knobs[] = {options.max_clusters,
-                           static_cast<int64_t>(options.seed),
                            options.max_condition_attrs,
                            options.tree_max_depth,
                            options.min_partition_size,
@@ -414,7 +413,7 @@ Status RunPipeline::Phase1Signals(RunState& state) {
 
   // Phase cache: a context keeps the phase 1–2 products of recent runs. On
   // a hit this stage takes the cached shortlist moments (bit-identical to a
-  // fresh fold or kSignalStats round) and skips the k-means; Phase2Trees
+  // fresh fold or kSignalStats round) and skips the clustering; Phase2Trees
   // installs the cached partitions. Runs without a context never look.
   if (state.context != nullptr) {
     state.search_space_key = ComputeSearchSpaceKey(state);
@@ -483,10 +482,11 @@ Status RunPipeline::Phase1Signals(RunState& state) {
 
   // Phase 1 — change-signal clusterings. Residual clusterings depend on the
   // transformation subset T; delta/relative-delta clusterings do not, so
-  // they are computed once. All labelings are pooled, canonicalized, and
-  // deduplicated: tree induction below runs once per (C, labeling) instead
-  // of once per (C, T, k). Each T-subset clusters independently (k-means is
-  // seeded per call); pooling dedups sequentially in T order.
+  // they are computed once. All labelings arrive canonical and are pooled
+  // and deduplicated: tree induction below runs once per (C, labeling) instead
+  // of once per (C, T, k). Each T-subset clusters independently (exact 1-D
+  // k-means, a pure function of its signal); pooling dedups sequentially in
+  // T order.
   struct TSubsetLabelings {
     std::vector<std::string> transform_attrs;
     std::vector<std::vector<int>> canonical;
@@ -509,12 +509,7 @@ Status RunPipeline::Phase1Signals(RunState& state) {
         Result<PartitionFinder::ResidualClusterings> clusterings =
             PartitionFinder::ClusterResiduals(input, state.options,
                                               /*include_delta_signals=*/ti == 0);
-        if (!clusterings.ok()) return out;
-        out.canonical.reserve(clusterings->clusterings.size());
-        for (KMeansResult& clustering : clusterings->clusterings) {
-          out.canonical.push_back(
-              PartitionFinder::CanonicalizeLabels(clustering.labels));
-        }
+        if (clusterings.ok()) out.canonical = std::move(clusterings->labelings);
         return out;
       });
 

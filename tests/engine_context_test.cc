@@ -290,7 +290,6 @@ TEST(PhaseCacheTest, EveryInputOfPhasesOneAndTwoIsInTheKey) {
       {"max_transform_attrs", [](CharlesOptions& o) { o.max_transform_attrs = 1; }},
       {"stats_block_rows", [](CharlesOptions& o) { o.stats_block_rows = 32; }},
       {"max_clusters", [](CharlesOptions& o) { o.max_clusters = 4; }},
-      {"seed", [](CharlesOptions& o) { o.seed = 7; }},
       {"max_condition_attrs", [](CharlesOptions& o) { o.max_condition_attrs = 1; }},
       {"tree_max_depth", [](CharlesOptions& o) { o.tree_max_depth = 2; }},
       {"min_partition_size", [](CharlesOptions& o) { o.min_partition_size = 5; }},

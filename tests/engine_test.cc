@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "common/string_util.h"
 #include "core/engine_context.h"
 #include "csv/csv_reader.h"
 #include "workload/billionaires_gen.h"
@@ -406,6 +409,58 @@ TEST(EngineTest, HostileShortlistIsRejectedWithAContext) {
   // A rejected run caches nothing.
   EXPECT_EQ(context.phase_cache_entries(), 0u);
   EXPECT_EQ(context.leaf_cache_entries(), 0u);
+}
+
+/// Finite but huge old target values: a few ±1e300 bonus cells in the
+/// source, which reach phase 1 as change signals (deltas of ∓1e300) whose
+/// squares overflow. With or without the old target offered as a
+/// transformation feature, the run ends in an error naming the target or
+/// in a non-empty ranking — the same one at 1 thread, 4 threads and 4
+/// shards.
+TEST(EngineTest, HugeOldTargetValuesEndTheSameOnEveryBackend) {
+  EmployeeGenOptions gen;
+  gen.num_rows = 300;
+  Table source = GenerateEmployees(gen).ValueOrDie();
+  const Table target = MakeEmployeeBonusPolicy().Apply(source).ValueOrDie();
+  const int bonus = source.schema().FieldIndex("bonus").ValueOrDie();
+  ASSERT_TRUE(source.SetValue(40, bonus, Value(1e300)).ok());
+  ASSERT_TRUE(source.SetValue(120, bonus, Value(-1e300)).ok());
+  ASSERT_TRUE(source.SetValue(200, bonus, Value(1e300)).ok());
+
+  for (const bool offer_old_target : {true, false}) {
+    SCOPED_TRACE(offer_old_target ? "old target offered" : "old target not offered");
+    CharlesOptions base;
+    base.target_attribute = "bonus";
+    base.key_columns = {"emp_id"};
+    base.stats_block_rows = 64;  // enough blocks for 4 shards
+    base.include_old_target_in_transform = offer_old_target;
+    if (!offer_old_target) base.transform_attributes = {"salary"};
+
+    std::vector<CharlesOptions> variants(3, base);
+    variants[0].num_threads = 1;
+    variants[1].num_threads = 4;
+    variants[2].num_threads = 2;
+    variants[2].num_shards = 4;
+    std::vector<std::string> outcomes;
+    for (const CharlesOptions& options : variants) {
+      Result<SummaryList> result = SummarizeChanges(source, target, options);
+      std::string outcome;
+      if (result.ok()) {
+        EXPECT_FALSE(result->summaries.empty()) << "OK with nothing ranked";
+        for (const ChangeSummary& summary : result->summaries) {
+          outcome += summary.ToString() + FormatDouble(summary.scores().score, 17) + "\n";
+        }
+      } else {
+        EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status().ToString();
+        EXPECT_NE(result.status().message().find("'bonus'"), std::string::npos)
+            << result.status().ToString();
+        outcome = result.status().ToString();
+      }
+      outcomes.push_back(outcome);
+    }
+    EXPECT_EQ(outcomes[1], outcomes[0]) << "4 threads";
+    EXPECT_EQ(outcomes[2], outcomes[0]) << "4 shards";
+  }
 }
 
 TEST(EngineTest, SearchSpaceDiagnosticsPopulated) {

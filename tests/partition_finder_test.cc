@@ -45,11 +45,11 @@ TEST(PartitionFinderTest, ClusteringsCoverMultipleSignalsAndK) {
   Example1Fixture fx;
   auto input = fx.MakeInput({"bonus"});
   auto clusterings = PartitionFinder::ClusterResiduals(input, fx.options).ValueOrDie();
-  EXPECT_GT(clusterings.clusterings.size(), 3u);
+  EXPECT_GT(clusterings.labelings.size(), 3u);
   // All labelings must be distinct (dedup holds).
-  for (size_t i = 0; i < clusterings.clusterings.size(); ++i) {
-    for (size_t j = i + 1; j < clusterings.clusterings.size(); ++j) {
-      EXPECT_NE(clusterings.clusterings[i].labels, clusterings.clusterings[j].labels);
+  for (size_t i = 0; i < clusterings.labelings.size(); ++i) {
+    for (size_t j = i + 1; j < clusterings.labelings.size(); ++j) {
+      EXPECT_NE(clusterings.labelings[i], clusterings.labelings[j]);
     }
   }
 }

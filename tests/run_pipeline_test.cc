@@ -102,7 +102,10 @@ TEST(RunPipelineTest, StagesComposeToTheOneCallEngine) {
 /// The pre-refactor goldens: search-trajectory counts and the top-ranked
 /// summary of each workload, captured from the monolithic Find() at the
 /// seed of this change (num_threads = 1, stats_block_rows = 64). The staged
-/// pipeline must keep reproducing them.
+/// pipeline must keep reproducing them. The partition and candidate counts
+/// were re-recorded when phase 1 moved from Lloyd's k-means to the exact 1-D
+/// DP, whose labelings differ wherever Lloyd stopped at a local optimum; the
+/// summaries themselves did not change.
 struct Golden {
   int64_t labelings;
   int64_t partitions;
@@ -144,9 +147,9 @@ TEST(RunPipelineGoldenTest, EmployeeMatchesPreRefactorSummaries) {
   SummaryList result = SummarizeChanges(source, target, options).ValueOrDie();
   Golden golden;
   golden.labelings = 31;
-  golden.partitions = 269;
-  golden.candidates_evaluated = 1883;
-  golden.candidates_deduped = 54;
+  golden.partitions = 265;
+  golden.candidates_evaluated = 1855;
+  golden.candidates_deduped = 52;
   golden.condition_subsets = 14;
   golden.transform_subsets = 7;
   golden.num_summaries = 10;
@@ -174,9 +177,9 @@ TEST(RunPipelineGoldenTest, BillionairesMatchesPreRefactorSummaries) {
   SummaryList result = SummarizeChanges(source, target, options).ValueOrDie();
   Golden golden;
   golden.labelings = 30;
-  golden.partitions = 249;
-  golden.candidates_evaluated = 996;
-  golden.candidates_deduped = 79;
+  golden.partitions = 229;
+  golden.candidates_evaluated = 916;
+  golden.candidates_deduped = 73;
   golden.condition_subsets = 14;
   golden.transform_subsets = 4;
   golden.num_summaries = 10;
