@@ -202,8 +202,9 @@ Result<SharedLeafFit> CharlesEngine::FitLeaf(
     error_spec.block_rows = ws->block_rows;
   }
   const LinearModel pre_snap = model;
-  model = SnapModel(model, x, y_part, normality, ws != nullptr ? &error_spec : nullptr);
-  y_hat = model.PredictBatch(x);
+  // SnapModel hands back the final model's predictions as ŷ.
+  model = SnapModel(model, x, y_part, normality, ws != nullptr ? &error_spec : nullptr,
+                    &y_hat);
   // The moments only estimate the L1 error; the reported MAE is always
   // exact. On the engine path it is the canonical score fold's projection —
   // served straight from the shard-merged partials when snapping left the

@@ -1,24 +1,48 @@
 #include "core/normality.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
+#include "common/logging.h"
+#include "core/normality_internal.h"
 #include "linalg/stats.h"
 
 namespace charles {
 
 namespace {
 
-/// Number of significant decimal digits needed to write `value` exactly
-/// (up to 9 digits of precision; beyond that we call it 10).
+using normality_internal::kMaxPowerOfTen;
+using normality_internal::kMinPowerOfTen;
+using PowerTable = std::array<double, kMaxPowerOfTen - kMinPowerOfTen + 1>;
+
+/// 10^k for k in [kMinPowerOfTen, kMaxPowerOfTen], filled once at run time
+/// by the very std::pow call each lookup replaces — glibc's pow is not
+/// guaranteed correctly rounded, so a compile-time literal table could
+/// disagree in the last bit. The volatile base keeps the compiler from
+/// folding the calls with its own (correctly rounded) arithmetic.
+const PowerTable& PowersOfTen() {
+  static const PowerTable table = [] {
+    PowerTable powers{};
+    volatile double ten = 10.0;
+    for (int k = kMinPowerOfTen; k <= kMaxPowerOfTen; ++k) {
+      powers[static_cast<size_t>(k - kMinPowerOfTen)] = std::pow(ten, k);
+    }
+    return powers;
+  }();
+  return table;
+}
+
+/// Number of significant decimal digits needed to write finite `value`
+/// exactly (up to 9 digits of precision; beyond that we call it 10).
 int SignificantDigits(double value) {
   value = std::abs(value);
   if (value <= 1e-300) return 1;  // zero
   // Normalize into [1, 10).
-  int exponent = static_cast<int>(std::floor(std::log10(value)));
-  double mantissa = value / std::pow(10.0, exponent);
+  int exponent = normality_internal::DecimalExponent(value);
+  double mantissa = value / normality_internal::PowerOfTen(exponent);
   for (int digits = 1; digits <= 9; ++digits) {
-    double scaled = mantissa * std::pow(10.0, digits - 1);
+    double scaled = mantissa * normality_internal::PowerOfTen(digits - 1);
     if (std::abs(scaled - std::round(scaled)) < 1e-6 * std::max(1.0, scaled)) {
       return digits;
     }
@@ -26,27 +50,48 @@ int SignificantDigits(double value) {
   return 10;
 }
 
-void RecomputeDiagnostics(LinearModel* model, const Matrix& x,
+/// Fills r2/mae/rmse of `model` from its predictions on (x, y). One pass
+/// over the rows feeds both residual sums, each in row order, so the bits
+/// equal MeanAbsoluteError / RootMeanSquaredError and the serial Σe² of the
+/// QR path: (ŷ − y)² and (y − ŷ)² are the same double, so the r² and RMSE
+/// sums are one accumulator.
+void RecomputeDiagnostics(LinearModel* model, const std::vector<double>& predicted,
                           const std::vector<double>& y) {
-  std::vector<double> predicted = model->PredictBatch(x);
-  model->mae = MeanAbsoluteError(predicted, y);
-  model->rmse = RootMeanSquaredError(predicted, y);
+  double abs_sum = 0.0;
+  double sq_sum = 0.0;
+  for (size_t i = 0; i < y.size(); ++i) {
+    double d = predicted[i] - y[i];
+    abs_sum += std::abs(d);
+    sq_sum += d * d;
+  }
+  const double n = static_cast<double>(y.size());
+  model->mae = abs_sum / n;
+  model->rmse = std::sqrt(sq_sum / n);
   double total_var = Variance(y);
   if (total_var <= 1e-300) {
     model->r2 = model->rmse <= 1e-9 ? 1.0 : 0.0;
   } else {
-    double ss = 0.0;
-    for (size_t i = 0; i < y.size(); ++i) {
-      double e = y[i] - predicted[i];
-      ss += e * e;
-    }
-    model->r2 = 1.0 - (ss / static_cast<double>(y.size())) / total_var;
+    model->r2 = 1.0 - (sq_sum / n) / total_var;
   }
 }
 
 }  // namespace
 
+namespace normality_internal {
+
+int DecimalExponent(double value) {
+  return static_cast<int>(std::floor(std::log10(std::abs(value))));
+}
+
+double PowerOfTen(int k) {
+  CHARLES_DCHECK(k >= kMinPowerOfTen && k <= kMaxPowerOfTen) << "10^" << k;
+  return PowersOfTen()[static_cast<size_t>(k - kMinPowerOfTen)];
+}
+
+}  // namespace normality_internal
+
 double NumberNormality(double value) {
+  if (!std::isfinite(value)) return 0.0;
   int digits = SignificantDigits(value);
   double score = 1.0 - 0.2 * static_cast<double>(digits - 1);
   return score < 0.0 ? 0.0 : score;
@@ -54,32 +99,43 @@ double NumberNormality(double value) {
 
 std::vector<double> SnapCandidates(double value, double tolerance) {
   std::vector<double> candidates;
-  if (std::abs(value) <= 1e-300) return candidates;
+  if (std::abs(value) <= 1e-300 || !std::isfinite(value)) return candidates;
   double magnitude = std::abs(value);
-  int exponent = static_cast<int>(std::floor(std::log10(magnitude)));
+  int exponent = normality_internal::DecimalExponent(magnitude);
+  const double own_normality = NumberNormality(value);
   // Lattice steps scaled by descending powers of ten; chosen so common human
-  // constants (25, 250, 0.05, 1000) are reachable.
+  // constants (25, 250, 0.05, 1000) are reachable. Each survivor carries its
+  // normality, computed once, as its sort key.
   static const double kStepMantissas[] = {1.0, 0.5, 0.25, 0.2, 0.1};
+  struct Keyed {
+    double candidate;
+    double normality;
+  };
+  Keyed keyed[5 * 5] = {};  // five exponents × five lattice steps
+  size_t count = 0;
   for (int e = exponent + 1; e >= exponent - 3; --e) {
-    double base = std::pow(10.0, e);
+    double base = normality_internal::PowerOfTen(e);
     for (double mantissa : kStepMantissas) {
       double step = mantissa * base;
       double candidate = std::round(value / step) * step;
       if (candidate == 0.0) continue;
-      if (std::abs(candidate - value) <= tolerance * magnitude &&
-          NumberNormality(candidate) > NumberNormality(value)) {
-        candidates.push_back(candidate);
+      if (std::abs(candidate - value) <= tolerance * magnitude) {
+        double normality = NumberNormality(candidate);
+        if (normality > own_normality) keyed[count++] = {candidate, normality};
       }
     }
   }
   // Nicest first; ties broken towards the closer candidate. Deduplicate.
-  std::sort(candidates.begin(), candidates.end(), [value](double a, double b) {
-    double na = NumberNormality(a);
-    double nb = NumberNormality(b);
-    if (na != nb) return na > nb;
-    return std::abs(a - value) < std::abs(b - value);
+  std::sort(keyed, keyed + count, [value](const Keyed& a, const Keyed& b) {
+    if (a.normality != b.normality) return a.normality > b.normality;
+    return std::abs(a.candidate - value) < std::abs(b.candidate - value);
   });
-  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+  candidates.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    if (i == 0 || keyed[i].candidate != keyed[i - 1].candidate) {
+      candidates.push_back(keyed[i].candidate);
+    }
+  }
   return candidates;
 }
 
@@ -118,8 +174,12 @@ double ConditionNormality(const Expr& condition) {
 
 LinearModel SnapModel(const LinearModel& model, const Matrix& x,
                       const std::vector<double>& y, const NormalityOptions& options,
-                      const SnapErrorSpec* error_spec) {
-  if (!options.enable_snapping || y.empty()) return model;
+                      const SnapErrorSpec* error_spec,
+                      std::vector<double>* predictions) {
+  if (!options.enable_snapping || y.empty()) {
+    if (predictions != nullptr) *predictions = model.PredictBatch(x);
+    return model;
+  }
 
   size_t n = y.size();
   LinearModel snapped = model;
@@ -169,7 +229,16 @@ LinearModel SnapModel(const LinearModel& model, const Matrix& x,
   // Evaluating per constant (rather than all-at-once) lets 1.0502 snap to
   // 1.05 even though the even-nicer 1.0 would wreck the fit; iterating lets
   // a slope snap unlock an intercept snap that was individually too costly.
-  // `column` indexes the perturbed feature; -1 perturbs the intercept.
+  // `column` indexes the perturbed feature; -1 perturbs the intercept. Each
+  // constant's candidate list (`lists`, intercept last) is built once per
+  // value the constant takes: a later pass over an unchanged constant
+  // reuses it.
+  struct CandidateList {
+    double value = 0.0;
+    std::vector<double> candidates;
+  };
+  std::vector<CandidateList> lists(snapped.coefficients.size() + 1);
+  bool changed = false;
   auto try_constant = [&](double* constant, int64_t column) -> bool {
     double original = *constant;
     if (original == 0.0) return false;
@@ -177,12 +246,17 @@ LinearModel SnapModel(const LinearModel& model, const Matrix& x,
     // and unreachable through relative-tolerance lattice candidates, yet it
     // is exactly right for fits carrying a floating-point residue like
     // "+ 0.00008".
-    std::vector<double> candidates = {0.0};
-    for (double candidate :
-         SnapCandidates(original, options.max_relative_coefficient_shift)) {
-      candidates.push_back(candidate);
+    CandidateList& list =
+        lists[column < 0 ? lists.size() - 1 : static_cast<size_t>(column)];
+    if (list.candidates.empty() || list.value != original) {
+      list.value = original;
+      list.candidates = {0.0};
+      for (double candidate :
+           SnapCandidates(original, options.max_relative_coefficient_shift)) {
+        list.candidates.push_back(candidate);
+      }
     }
-    for (double candidate : candidates) {
+    for (double candidate : list.candidates) {
       double delta = candidate - original;
       double total = 0.0;
       if (column < 0) {
@@ -195,6 +269,7 @@ LinearModel SnapModel(const LinearModel& model, const Matrix& x,
       }
       if (total / static_cast<double>(n) <= allowed_mae) {
         *constant = candidate;
+        changed = true;
         if (column < 0) {
           for (size_t i = 0; i < n; ++i) residuals[i] -= delta;
         } else {
@@ -219,8 +294,11 @@ LinearModel SnapModel(const LinearModel& model, const Matrix& x,
 
   // Final diagnostics from the final constants — full re-prediction, exactly
   // as the QR path computes them, so incremental-residual drift can never
-  // leak into a reported mae/rmse/r².
-  RecomputeDiagnostics(&snapped, x, y);
+  // leak into a reported mae/rmse/r². A model no snap touched predicts what
+  // it predicted above.
+  if (changed) predicted = snapped.PredictBatch(x);
+  RecomputeDiagnostics(&snapped, predicted, y);
+  if (predictions != nullptr) *predictions = std::move(predicted);
   return snapped;
 }
 
