@@ -1,6 +1,7 @@
 /// \file
 /// Experiment D1 (ISSUE 4 / ROADMAP "scale beyond one box"): distributed
-/// shard execution over a shards × threads grid, for both backends.
+/// shard execution over a shards × threads grid, for both backends
+/// (in-process and remote).
 ///
 /// Each cell runs the full engine on the employee workload with the
 /// leaf-statistics sweep routed through the shard Coordinator, and records
@@ -8,11 +9,9 @@
 /// the backends scanned. Every sharded ranking is checked bit-identical to
 /// the unsharded baseline (top signature + bit-equal score) — a speedup that
 /// changed the answer is a bug, not a result. The in-process backend shows
-/// the shard sweep's parallel scaling; the subprocess backend prices the
-/// wire format (fork + serialize + pipe per shard) that a multi-box backend
-/// would pay per RPC; the remote backend (ISSUE 6) prices the full network
-/// path — TCP framing, install-once input shipping, per-task round trips —
-/// against loopback charles_worker services in this process.
+/// the shard sweep's parallel scaling; the remote backend prices the full
+/// network path — TCP framing, install-once input shipping, per-task round
+/// trips — against loopback charles_worker services in this process.
 ///
 /// Results are recorded in BENCH_shards.json (working directory), including
 /// the per-task-kind coordinator timings of the ShardTask protocol
@@ -97,10 +96,9 @@ GridRow RunCell(const Table& source, const Table& target, int shards,
           ? SummarizeChanges(source, target, options, context).ValueOrDie()
           : SummarizeChanges(source, target, options).ValueOrDie();
   GridRow row;
-  row.backend = shards == 0                                  ? "none"
-                : backend == ShardBackendKind::kInProcess    ? "in-process"
-                : backend == ShardBackendKind::kSubprocess   ? "subprocess"
-                                                             : "remote";
+  row.backend = shards == 0                               ? "none"
+                : backend == ShardBackendKind::kInProcess ? "in-process"
+                                                          : "remote";
   row.mode = mode;
   row.shards = shards;
   row.threads = threads;
@@ -161,8 +159,6 @@ std::vector<GridRow> RunGrid(bool smoke) {
       grid.push_back(RunCell(source, target, shards, ShardBackendKind::kInProcess,
                              2, block_rows, &baseline));
     }
-    grid.push_back(RunCell(source, target, 2, ShardBackendKind::kSubprocess, 2,
-                           block_rows, &baseline));
     // Remote parity cells: the smoke tripwire below asserts bit-identical
     // rankings, dispatched tasks, and zero transport retries.
     for (int shards : {2, 8}) {
@@ -189,8 +185,7 @@ std::vector<GridRow> RunGrid(bool smoke) {
     grid.push_back(RunCell(source, target, 0, ShardBackendKind::kInProcess, threads,
                            block_rows, &per_thread_baseline));
     for (ShardBackendKind backend :
-         {ShardBackendKind::kInProcess, ShardBackendKind::kSubprocess,
-          ShardBackendKind::kRemote}) {
+         {ShardBackendKind::kInProcess, ShardBackendKind::kRemote}) {
       for (int shards : {1, 2, 4, 8}) {
         grid.push_back(RunCell(source, target, shards, backend, threads,
                                block_rows, &per_thread_baseline, nullptr,

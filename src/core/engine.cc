@@ -11,7 +11,6 @@
 #include "core/run_pipeline.h"
 #include "core/scoring.h"
 #include "linalg/error_partials.h"
-#include "linalg/kernels/kernel.h"
 #include "linalg/stats.h"
 #include "linalg/suffstats.h"
 
@@ -96,12 +95,9 @@ Result<SharedLeafFit> CharlesEngine::FitLeaf(
     const std::vector<std::string>& transform_attrs,
     const LeafStatsWorkspace* ws, std::vector<double>* predictions) const {
   const std::string& target = options_.target_attribute;
-  const kernels::Kernel& kernel = kernels::ActiveKernel();
-  std::vector<double> y_part(static_cast<size_t>(rows.size()));
-  if (rows.size() > 0) {
-    kernel.gather(y_new.data(), rows.indices().data(), rows.size(), y_part.data(),
-                  /*dst_stride=*/1);
-  }
+  std::vector<double> y_part;
+  y_part.reserve(static_cast<size_t>(rows.size()));
+  for (int64_t row : rows) y_part.push_back(y_new[static_cast<size_t>(row)]);
   std::vector<double> y_hat;
   // Canonical partials of the leaf's ŷ against y_new (Σ|y − ŷ|, exact count),
   // folded block by block with the run scorer's band so BuildSummary can
@@ -164,9 +160,9 @@ Result<SharedLeafFit> CharlesEngine::FitLeaf(
     const std::vector<double>* full =
         ws != nullptr ? ws->columns->Find(transform_attrs[f]) : nullptr;
     if (full != nullptr) {
-      if (rows.size() > 0) {
-        kernel.gather(full->data(), rows.indices().data(), rows.size(),
-                      &x.At(0, static_cast<int64_t>(f)), x.cols());
+      int64_t r = 0;
+      for (int64_t row : rows) {
+        x.At(r++, static_cast<int64_t>(f)) = (*full)[static_cast<size_t>(row)];
       }
       continue;
     }

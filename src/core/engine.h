@@ -62,10 +62,10 @@ struct SummaryList {
   int64_t candidates_evaluated = 0; ///< summaries built and scored
   int64_t candidates_deduped = 0;   ///< dropped as structural duplicates
   int threads_used = 1;             ///< worker threads the run executed on
-  /// Intra-block compute kernel the run resolved and installed ("scalar",
-  /// "simd", "simd-avx2"; see CharlesOptions::kernel_backend). Reporting
-  /// only — every kernel produces bit-identical output.
-  std::string kernel_used;
+  /// Always "scalar": the block folds have one implementation. Kept for the
+  /// diagnostics schema (and the benchmark reads it); it goes in the next
+  /// RunDiagnostics schema bump together with score_yhat_materializations.
+  std::string kernel_used = "scalar";
   /// Leaf fits performed: the distinct (leaf, T) slots of the run's fit
   /// table that the context cache did not serve. Deterministic — each slot
   /// is filled exactly once, on any thread count or shard count.

@@ -1,7 +1,5 @@
 #include "core/options.h"
 
-#include "linalg/kernels/kernel.h"
-
 namespace charles {
 
 Status CharlesOptions::Validate() const {
@@ -40,10 +38,11 @@ Status CharlesOptions::Validate() const {
   if (stats_block_rows < 1) {
     return Status::OutOfRange("stats_block_rows must be >= 1");
   }
-  {
-    Result<kernels::KernelBackend> parsed =
-        kernels::ParseKernelBackend(kernel_backend);
-    if (!parsed.ok()) return parsed.status();
+  if (shard_backend != ShardBackendKind::kInProcess &&
+      shard_backend != ShardBackendKind::kRemote) {
+    return Status::InvalidArgument(
+        "shard_backend must be kInProcess or kRemote; got value " +
+        std::to_string(static_cast<int>(shard_backend)));
   }
   if (shard_backend == ShardBackendKind::kRemote) {
     if (remote_workers.empty()) {

@@ -45,15 +45,11 @@ enum class ShardBackendKind {
   /// Shards execute on the run's own thread pool (the EngineContext pool
   /// when attached) — zero serialization, the default.
   kInProcess,
-  /// Each shard executes in a forked worker process and ships its result
-  /// back over a pipe — the wire-format-proving backend, and the template
-  /// for future multi-box dispatch.
-  kSubprocess,
   /// Shards execute on networked charles_worker daemons (remote_workers
   /// lists their addresses). The input ships once per (snapshot, plan);
-  /// tasks reuse the subprocess wire formats, so remote output is
-  /// bit-identical to in-process output. Workers that die mid-shard are
-  /// marked unhealthy and their tasks reassigned.
+  /// tasks and results travel in the ShardTask wire formats, so remote
+  /// output is bit-identical to in-process output. Workers that die
+  /// mid-shard are marked unhealthy and their tasks reassigned.
   kRemote,
 };
 
@@ -140,14 +136,6 @@ struct CharlesOptions {
   /// ~1e-12 level (a different, equally valid floating-point evaluation
   /// order), so compare runs only at a fixed block size.
   int64_t stats_block_rows = 4096;
-  /// Intra-block compute kernel for the canonical folds
-  /// (linalg/kernels/kernel.h): "auto" (default — the vectorized kernel
-  /// when the build's ISA is usable on this CPU), "scalar" (the reference
-  /// fold), or "simd". Every kernel produces **bit-identical** results —
-  /// the vectorized kernel only reorganizes work across independent
-  /// accumulators, never within one accumulation chain — so this switches
-  /// speed, not output; SummaryList::kernel_used reports what actually ran.
-  std::string kernel_backend = "auto";
 
   /// \name Remote backend (shard_backend = kRemote only).
   /// Worker addresses ("host:port" each) of the charles_worker fleet.

@@ -15,8 +15,6 @@
 #include "distributed/in_process_backend.h"
 #include "distributed/remote_backend.h"
 #include "distributed/shard_planner.h"
-#include "distributed/subprocess_backend.h"
-#include "linalg/kernels/kernel.h"
 #include "ml/linear_regression.h"
 #include "obs/metrics.h"
 #include "parallel/parallel.h"
@@ -126,17 +124,15 @@ uint64_t ComputeSearchSpaceKey(const RunState& state) {
 }
 
 /// The run's shard backend, constructed on first use and owned by the
-/// RunState so every task round of the run shares one instance. The local
-/// backends are stateless, but the remote backend caches worker connections
-/// and installed-input epochs — sharing it across rounds is what makes the
-/// ShardInput ship once per (snapshot, plan) instead of once per round.
+/// RunState so every task round of the run shares one instance. The
+/// in-process backend is stateless, but the remote backend caches worker
+/// connections and installed-input epochs — sharing it across rounds is what
+/// makes the ShardInput ship once per (snapshot, plan) instead of once per
+/// round.
 Result<ShardBackend*> SelectShardBackend(RunState& state) {
   if (state.shard_backend == nullptr) {
     const CharlesOptions& options = state.options;
     switch (options.shard_backend) {
-      case ShardBackendKind::kSubprocess:
-        state.shard_backend = std::make_unique<SubprocessBackend>();
-        break;
       case ShardBackendKind::kRemote: {
         RemoteBackendOptions remote;
         remote.endpoints = options.remote_workers;
@@ -159,8 +155,8 @@ Result<ShardBackend*> SelectShardBackend(RunState& state) {
 }
 
 /// Copies the remote backend's cumulative dispatch counters into the run
-/// result; no-op for local backends. Called after every coordinator round —
-/// the counters are cumulative, so the last call's values stand.
+/// result; no-op for the in-process backend. Called after every coordinator
+/// round — the counters are cumulative, so the last call's values stand.
 void FoldRemoteDiagnostics(RunState& state) {
   auto* remote = dynamic_cast<RemoteBackend*>(state.shard_backend.get());
   if (remote == nullptr) return;
@@ -326,19 +322,6 @@ Status RunPipeline::DiffAlign(RunState& state) {
 Status RunPipeline::Setup(RunState& state) {
   const CharlesOptions& options = state.options;
   const Table& analysis = *state.analysis;
-
-  // Install the run's intra-block compute kernel before any fold runs
-  // (phases 1–3 and every shard backend dispatch through it). Process-wide
-  // is sound even with concurrent differently-configured runs: kernels are
-  // bit-identical by contract, so whichever kernel a fold sees, the bits
-  // come out the same — which is also why kernel_backend is deliberately
-  // not part of the run fingerprint (cached fits stay valid across
-  // kernels). Subprocess shard workers fork after this point and inherit
-  // the installed kernel; remote workers resolve their own (auto) — same
-  // bits either way.
-  CHARLES_ASSIGN_OR_RETURN(kernels::KernelBackend kernel_backend,
-                           kernels::ParseKernelBackend(options.kernel_backend));
-  state.result.kernel_used = kernels::SetActiveKernel(kernel_backend).name;
 
   // Attribute shortlists: assistant by default, user overrides honoured.
   CHARLES_ASSIGN_OR_RETURN(state.result.setup,

@@ -7,7 +7,6 @@
 
 #include "common/wire.h"
 #include "distributed/shard_planner.h"
-#include "linalg/kernels/kernel.h"
 
 namespace charles {
 
@@ -318,6 +317,31 @@ void RunSignalStats(const ShardInput& input, const ShardRange& range,
   result->blocks_emitted += static_cast<int64_t>(result->signal_blocks.size());
 }
 
+/// One block partial of (Σ|y[row] − ŷ(row)|, within-tolerance count) for a
+/// probe model: ŷ = intercept + Σ_f c_f·x_f accumulated left-to-right
+/// (LinearModel::PredictRow's order) and Σ|y − ŷ| in row order, tallying the
+/// within-tolerance count from the same per-row error.
+void ProbeScoreSum(double intercept, const double* coefficients,
+                   const std::vector<const std::vector<double>*>& columns,
+                   const std::vector<double>& y, const int64_t* rows,
+                   int64_t count, double tolerance, double* abs_sum,
+                   int64_t* exact) {
+  double sum = 0.0;
+  int64_t within = 0;
+  for (int64_t i = 0; i < count; ++i) {
+    size_t row = static_cast<size_t>(rows[i]);
+    double y_hat = intercept;
+    for (size_t f = 0; f < columns.size(); ++f) {
+      y_hat += coefficients[f] * (*columns[f])[row];
+    }
+    const double err = std::abs(y[row] - y_hat);
+    sum += err;
+    if (err <= tolerance) ++within;
+  }
+  *abs_sum = sum;
+  *exact = within;
+}
+
 /// kScorePartials: per-(probe, block) exact score partials. Predictions run
 /// through the identical ŷ = intercept + Σ cᵢ·xᵢ left-to-right dot product
 /// as LinearModel::PredictRow, and |y − ŷ| is summed in row order per block
@@ -358,16 +382,14 @@ Status RunScorePartials(const ShardInput& input, const ShardRange& range,
     ProbeShardScores scores;
     scores.probe = static_cast<int64_t>(p);
     const int64_t* slice = rows.indices().data() + lo;
-    const kernels::Kernel& kernel = kernels::ActiveKernel();
     ForEachRowBlock(
         slice, hi - lo, block_rows,
         [&](int64_t block, const int64_t* block_rows_ptr, int64_t count) {
           ScorePartials partials;
-          kernel.probe_score_sum(probe.intercept, probe.coefficients.data(),
-                                 probe_columns, *input.y_new, block_rows_ptr,
-                                 count, task.score_tolerance,
-                                 &partials.abs_error_sum,
-                                 &partials.exact_count);
+          ProbeScoreSum(probe.intercept, probe.coefficients.data(),
+                        probe_columns, *input.y_new, block_rows_ptr, count,
+                        task.score_tolerance, &partials.abs_error_sum,
+                        &partials.exact_count);
           partials.n = count;
           scores.blocks.emplace_back(block, partials);
         });

@@ -13,10 +13,9 @@
 /// per-block partials, so the Coordinator's ordered fold reproduces a
 /// central scan bit-for-bit (docs/distributed.md).
 ///
-/// Backends are the seam future multi-box dispatch plugs into — a remote
-/// backend ships ShardTask bytes out and ShardTaskResult bytes back, which
-/// is exactly what SubprocessBackend's pipe protocol rehearses on one
-/// machine.
+/// Two backends plug in here: InProcessBackend runs the shard kernel on the
+/// run's pool, and RemoteBackend ships ShardTask bytes out to charles_worker
+/// daemons and ShardTaskResult bytes back.
 
 #include <cstdint>
 #include <string>
@@ -96,9 +95,9 @@ struct ErrorProbe {
 
 /// \brief A tagged request: what one shard of the plan should compute.
 ///
-/// The task is the coordinator→executor half of the protocol. In-process
-/// and forked backends pass it by reference; the wire form exists for
-/// remote dispatch and is covered by round-trip tests.
+/// The task is the coordinator→executor half of the protocol. The in-process
+/// backend passes it by reference; the wire form exists for remote dispatch
+/// and is covered by round-trip tests.
 struct ShardTask {
   ShardTaskKind kind = ShardTaskKind::kLeafMoments;
   /// kLeafMoments: indices into ShardInput::leaves to sweep. A warm
@@ -177,7 +176,7 @@ struct ShardTaskResult {
 
   /// \name Wire format.
   /// Versioned native-endian framing (magic "CST1") over the payload
-  /// serializers — the bytes SubprocessBackend workers pipe back. A round
+  /// serializers — the bytes remote workers send back. A round
   /// trip is exact (doubles are copied bit-for-bit), so a deserialized
   /// result merges bit-identically to an in-process one.
   /// @{
@@ -189,7 +188,7 @@ struct ShardTaskResult {
 /// \brief Executes one task on one shard of a plan against in-memory input.
 ///
 /// This is the shard *kernel* both built-in backends run — InProcessBackend
-/// on a pool thread, SubprocessBackend inside a forked worker. Deterministic:
+/// on a pool thread, RemoteBackend inside a charles_worker. Deterministic:
 /// output depends only on (input, plan, shard index, task).
 Result<ShardTaskResult> ExecuteShardTaskKernel(const ShardInput& input,
                                                const ShardPlan& plan,

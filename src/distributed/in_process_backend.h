@@ -11,8 +11,8 @@ namespace charles {
 /// Parallelism comes from the Coordinator, which fans ExecuteTask calls
 /// out over the run's thread pool (the EngineContext pool for attached
 /// engines) — the backend itself is stateless and trivially concurrent.
-/// This is the default production backend on one box; SubprocessBackend
-/// exists to prove the wire format this backend never needs.
+/// This is the default production backend on one box; RemoteBackend
+/// carries the same tasks over the wire format this backend never needs.
 class InProcessBackend : public ShardBackend {
  public:
   std::string name() const override { return "in-process"; }

@@ -4,16 +4,15 @@
 /// \file
 /// \brief ShardBackend over TCP: tasks run on charles_worker daemons.
 ///
-/// RemoteBackend implements the same seam InProcessBackend and
-/// SubprocessBackend plug into, so the coordinator's fan-out/merge logic is
-/// untouched — only *where* the kernel runs changes. Determinism is
-/// preserved end to end: the ShardInput ships once per (snapshot, plan)
-/// epoch as an exact native-endian bundle, tasks and results reuse the
-/// CTK1/CST1 wire formats bit-for-bit, and the coordinator's merge stays
-/// block-ordered — so a remote run is bit-identical to an in-process run at
-/// every shard count, even when a worker dies mid-shard and its task is
-/// re-executed elsewhere (the kernel is deterministic, so the retried
-/// shard's bytes are the same bytes).
+/// RemoteBackend implements the same seam InProcessBackend plugs into, so
+/// the coordinator's fan-out/merge logic is untouched — only *where* the
+/// kernel runs changes. Determinism is preserved end to end: the ShardInput
+/// ships once per (snapshot, plan) epoch as an exact native-endian bundle,
+/// tasks and results reuse the CTK1/CST1 wire formats bit-for-bit, and the
+/// coordinator's merge stays block-ordered — so a remote run is
+/// bit-identical to an in-process run at every shard count, even when a
+/// worker dies mid-shard and its task is re-executed elsewhere (the kernel
+/// is deterministic, so the retried shard's bytes are the same bytes).
 ///
 /// Fault model: any transport failure (connect refusal, deadline, torn
 /// stream, malformed reply) marks the worker unhealthy and reassigns the

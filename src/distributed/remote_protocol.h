@@ -25,8 +25,8 @@
 /// and leaf row sets once per (snapshot, plan) epoch; every subsequent task
 /// frame carries only the epoch it expects, so a worker can detect a stale
 /// or missing install and fail cleanly instead of computing over the wrong
-/// snapshot. Task and result payloads reuse the CTK1/CST1 formats verbatim —
-/// the same bytes SubprocessBackend pipes, so remote results merge
+/// snapshot. Task and result payloads are the CTK1/CST1 formats
+/// (distributed/backend.h) verbatim, so remote results merge
 /// bit-identically to in-process ones.
 ///
 /// Like every ChARLES wire format this is a same-architecture native-endian

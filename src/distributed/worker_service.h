@@ -41,9 +41,9 @@ struct WorkerServiceOptions {
   int32_t version_max = kRemoteWireVersionMax;
   /// Upper bound on any received frame payload.
   int64_t max_frame_bytes = kRemoteMaxFrameBytes;
-  /// Test-only hook run inside the worker right before each task's kernel —
-  /// the remote analogue of SubprocessBackend's WorkerHook (fault injection:
-  /// the fault test raises SIGKILL here to die mid-shard).
+  /// Test-only hook run inside the worker right before each task's kernel
+  /// (fault injection: the fault test raises SIGKILL here to die
+  /// mid-shard).
   std::function<void(int64_t shard_index)> task_hook;
 };
 

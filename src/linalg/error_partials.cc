@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "linalg/kernels/kernel.h"
 #include "linalg/suffstats.h"
 
 namespace charles {
@@ -25,11 +24,25 @@ bool ErrorPartials::BitIdenticalTo(const ErrorPartials& other) const {
 
 namespace {
 
+/// One block partial of Σ|a[i] − b[i]| over positional arrays, summed in
+/// index order from zero.
+double AbsDiffSum(const double* a, const double* b, int64_t count) {
+  double sum = 0.0;
+  for (int64_t i = 0; i < count; ++i) sum += std::abs(a[i] - b[i]);
+  return sum;
+}
+
+/// One block partial of Σ|values[i]|, summed in index order from zero.
+double AbsSum(const double* values, int64_t count) {
+  double sum = 0.0;
+  for (int64_t i = 0; i < count; ++i) sum += std::abs(values[i]);
+  return sum;
+}
+
 /// The shared fold: per-block partials (each summed in index order from
-/// zero by a kernel block primitive) merged left-to-right — the
-/// decomposition-invariant computation every executor of a plan replays.
-/// `block_sum(base, count)` must return the row-order sum of the block's
-/// positional slice [base, base + count).
+/// zero) merged left-to-right — the decomposition-invariant computation
+/// every executor of a plan replays. `block_sum(base, count)` must return
+/// the row-order sum of the block's positional slice [base, base + count).
 template <typename BlockSum>
 ErrorPartials FoldBlocks(const std::vector<int64_t>& rows, int64_t block_rows,
                          BlockSum&& block_sum) {
@@ -49,38 +62,21 @@ ErrorPartials FoldBlocks(const std::vector<int64_t>& rows, int64_t block_rows,
 
 }  // namespace
 
-ErrorPartials AccumulateAbsDiffBlocks(const kernels::Kernel& kernel,
-                                      const std::vector<double>& a,
-                                      const std::vector<double>& b,
-                                      const std::vector<int64_t>& rows,
-                                      int64_t block_rows) {
-  return FoldBlocks(rows, block_rows, [&](int64_t base, int64_t count) {
-    return kernel.abs_diff_sum(a.data() + base, b.data() + base, count);
-  });
-}
-
 ErrorPartials AccumulateAbsDiffBlocks(const std::vector<double>& a,
                                       const std::vector<double>& b,
                                       const std::vector<int64_t>& rows,
                                       int64_t block_rows) {
-  return AccumulateAbsDiffBlocks(kernels::ActiveKernel(), a, b, rows,
-                                 block_rows);
-}
-
-ErrorPartials AccumulateAbsBlocks(const kernels::Kernel& kernel,
-                                  const std::vector<double>& values,
-                                  const std::vector<int64_t>& rows,
-                                  int64_t block_rows) {
   return FoldBlocks(rows, block_rows, [&](int64_t base, int64_t count) {
-    return kernel.abs_sum(values.data() + base, count);
+    return AbsDiffSum(a.data() + base, b.data() + base, count);
   });
 }
 
 ErrorPartials AccumulateAbsBlocks(const std::vector<double>& values,
                                   const std::vector<int64_t>& rows,
                                   int64_t block_rows) {
-  return AccumulateAbsBlocks(kernels::ActiveKernel(), values, rows,
-                             block_rows);
+  return FoldBlocks(rows, block_rows, [&](int64_t base, int64_t count) {
+    return AbsSum(values.data() + base, count);
+  });
 }
 
 }  // namespace charles

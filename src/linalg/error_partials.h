@@ -31,10 +31,6 @@
 
 namespace charles {
 
-namespace kernels {
-struct Kernel;
-}  // namespace kernels
-
 /// \brief Accumulated L1-error partials: Σ|y − ŷ| and the row count.
 ///
 /// Accumulation order is the caller's contract (float addition is not
@@ -57,7 +53,7 @@ struct ErrorPartials {
   }
 
   /// Exact representation equality (every byte): the comparator of the
-  /// kernel-parity and score-projection tests.
+  /// fold-reference and score-projection tests.
   bool BitIdenticalTo(const ErrorPartials& other) const;
 };
 
@@ -73,8 +69,6 @@ struct ErrorPartials {
 /// @{
 
 /// Canonical fold of Σ| a[i] − b[i] | (e.g. a = observed y, b = predictions).
-/// Per-block sums dispatch through the process-wide active kernel
-/// (linalg/kernels/kernel.h); every kernel produces the same bits.
 ErrorPartials AccumulateAbsDiffBlocks(const std::vector<double>& a,
                                       const std::vector<double>& b,
                                       const std::vector<int64_t>& rows,
@@ -84,19 +78,6 @@ ErrorPartials AccumulateAbsDiffBlocks(const std::vector<double>& a,
 ErrorPartials AccumulateAbsBlocks(const std::vector<double>& values,
                                   const std::vector<int64_t>& rows,
                                   int64_t block_rows);
-
-/// \name Kernel-explicit variants (differential testing and benches).
-/// @{
-ErrorPartials AccumulateAbsDiffBlocks(const kernels::Kernel& kernel,
-                                      const std::vector<double>& a,
-                                      const std::vector<double>& b,
-                                      const std::vector<int64_t>& rows,
-                                      int64_t block_rows);
-ErrorPartials AccumulateAbsBlocks(const kernels::Kernel& kernel,
-                                  const std::vector<double>& values,
-                                  const std::vector<int64_t>& rows,
-                                  int64_t block_rows);
-/// @}
 
 /// @}
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/wire.h"
-#include "linalg/kernels/kernel.h"
 #include "linalg/suffstats.h"
 
 namespace charles {
@@ -47,15 +46,32 @@ bool ScorePartials::BitIdenticalTo(const ScorePartials& other) const {
 
 namespace {
 
-/// The shared fold: per-block partials (each produced in row order by a
-/// kernel block primitive) merged left-to-right — the same decomposition-
-/// invariant shape as error_partials.cc's FoldBlocks, carrying the exact
-/// count alongside the sum. `block_fold(base, count, &sum, &exact)` must
-/// fill the row-order sum and tally of the block's positional slice
-/// [base, base + count).
-template <typename BlockFold>
-ScorePartials FoldScoreBlocks(const std::vector<int64_t>& rows,
-                              int64_t block_rows, BlockFold&& block_fold) {
+/// One block partial of (Σ|a[i] − b[i]|, #{i : |a[i] − b[i]| ≤ tolerance})
+/// over positional arrays: error_partials.cc's Σ|a − b| chain exactly, with
+/// the within-tolerance tally taken from the same per-row |error| before it
+/// joins the sum.
+void ScoreDiffSum(const double* a, const double* b, int64_t count,
+                  double tolerance, double* abs_sum, int64_t* exact) {
+  double sum = 0.0;
+  int64_t within = 0;
+  for (int64_t i = 0; i < count; ++i) {
+    const double err = std::abs(a[i] - b[i]);
+    sum += err;
+    if (err <= tolerance) ++within;
+  }
+  *abs_sum = sum;
+  *exact = within;
+}
+
+}  // namespace
+
+// Per-block partials, each produced in row order, merged left-to-right — the
+// same decomposition-invariant shape as error_partials.cc's FoldBlocks,
+// carrying the exact count alongside the sum.
+ScorePartials AccumulateScoreDiffBlocks(const std::vector<double>& a,
+                                        const std::vector<double>& b,
+                                        const std::vector<int64_t>& rows,
+                                        int64_t block_rows, double tolerance) {
   ScorePartials total;
   const int64_t* data = rows.data();
   ForEachRowBlock(data, static_cast<int64_t>(rows.size()), block_rows,
@@ -63,35 +79,13 @@ ScorePartials FoldScoreBlocks(const std::vector<int64_t>& rows,
                       int64_t count) {
                     ScorePartials block_partial;
                     int64_t base = block_rows_ptr - data;
-                    block_fold(base, count, &block_partial.abs_error_sum,
-                               &block_partial.exact_count);
+                    ScoreDiffSum(a.data() + base, b.data() + base, count,
+                                 tolerance, &block_partial.abs_error_sum,
+                                 &block_partial.exact_count);
                     block_partial.n = count;
                     total.Merge(block_partial);
                   });
   return total;
-}
-
-}  // namespace
-
-ScorePartials AccumulateScoreDiffBlocks(const kernels::Kernel& kernel,
-                                        const std::vector<double>& a,
-                                        const std::vector<double>& b,
-                                        const std::vector<int64_t>& rows,
-                                        int64_t block_rows, double tolerance) {
-  return FoldScoreBlocks(
-      rows, block_rows,
-      [&](int64_t base, int64_t count, double* sum, int64_t* exact) {
-        kernel.score_diff_sum(a.data() + base, b.data() + base, count,
-                              tolerance, sum, exact);
-      });
-}
-
-ScorePartials AccumulateScoreDiffBlocks(const std::vector<double>& a,
-                                        const std::vector<double>& b,
-                                        const std::vector<int64_t>& rows,
-                                        int64_t block_rows, double tolerance) {
-  return AccumulateScoreDiffBlocks(kernels::ActiveKernel(), a, b, rows,
-                                   block_rows, tolerance);
 }
 
 }  // namespace charles

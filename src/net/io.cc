@@ -39,18 +39,5 @@ Status ReadFull(int fd, void* data, size_t size) {
   return Status::OK();
 }
 
-Status ReadToEof(int fd, std::string* out) {
-  char buffer[1 << 16];
-  for (;;) {
-    ssize_t got = ::read(fd, buffer, sizeof(buffer));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("ReadToEof: ") + ::strerror(errno));
-    }
-    if (got == 0) return Status::OK();
-    out->append(buffer, static_cast<size_t>(got));
-  }
-}
-
 }  // namespace net
 }  // namespace charles

@@ -4,12 +4,12 @@
 /// \file
 /// \brief EINTR-safe whole-buffer I/O over POSIX file descriptors.
 ///
-/// Every byte stream ChARLES ships results over — the SubprocessBackend
-/// pipe, the RemoteBackend TCP connection — needs the same three loops:
-/// write everything (retrying short writes and EINTR), read exactly n bytes,
-/// and drain to EOF. They are extracted here so the retry-on-partial
-/// discipline exists exactly once; backends and the frame layer build on
-/// these instead of re-implementing them per call site.
+/// Every byte stream ChARLES ships results over — the RemoteBackend TCP
+/// connection and the worker's side of it — needs the same two loops: write
+/// everything (retrying short writes and EINTR) and read exactly n bytes.
+/// They are extracted here so the retry-on-partial discipline exists exactly
+/// once; the frame layer builds on these instead of re-implementing them per
+/// call site.
 
 #include <cstddef>
 #include <string>
@@ -28,11 +28,6 @@ Status WriteFull(int fd, const void* data, size_t size);
 /// reads. EOF before `size` bytes arrived is an IOError — a frame that ends
 /// mid-payload means the peer died or the stream is torn.
 Status ReadFull(int fd, void* data, size_t size);
-
-/// Appends everything until EOF to `*out`, retrying on EINTR. The
-/// read-the-whole-pipe half of the subprocess protocol: a worker that dies
-/// closes its pipe, so this always terminates.
-Status ReadToEof(int fd, std::string* out);
 
 }  // namespace net
 }  // namespace charles

@@ -46,6 +46,8 @@ struct RunDiagnostics {
 
   // Execution shape.
   int threads_used = 1;
+  /// Fixed at "scalar" (the folds have one implementation); it goes in the
+  /// next schema bump together with score_yhat_materializations.
   std::string kernel_used;
 
   // Leaf-fit and phase caches.

@@ -1,11 +1,10 @@
 /// \file
 /// Distributed shard execution: planner geometry, ShardTask/ShardTaskResult
-/// wire round trips, coordinator merge exactness, worker-crash surfacing, and
-/// the headline contract — 1/2/8-shard Coordinator runs bit-identical to the
-/// unsharded engine on both workloads, for both backends.
+/// wire round trips, coordinator merge exactness, and the headline contract
+/// — 1/2/8-shard Coordinator runs bit-identical to the unsharded engine on
+/// both workloads. Worker death over the wire is remote_fault_test's.
 
 #include <gtest/gtest.h>
-#include <signal.h>
 
 #include <cstring>
 #include <string>
@@ -16,7 +15,6 @@
 #include "table/table_builder.h"
 #include "distributed/in_process_backend.h"
 #include "distributed/shard_planner.h"
-#include "distributed/subprocess_backend.h"
 #include "linalg/score_partials.h"
 #include "workload/billionaires_gen.h"
 #include "workload/employee_gen.h"
@@ -261,26 +259,6 @@ TEST(CoordinatorTest, MergedMomentsMatchUnshardedAccumulationBitForBit) {
   }
 }
 
-TEST(CoordinatorTest, SubprocessResultsMatchInProcessBitForBit) {
-  SyntheticInput s = MakeSyntheticInput(400);
-  ShardPlan plan = PlanShards(400, 64, 4);
-  InProcessBackend in_process;
-  SubprocessBackend subprocess;
-  ShardTask task = MakeMomentsTask(s.input);
-  CoordinatorTaskResult a =
-      Coordinator::RunTask(s.input, plan, &in_process, nullptr, task).ValueOrDie();
-  CoordinatorTaskResult b =
-      Coordinator::RunTask(s.input, plan, &subprocess, nullptr, task).ValueOrDie();
-  ASSERT_EQ(a.leaves.size(), b.leaves.size());
-  for (size_t l = 0; l < a.leaves.size(); ++l) {
-    EXPECT_TRUE(a.leaves[l].stats.BitIdenticalTo(b.leaves[l].stats));
-    EXPECT_EQ(std::memcmp(&a.leaves[l].max_abs_delta, &b.leaves[l].max_abs_delta,
-                          sizeof(double)),
-              0);
-  }
-  EXPECT_EQ(a.rows_scanned, b.rows_scanned);
-}
-
 TEST(CoordinatorTest, RangeAccumulationMatchesIndexedAccumulationBitForBit) {
   SyntheticInput s = MakeSyntheticInput(333);
   std::vector<const std::vector<double>*> cols;
@@ -303,47 +281,6 @@ TEST(CoordinatorTest, StopTokenCancelsBetweenShards) {
                                        MakeMomentsTask(s.input), &stop)
                       .status();
   EXPECT_TRUE(status.IsCancelled());
-}
-
-// --- Worker failure surfacing (satellite: no hang, a Status instead) --------
-
-TEST(SubprocessBackendTest, WorkerKilledMidShardSurfacesAsStatus) {
-  SyntheticInput s = MakeSyntheticInput(300);
-  ShardPlan plan = PlanShards(300, 64, 3);
-  SubprocessBackend backend([](int64_t shard) {
-    if (shard == 1) raise(SIGKILL);  // die mid-shard, pipe closes unflushed
-  });
-  ShardTask task = MakeMomentsTask(s.input);
-  // Healthy shards still work...
-  EXPECT_TRUE(backend.ExecuteTask(s.input, plan, 0, task).ok());
-  // ...the killed one reports the signal instead of hanging.
-  Status status = backend.ExecuteTask(s.input, plan, 1, task).status();
-  ASSERT_TRUE(status.IsInternal()) << status.ToString();
-  EXPECT_NE(status.message().find("signal"), std::string::npos) << status.ToString();
-}
-
-TEST(SubprocessBackendTest, NonzeroWorkerExitSurfacesAsStatus) {
-  SyntheticInput s = MakeSyntheticInput(300);
-  ShardPlan plan = PlanShards(300, 64, 2);
-  SubprocessBackend backend([](int64_t shard) {
-    if (shard == 0) ::_exit(7);
-  });
-  Status status =
-      backend.ExecuteTask(s.input, plan, 0, MakeMomentsTask(s.input)).status();
-  ASSERT_TRUE(status.IsInternal()) << status.ToString();
-  EXPECT_NE(status.message().find("status 7"), std::string::npos) << status.ToString();
-}
-
-TEST(SubprocessBackendTest, CoordinatorPropagatesWorkerCrash) {
-  SyntheticInput s = MakeSyntheticInput(300);
-  ShardPlan plan = PlanShards(300, 64, 3);
-  SubprocessBackend backend([](int64_t shard) {
-    if (shard == 2) raise(SIGKILL);
-  });
-  Status status = Coordinator::RunTask(s.input, plan, &backend, nullptr,
-                                       MakeMomentsTask(s.input))
-                      .status();
-  EXPECT_TRUE(status.IsInternal()) << status.ToString();
 }
 
 // --- ShardTask protocol: tagged tasks, wire, exact merges -------------------
@@ -440,21 +377,17 @@ TEST(ShardTaskMergeTest, SignalStatsMergeMatchesCentralFoldBitForBit) {
   std::vector<const std::vector<double>*> cols;
   ASSERT_TRUE(s.columns.ResolveColumns(s.shortlist, &cols));
   SufficientStats central = AccumulateRangeBlocks(cols, s.y_new, 777, 64);
-  InProcessBackend in_process;
-  SubprocessBackend subprocess;
+  InProcessBackend backend;
   for (int shards : {1, 2, 5, 8}) {
     ShardPlan plan = PlanShards(777, 64, shards);
-    for (ShardBackend* backend :
-         std::vector<ShardBackend*>{&in_process, &subprocess}) {
-      CoordinatorTaskResult merged =
-          Coordinator::RunTask(s.input, plan, backend, /*pool=*/nullptr,
-                               MakeSignalTask())
-              .ValueOrDie();
-      EXPECT_TRUE(merged.signal_stats.BitIdenticalTo(central))
-          << backend->name() << " at " << shards << " shards";
-      EXPECT_EQ(merged.rows_scanned, 777);
-      EXPECT_GT(merged.signal_rows_changed, 0);
-    }
+    CoordinatorTaskResult merged =
+        Coordinator::RunTask(s.input, plan, &backend, /*pool=*/nullptr,
+                             MakeSignalTask())
+            .ValueOrDie();
+    EXPECT_TRUE(merged.signal_stats.BitIdenticalTo(central))
+        << "at " << shards << " shards";
+    EXPECT_EQ(merged.rows_scanned, 777);
+    EXPECT_GT(merged.signal_rows_changed, 0);
   }
 }
 
@@ -488,20 +421,15 @@ TEST(ShardTaskMergeTest, ScorePartialsMergeMatchesCentralFoldBitForBit) {
   // matches nothing (or everything) would let a broken tally pass.
   EXPECT_GT(central[0].exact_count, 0);
   EXPECT_LT(central[0].exact_count, central[0].n);
-  InProcessBackend in_process;
-  SubprocessBackend subprocess;
+  InProcessBackend backend;
   for (int shards : {1, 3, 8}) {
     ShardPlan plan = PlanShards(641, 64, shards);
-    for (ShardBackend* backend :
-         std::vector<ShardBackend*>{&in_process, &subprocess}) {
-      CoordinatorTaskResult merged =
-          Coordinator::RunTask(s.input, plan, backend, nullptr, task).ValueOrDie();
-      ASSERT_EQ(merged.score_probes.size(), task.probes.size());
-      for (size_t p = 0; p < central.size(); ++p) {
-        EXPECT_TRUE(merged.score_probes[p].partials.BitIdenticalTo(central[p]))
-            << backend->name() << " probe " << p << " at " << shards
-            << " shards";
-      }
+    CoordinatorTaskResult merged =
+        Coordinator::RunTask(s.input, plan, &backend, nullptr, task).ValueOrDie();
+    ASSERT_EQ(merged.score_probes.size(), task.probes.size());
+    for (size_t p = 0; p < central.size(); ++p) {
+      EXPECT_TRUE(merged.score_probes[p].partials.BitIdenticalTo(central[p]))
+          << "probe " << p << " at " << shards << " shards";
     }
   }
 }
@@ -607,14 +535,13 @@ Workload MakeBillionairesWorkload() {
   return w;
 }
 
-void RunShardParity(const Workload& w, ShardBackendKind backend) {
+void RunShardParity(const Workload& w) {
   SummaryList unsharded = SummarizeChanges(w.source, w.target, w.options).ValueOrDie();
   ASSERT_FALSE(unsharded.summaries.empty());
   EXPECT_EQ(unsharded.shards_used, 0);
   for (int shards : {1, 2, 8}) {
     CharlesOptions sharded_options = w.options;
     sharded_options.num_shards = shards;
-    sharded_options.shard_backend = backend;
     SummaryList sharded =
         SummarizeChanges(w.source, w.target, sharded_options).ValueOrDie();
     EXPECT_EQ(sharded.shards_used, shards) << "requested " << shards;
@@ -624,19 +551,11 @@ void RunShardParity(const Workload& w, ShardBackendKind backend) {
 }
 
 TEST(ShardParityTest, EmployeeInProcessBitIdenticalAt1_2_8Shards) {
-  RunShardParity(MakeEmployeeWorkload(), ShardBackendKind::kInProcess);
-}
-
-TEST(ShardParityTest, EmployeeSubprocessBitIdenticalAt1_2_8Shards) {
-  RunShardParity(MakeEmployeeWorkload(), ShardBackendKind::kSubprocess);
+  RunShardParity(MakeEmployeeWorkload());
 }
 
 TEST(ShardParityTest, BillionairesInProcessBitIdenticalAt1_2_8Shards) {
-  RunShardParity(MakeBillionairesWorkload(), ShardBackendKind::kInProcess);
-}
-
-TEST(ShardParityTest, BillionairesSubprocessBitIdenticalAt1_2_8Shards) {
-  RunShardParity(MakeBillionairesWorkload(), ShardBackendKind::kSubprocess);
+  RunShardParity(MakeBillionairesWorkload());
 }
 
 TEST(ShardParityTest, ShardedRunWorksWithEngineContext) {

@@ -22,17 +22,6 @@ charles::Result<charles::SummaryList> Quickstart(
   return charles::SummarizeChanges(snapshot_2016, snapshot_2017, options);
 }
 
-// --- docs/api.md "Selecting the kernel backend" ----------------------------
-
-charles::Result<charles::SummaryList> PinnedKernelRun(
-    const charles::Table& snapshot_2016, const charles::Table& snapshot_2017) {
-  charles::CharlesOptions options;
-  options.target_attribute = "bonus";
-  options.key_columns = {"name"};
-  options.kernel_backend = "scalar";  // or "simd"; default "auto" = best available
-  return charles::SummarizeChanges(snapshot_2016, snapshot_2017, options);
-}
-
 // --- docs/api.md "Serving / repeated queries" ------------------------------
 
 class SummaryService {
@@ -229,26 +218,6 @@ TEST(DocsSnippetsTest, QuickstartRuns) {
   SummaryList result = Quickstart(source, target).ValueOrDie();
   ASSERT_FALSE(result.summaries.empty());
   EXPECT_GT(result.summaries[0].scores().score, 0.0);
-}
-
-TEST(DocsSnippetsTest, PinnedKernelSnippetMatchesEveryBackend) {
-  Table source = MakeExample1Source().ValueOrDie();
-  Table target = MakeExample1Target().ValueOrDie();
-  SummaryList pinned = PinnedKernelRun(source, target).ValueOrDie();
-  EXPECT_EQ(pinned.kernel_used, "scalar");
-  // The documented promise: the backend knob never changes a bit of output.
-  for (const char* backend : {"simd", "auto"}) {
-    CharlesOptions options;
-    options.target_attribute = "bonus";
-    options.key_columns = {"name"};
-    options.kernel_backend = backend;
-    SummaryList run = SummarizeChanges(source, target, options).ValueOrDie();
-    EXPECT_FALSE(run.kernel_used.empty());
-    ASSERT_EQ(pinned.summaries.size(), run.summaries.size());
-    for (size_t i = 0; i < pinned.summaries.size(); ++i) {
-      EXPECT_EQ(pinned.summaries[i].ToString(), run.summaries[i].ToString());
-    }
-  }
 }
 
 TEST(DocsSnippetsTest, ServingSnippetWarmsAcrossQueries) {

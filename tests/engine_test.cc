@@ -144,6 +144,27 @@ TEST(EngineTest, OptionValidationErrors) {
   EXPECT_TRUE(SummarizeChanges(source, target, no_target).status().IsInvalidArgument());
 }
 
+TEST(EngineTest, UnknownShardBackendIsRejectedByName) {
+  // A value outside the enum is rejected up front whether or not the run
+  // shards — never a null backend after phases 1–2, never silently ignored.
+  Table source = MakeExample1Source().ValueOrDie();
+  Table target = MakeExample1Target().ValueOrDie();
+  for (int shards : {0, 2}) {
+    CharlesOptions options = Example1Options();
+    options.num_shards = shards;
+    options.shard_backend = static_cast<ShardBackendKind>(7);
+    Status validated = options.Validate();
+    ASSERT_TRUE(validated.IsInvalidArgument()) << validated.ToString();
+    EXPECT_NE(validated.message().find("shard_backend"), std::string::npos)
+        << validated.ToString();
+    EXPECT_NE(validated.message().find("7"), std::string::npos)
+        << validated.ToString();
+    Status run = SummarizeChanges(source, target, options).status();
+    EXPECT_TRUE(run.IsInvalidArgument()) << "shards " << shards << ": "
+                                         << run.ToString();
+  }
+}
+
 TEST(EngineTest, AlphaZeroFavoursSmallSummaries) {
   Table source = MakeExample1Source().ValueOrDie();
   Table target = MakeExample1Target().ValueOrDie();

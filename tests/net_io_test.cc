@@ -52,18 +52,6 @@ TEST(NetIoTest, ReadFullFailsOnEarlyEof) {
   close(fds[0]);
 }
 
-TEST(NetIoTest, ReadToEofDrainsEverything) {
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  std::string payload = "the whole pipe, start to finish";
-  ASSERT_TRUE(net::WriteFull(fds[1], payload.data(), payload.size()).ok());
-  close(fds[1]);
-  std::string out;
-  ASSERT_TRUE(net::ReadToEof(fds[0], &out).ok());
-  EXPECT_EQ(out, payload);
-  close(fds[0]);
-}
-
 TEST(NetIoTest, WriteFullFailsWhenReadEndIsClosed) {
   // Writing into a read-closed pipe raises SIGPIPE; with it ignored (as a
   // daemon would), WriteFull must surface EPIPE as a clean IOError.
