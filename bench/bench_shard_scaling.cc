@@ -1,10 +1,10 @@
 /// \file
-/// Experiment D1 (ISSUE 4 / ROADMAP "scale beyond one box"): distributed
-/// shard execution over a shards × threads grid, for both backends
-/// (in-process and remote).
+/// Experiment D1: distributed shard execution over a shards × threads grid,
+/// for both backends (in-process and remote).
 ///
-/// Each cell runs the full engine on the employee workload with the
-/// leaf-statistics sweep routed through the shard Coordinator, and records
+/// Each cell runs the full engine on the employee workload — phase 3's one
+/// kLeafMoments round split into `shards` ranges (0 = one per pool thread)
+/// on the cell's backend — and records
 /// end-to-end time, the coordinator's own fan-out + merge time, and the rows
 /// the backends scanned. Every sharded ranking is checked bit-identical to
 /// the unsharded baseline (top signature + bit-equal score) — a speedup that
@@ -14,19 +14,19 @@
 /// trips — against loopback charles_worker services in this process.
 ///
 /// Results are recorded in BENCH_shards.json (working directory), including
-/// the per-task-kind coordinator timings of the ShardTask protocol
-/// (kSignalStats / kLeafMoments / kScorePartials), the row-free scoring
-/// counters (candidates scored from partials vs central ŷ
-/// materializations), the warm-context cells' elision counters, and the
-/// remote cells' dispatch/install/retry counters. `--smoke` runs a reduced
-/// grid and exits non-zero if any sharded ranking diverges from the
-/// unsharded baseline (top signature + bit-equal score — the score-parity
-/// tripwire), any engine run materialized a central ŷ vector (row-free
-/// scoring must fully cover Phase3Fits: zero y_hat bytes), the sharded
-/// end-to-end time blows past a generous overhead ceiling, a warm-context
-/// repeat run fails to elide every kLeafMoments task, or a remote cell
-/// needed a retry (loopback workers never legitimately fail) — the CI
-/// tripwires for the distributed path.
+/// the round's coordinator timing, the row-free scoring counters
+/// (candidates scored from partials vs central ŷ materializations), the
+/// warm-context cells' elision counters, and the remote cells'
+/// dispatch/install/retry counters. `--smoke` runs a reduced grid and exits
+/// non-zero if any sharded ranking diverges from the baseline (top
+/// signature + bit-equal score — the score-parity tripwire), any engine run
+/// materialized a central ŷ vector (row-free scoring must fully cover
+/// Phase3Fits: zero y_hat bytes), the sharded end-to-end time blows past a
+/// generous overhead ceiling, a warm-context repeat run fails to elide every
+/// kLeafMoments task, or a remote cell needed a retry or installed its
+/// input more than once per worker (loopback workers never legitimately
+/// fail, and a run has one input epoch) — the CI tripwires for the
+/// distributed path.
 
 #include <benchmark/benchmark.h>
 
@@ -46,18 +46,17 @@ namespace charles {
 namespace bench {
 namespace {
 
+/// Loopback charles_worker services behind the remote cells.
+constexpr int kLoopbackWorkers = 2;
+
 struct GridRow {
   std::string backend;
   std::string mode = "cold";  ///< "cold", or "warm" (repeat on a warm context)
-  int shards = 0;  ///< 0 = unsharded engine (the baseline)
+  int shards = 0;  ///< 0 = one range per pool thread (the baseline)
   int threads = 1;
   double total_s = 0.0;
-  double shard_s = 0.0;   ///< coordinator fan-out + merge, all task rounds
-  double signal_s = 0.0;  ///< kSignalStats round
-  double moments_s = 0.0; ///< kLeafMoments round
-  double score_s = 0.0;   ///< kScorePartials round
+  double shard_s = 0.0;   ///< coordinator fan-out + merge of the round
   int64_t rows_scanned = 0;
-  int64_t score_probes = 0;      ///< models probed by the score round
   int64_t score_candidates = 0;  ///< candidates scored row-free (partials)
   int64_t yhat_mats = 0;         ///< central ŷ materializations (must be 0)
   int64_t leaves_swept = 0;   ///< kLeafMoments leaves actually requested
@@ -96,20 +95,15 @@ GridRow RunCell(const Table& source, const Table& target, int shards,
           ? SummarizeChanges(source, target, options, context).ValueOrDie()
           : SummarizeChanges(source, target, options).ValueOrDie();
   GridRow row;
-  row.backend = shards == 0                               ? "none"
-                : backend == ShardBackendKind::kInProcess ? "in-process"
-                                                          : "remote";
+  row.backend =
+      backend == ShardBackendKind::kInProcess ? "in-process" : "remote";
   row.mode = mode;
   row.shards = shards;
   row.threads = threads;
   row.total_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   row.shard_s = result.shard_seconds;
-  row.signal_s = result.shard_signal_seconds;
-  row.moments_s = result.shard_moments_seconds;
-  row.score_s = result.shard_score_seconds;
   row.rows_scanned = result.shard_rows_scanned;
-  row.score_probes = result.shard_score_probes;
   row.score_candidates = result.score_partials_candidates;
   row.yhat_mats = result.score_yhat_materializations;
   row.leaves_swept = result.shard_moment_leaves_swept;
@@ -145,7 +139,7 @@ std::vector<GridRow> RunGrid(bool smoke) {
   // cells — the same topology the CI loopback job runs.
   std::vector<std::unique_ptr<LoopbackWorker>> workers;
   std::vector<std::string> worker_endpoints;
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < kLoopbackWorkers; ++i) {
     workers.push_back(LoopbackWorker::Start().ValueOrDie());
     worker_endpoints.push_back(workers.back()->endpoint());
   }
@@ -207,22 +201,22 @@ std::vector<GridRow> RunGrid(bool smoke) {
 }
 
 void PrintGrid(const std::vector<GridRow>& grid) {
-  std::vector<int> widths = {11, 5, 7, 8, 9, 9, 9, 9, 9, 13, 7, 9, 8, 8, 10};
+  std::vector<int> widths = {11, 5, 7, 8, 9, 9, 13, 7, 9, 8, 9, 8, 10};
   PrintRule(widths);
   PrintTableRow(widths,
                 {"backend", "mode", "shards", "threads", "total s", "shard s",
-                 "signal s", "momnt s", "score s", "rows scanned", "elided",
-                 "scored", "r tasks", "retries", "identical"});
+                 "rows scanned", "elided", "scored", "r tasks", "installs",
+                 "retries", "identical"});
   PrintRule(widths);
   for (const GridRow& r : grid) {
     PrintTableRow(widths,
                   {r.backend, r.mode, std::to_string(r.shards),
                    std::to_string(r.threads), Fmt(r.total_s, 3),
-                   Fmt(r.shard_s, 4), Fmt(r.signal_s, 4), Fmt(r.moments_s, 4),
-                   Fmt(r.score_s, 4), std::to_string(r.rows_scanned),
+                   Fmt(r.shard_s, 4), std::to_string(r.rows_scanned),
                    std::to_string(r.leaves_elided),
                    std::to_string(r.score_candidates),
                    std::to_string(r.remote_tasks),
+                   std::to_string(r.remote_installs),
                    std::to_string(r.remote_retries),
                    r.identical ? "yes" : "NO"});
   }
@@ -241,19 +235,17 @@ void WriteJson(const std::string& path, const std::vector<GridRow>& grid) {
     std::fprintf(f,
                  "    {\"backend\": \"%s\", \"mode\": \"%s\", \"shards\": %d, "
                  "\"threads\": %d, \"total_s\": %.5f, \"shard_s\": %.5f, "
-                 "\"signal_s\": %.5f, \"moments_s\": %.5f, \"score_s\": %.5f, "
                  "\"rows_scanned\": %lld, \"leaves_swept\": %lld, "
-                 "\"leaves_elided\": %lld, \"score_probes\": %lld, "
+                 "\"leaves_elided\": %lld, "
                  "\"score_candidates\": %lld, \"yhat_materializations\": %lld, "
                  "\"remote_tasks\": %lld, "
                  "\"remote_installs\": %lld, \"remote_retries\": %lld, "
                  "\"identical\": %s}%s\n",
                  r.backend.c_str(), r.mode.c_str(), r.shards, r.threads,
-                 r.total_s, r.shard_s, r.signal_s, r.moments_s, r.score_s,
+                 r.total_s, r.shard_s,
                  static_cast<long long>(r.rows_scanned),
                  static_cast<long long>(r.leaves_swept),
                  static_cast<long long>(r.leaves_elided),
-                 static_cast<long long>(r.score_probes),
                  static_cast<long long>(r.score_candidates),
                  static_cast<long long>(r.yhat_mats),
                  static_cast<long long>(r.remote_tasks),
@@ -294,7 +286,7 @@ int main(int argc, char** argv) {
   charles::bench::PrintHeader(
       std::string("D1: distributed shard execution, shards x threads") +
           (smoke ? " (smoke)" : ""),
-      "sharded rankings bit-identical to the unsharded engine at every cell");
+      "sharded rankings bit-identical to the baseline at every cell");
   std::vector<charles::bench::GridRow> grid = charles::bench::RunGrid(smoke);
   charles::bench::PrintGrid(grid);
   charles::bench::WriteJson("BENCH_shards.json", grid);
@@ -302,21 +294,22 @@ int main(int argc, char** argv) {
   for (const charles::bench::GridRow& row : grid) {
     if (!row.identical) {
       std::fprintf(stderr,
-                   "FAIL: %s backend at %d shards diverged from the unsharded "
+                   "FAIL: %s backend at %d shards diverged from the baseline "
                    "ranking\n",
                    row.backend.c_str(), row.shards);
       return 1;
     }
   }
   if (smoke) {
-    // The unsharded cell is first; sharded cells may pay coordinator
-    // overhead but an end-to-end blowup (> 4x) marks a real regression.
+    // The baseline cell (num_shards = 0) is first; sharded cells may pay
+    // coordinator overhead but an end-to-end blowup (> 4x) marks a real
+    // regression.
     double baseline_s = grid.front().total_s;
     for (const charles::bench::GridRow& row : grid) {
       if (row.shards > 0 && row.total_s > 4.0 * baseline_s + 0.5) {
         std::fprintf(stderr,
                      "FAIL: %s backend at %d shards took %.3fs vs %.3fs "
-                     "unsharded (> 4x + 0.5s)\n",
+                     "at 0 shards (> 4x + 0.5s)\n",
                      row.backend.c_str(), row.shards, row.total_s, baseline_s);
         return 1;
       }
@@ -359,20 +352,24 @@ int main(int argc, char** argv) {
     }
     // Remote-parity tripwire: loopback workers never legitimately fail, so a
     // remote cell with zero dispatches (fleet never used) or any transport
-    // retry marks a broken remote path even when the ranking happens to match.
+    // retry marks a broken remote path even when the ranking happens to
+    // match; a run has one input epoch, so more installs than workers mean
+    // the input shipped twice.
     bool saw_remote = false;
     for (const charles::bench::GridRow& row : grid) {
       if (row.backend != "remote") continue;
       saw_remote = true;
       if (row.remote_tasks == 0 || row.remote_retries != 0 ||
-          row.remote_installs == 0) {
+          row.remote_installs == 0 ||
+          row.remote_installs > charles::bench::kLoopbackWorkers) {
         std::fprintf(stderr,
                      "FAIL: remote cell at %d shards dispatched %lld tasks, "
-                     "%lld installs, %lld retries; expected >0 tasks, >0 "
+                     "%lld installs, %lld retries; expected >0 tasks, 1..%d "
                      "installs, 0 retries over loopback\n",
                      row.shards, static_cast<long long>(row.remote_tasks),
                      static_cast<long long>(row.remote_installs),
-                     static_cast<long long>(row.remote_retries));
+                     static_cast<long long>(row.remote_retries),
+                     charles::bench::kLoopbackWorkers);
         return 1;
       }
     }
@@ -383,7 +380,8 @@ int main(int argc, char** argv) {
     std::printf("smoke OK: every sharded cell (including remote loopback) "
                 "bit-identical, all candidates scored row-free (zero central "
                 "y_hat bytes), overhead within bounds, warm run elided every "
-                "leaf-moments task, zero remote retries\n");
+                "leaf-moments task, zero remote retries, at most one install "
+                "per worker\n");
     return 0;
   }
 

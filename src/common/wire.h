@@ -3,7 +3,7 @@
 
 /// \file
 /// \brief Raw-bytes framing primitives shared by the wire serializers
-/// (SufficientStats, ErrorPartials, ShardTask, ShardTaskResult).
+/// (SufficientStats, ShardTask, ShardTaskResult, the remote protocol).
 ///
 /// The formats built on these are same-architecture pipe/socket protocols:
 /// scalars are copied bit-for-bit in native byte order, which is what makes

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "core/normality.h"
 #include "core/run_pipeline.h"
 #include "core/scoring.h"
-#include "linalg/error_partials.h"
 #include "linalg/stats.h"
 #include "linalg/suffstats.h"
 
@@ -178,45 +176,23 @@ Result<SharedLeafFit> CharlesEngine::FitLeaf(
 
   // Exact-L1 evaluation. On the engine path every L1 evaluation below —
   // SnapModel's accuracy-guard baseline and the final fit MAE — goes
-  // through the canonical block fold, which a distributed kScorePartials
-  // round reproduces bit-for-bit from shard partials. The shard-merged
-  // evidence is only valid for the model its probe solved, i.e. when the
-  // fast solve above succeeded. External callers keep the serial sums.
-  const ScorePartials* score_evidence =
-      ws != nullptr && have_model ? ws->score_evidence : nullptr;
+  // through the canonical block fold (linalg/score_partials.h); external
+  // callers keep the serial sums.
   NormalityOptions normality = options_.normality;
   normality.exactness_tolerance =
       std::max(normality.exactness_tolerance, options_.numeric_tolerance);
   SnapErrorSpec error_spec;
-  ErrorPartials evidence_error;
   if (ws != nullptr) {
-    if (score_evidence != nullptr) {
-      evidence_error = score_evidence->error();
-      error_spec.baseline = &evidence_error;
-    }
     error_spec.rows = &rows.indices();
     error_spec.block_rows = ws->block_rows;
   }
-  const LinearModel pre_snap = model;
   // SnapModel hands back the final model's predictions as ŷ.
   model = SnapModel(model, x, y_part, normality, ws != nullptr ? &error_spec : nullptr,
                     &y_hat);
   // The moments only estimate the L1 error; the reported MAE is always
-  // exact. On the engine path it is the canonical score fold's projection —
-  // served straight from the shard-merged partials when snapping left the
-  // probed model untouched, re-folded centrally (bit-identically)
-  // otherwise; external callers recompute it serially.
-  const bool snap_noop =
-      score_evidence != nullptr &&
-      std::memcmp(&model.intercept, &pre_snap.intercept, sizeof(double)) == 0 &&
-      model.coefficients.size() == pre_snap.coefficients.size() &&
-      (model.coefficients.empty() ||
-       std::memcmp(model.coefficients.data(), pre_snap.coefficients.data(),
-                   model.coefficients.size() * sizeof(double)) == 0);
-  if (snap_noop) {
-    fit.score = *score_evidence;
-    model.mae = fit.score.mae();
-  } else if (ws != nullptr) {
+  // exact. On the engine path it is the canonical score fold's projection;
+  // external callers recompute it serially.
+  if (ws != nullptr) {
     fit.score = fold_score();
     model.mae = fit.score.mae();
   } else {

@@ -62,9 +62,8 @@ struct SummaryList {
   int64_t candidates_evaluated = 0; ///< summaries built and scored
   int64_t candidates_deduped = 0;   ///< dropped as structural duplicates
   int threads_used = 1;             ///< worker threads the run executed on
-  /// Always "scalar": the block folds have one implementation. Kept for the
-  /// diagnostics schema (and the benchmark reads it); it goes in the next
-  /// RunDiagnostics schema bump together with score_yhat_materializations.
+  /// Always "scalar": the block folds have one implementation. Kept because
+  /// the repo benchmark reads it.
   std::string kernel_used = "scalar";
   /// Leaf fits performed: the distinct (leaf, T) slots of the run's fit
   /// table that the context cache did not serve. Deterministic — each slot
@@ -83,31 +82,28 @@ struct SummaryList {
   /// what the context has cached, not on the inputs; always false without a
   /// context.
   bool phase_cache_hit = false;
-  /// \name Distributed shard execution (CharlesOptions::num_shards >= 1;
-  /// all zero for unsharded runs). See docs/distributed.md.
+  /// \name Shard execution: phase 3's one kLeafMoments round
+  /// (CharlesOptions::num_shards, shard_backend). Zero when no changed leaf
+  /// needed moments (e.g. a warm repeat run), except
+  /// shard_moment_leaves_elided. See docs/distributed.md.
   /// @{
   int shards_used = 0;               ///< row-range shards of the executed plan
-  int64_t shard_rows_scanned = 0;    ///< Σ rows scanned by backends, all tasks
+  int64_t shard_rows_scanned = 0;    ///< Σ rows scanned by backends
   int64_t shard_blocks_merged = 0;   ///< per-block partials folded centrally
   double shard_seconds = 0.0;        ///< coordinator wall time (fan-out + merge)
-  /// ShardTask executions dispatched to backends (one per shard per round).
+  /// ShardTask executions dispatched to backends (one per shard).
   int64_t shard_tasks_executed = 0;
-  /// Unique partition leaves swept by the kLeafMoments round.
+  /// Unique partition leaves the kLeafMoments round swept: the changed
+  /// leaves with an empty fit slot (the all-rows leaf reuses phase 1's
+  /// moments and is never swept).
   int64_t shard_moment_leaves_swept = 0;
-  /// Unique partition leaves whose kLeafMoments work was *elided* because a
-  /// warm EngineContext cache already holds every transformation subset's
-  /// fit for them — the warm-rescan fix: a repeat run on a warm context
-  /// issues zero moment tasks (see docs/distributed.md#warm-cache-elision).
+  /// Unique partition leaves whose every transformation subset's fit the
+  /// attached EngineContext served, so no moments were needed for them: a
+  /// repeat run on a warm context sweeps none
+  /// (see docs/distributed.md#warm-cache-elision).
   int64_t shard_moment_leaves_elided = 0;
-  /// kScorePartials probes whose (Σ|y − ŷ|, exact count) was merged from
-  /// shards — the row-free scoring currency (docs/distributed.md).
-  int64_t shard_score_probes = 0;
-  /// \name Per-task-kind coordinator wall times (fan-out + merge).
-  /// @{
-  double shard_signal_seconds = 0.0;  ///< kSignalStats round
-  double shard_moments_seconds = 0.0; ///< kLeafMoments round
-  double shard_score_seconds = 0.0;   ///< kScorePartials round
-  /// @}
+  /// Coordinator wall time of the kLeafMoments round (fan-out + merge).
+  double shard_moments_seconds = 0.0;
   /// \name Row-free scoring (PR 10). A run on the partials path scores every
   /// candidate by merging per-leaf ScorePartials in leaf order; the counters
   /// below prove (or disprove) that no run-wide ŷ vector was ever built.
@@ -116,12 +112,11 @@ struct SummaryList {
   int64_t score_partials_candidates = 0;
   /// Candidates scored by materializing a run-wide ŷ. Always zero: engine
   /// runs score every candidate row-free (only the public BuildSummary
-  /// builds ŷ, and it reports no SummaryList). Kept for the diagnostics
-  /// schema.
+  /// builds ŷ, and it reports no SummaryList). Kept because the
+  /// bench_shard_scaling tripwire reads it.
   int64_t score_yhat_materializations = 0;
-  /// Per-leaf score folds performed centrally (evidence misses / snapped
-  /// models); folds served from shard evidence or a warm cache don't count.
-  /// Deterministic: at most one per computed fit.
+  /// Per-leaf score folds performed; fits served by a warm cache don't
+  /// count. Deterministic: at most one per computed fit.
   int64_t score_leaf_folds = 0;
   /// @}
   /// \name Remote backend (shard_backend = kRemote; empty/zero otherwise).
@@ -377,10 +372,9 @@ class CharlesEngine {
   /// \brief What phase 3 knows about one (leaf, T) slot before fitting it.
   ///
   /// Every field is computed before the sweep (RunPipeline::Phase3Fits):
-  /// `max_abs_delta` by the central scan or the kLeafMoments round,
-  /// `moments` by phase 1 (the all-rows leaf), the moments pre-sweep or the
-  /// kLeafMoments round, and `score_evidence` by the kScorePartials round.
-  /// All pointers must outlive the FitLeaf call.
+  /// `max_abs_delta` by the slot-resolve scan, and `moments` by phase 1 (the
+  /// all-rows leaf) or the kLeafMoments round. All pointers must outlive the
+  /// FitLeaf call.
   struct LeafStatsWorkspace {
     /// The run's transformation columns (shortlist order = moments order).
     const ColumnCache* columns = nullptr;
@@ -391,17 +385,11 @@ class CharlesEngine {
     const std::vector<int>* t_subset = nullptr;
     /// max |y_new − y_old| over the leaf; decides no-change.
     double max_abs_delta = 0.0;
-    /// The shard-merged (Σ|y − ŷ|, exact count, n) of the leaf's unsnapped
-    /// fast-path model, or null. Its L1 projection is the SnapModel
-    /// baseline; when snapping is a no-op it is the leaf's score fold
-    /// verbatim — bit-identical to the central canonical fold it replaces
-    /// (docs/distributed.md#the-determinism-argument).
-    const ScorePartials* score_evidence = nullptr;
     /// Block size of the canonical folds (CharlesOptions::stats_block_rows).
     int64_t block_rows = 0;
     /// The run Scorer's exactness band (Scorer::exact_tolerance()).
     double score_tolerance = 0.0;
-    /// Incremented once per per-leaf score fold performed centrally.
+    /// Incremented once per per-leaf score fold.
     int64_t* score_folds = nullptr;
   };
 

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "core/normality_internal.h"
+#include "linalg/score_partials.h"
 #include "linalg/stats.h"
 
 namespace charles {
@@ -198,19 +199,15 @@ LinearModel SnapModel(const LinearModel& model, const Matrix& x,
     for (double e : r) total += std::abs(e);
     return total / static_cast<double>(n);
   };
-  // Accuracy-guard baseline: shard-merged exact partials when supplied, the
-  // equivalent canonical block fold when only the fold geometry is, and the
-  // historical serial sum otherwise (see SnapErrorSpec).
-  double baseline_mae;
-  if (error_spec != nullptr && error_spec->baseline != nullptr) {
-    baseline_mae = error_spec->baseline->mae();
-  } else if (error_spec != nullptr && error_spec->valid()) {
-    baseline_mae =
-        AccumulateAbsBlocks(residuals, *error_spec->rows, error_spec->block_rows)
-            .mae();
-  } else {
-    baseline_mae = mae_of(residuals);
-  }
+  // Accuracy-guard baseline: the canonical block fold of Σ|y − ŷ| when the
+  // fold geometry is supplied, the historical serial sum otherwise (see
+  // SnapErrorSpec). The fold's within-band tally is unused here.
+  const double baseline_mae =
+      error_spec != nullptr && error_spec->valid()
+          ? AccumulateScoreDiffBlocks(y, predicted, *error_spec->rows,
+                                      error_spec->block_rows, /*tolerance=*/0.0)
+                .mae()
+          : mae_of(residuals);
 
   // Accuracy guard: snapped models may lose at most this much MAE relative
   // to the target scale — except exact models, which must stay exact.

@@ -6,7 +6,6 @@
 
 #include "core/options.h"
 #include "expr/expr.h"
-#include "linalg/error_partials.h"
 #include "linalg/matrix.h"
 #include "ml/linear_regression.h"
 
@@ -59,17 +58,10 @@ double ConditionNormality(const Expr& condition);
 ///
 /// Without a spec, the baseline MAE is a plain serial Σ|residual| / n — the
 /// historical (row-order-dependent) computation of the QR path. With a spec,
-/// the baseline comes from the canonical block fold of
-/// linalg/error_partials.h instead, which makes the snap guard
-/// *decomposition-invariant*: a coordinator that merged the same partials
-/// from row-range shards supplies `baseline` and gets the bit-identical
-/// guard a central scan would have computed.
+/// the baseline is the L1 component of the canonical block fold of
+/// linalg/score_partials.h instead, which makes the snap guard
+/// *decomposition-invariant*: the same Σ chain every leaf score fold runs.
 struct SnapErrorSpec {
-  /// Pre-merged exact L1 partials of `model` on (x, y) — e.g. the L1
-  /// projection of a distributed kScorePartials rollup. When null,
-  /// SnapModel folds the baseline itself from `rows`/`block_rows`
-  /// (bit-identical to the merged form).
-  const ErrorPartials* baseline = nullptr;
   /// Ascending global row indices of the partition (size = y.size()) and the
   /// run's canonical block size; both required.
   const std::vector<int64_t>* rows = nullptr;

@@ -33,7 +33,7 @@ Status CharlesOptions::Validate() const {
     return Status::OutOfRange("num_threads must be >= 0 (0 = hardware concurrency)");
   }
   if (num_shards < 0) {
-    return Status::OutOfRange("num_shards must be >= 0 (0 = unsharded)");
+    return Status::OutOfRange("num_shards must be >= 0 (0 = one range per pool thread)");
   }
   if (stats_block_rows < 1) {
     return Status::OutOfRange("stats_block_rows must be >= 1");

@@ -117,15 +117,13 @@ struct CharlesOptions {
 
   /// \name Distributed shard execution (docs/distributed.md).
   /// @{
-  /// Row-range shards the leaf-statistics sweep is split into. 0 (default)
-  /// = no sharding: the engine accumulates leaf moments itself. >= 1 routes
-  /// the sweep through the shard Coordinator: the aligned diff is split
-  /// into `num_shards` contiguous block-aligned row ranges (clamped to the
-  /// block count), each executed by `shard_backend`, and the per-leaf
-  /// moments are merged exactly — output is bit-identical to the unsharded
-  /// engine at every shard count.
+  /// Row-range shards phase 3's leaf-moments round is split into: the
+  /// aligned diff is split into `num_shards` contiguous block-aligned row
+  /// ranges (clamped to the block count), each executed by `shard_backend`,
+  /// and the per-leaf moments are merged exactly — output is bit-identical
+  /// at every shard count. 0 (default) = one range per pool thread.
   int num_shards = 0;
-  /// Executor for the shards when num_shards >= 1.
+  /// Executor of the leaf-moments round's shards.
   ShardBackendKind shard_backend = ShardBackendKind::kInProcess;
   /// Block size (rows) of the canonical block-structured moment
   /// accumulation — the determinism unit of distributed execution: shard

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string_view>
 #include <unordered_map>
@@ -15,7 +14,6 @@
 #include "distributed/in_process_backend.h"
 #include "distributed/remote_backend.h"
 #include "distributed/shard_planner.h"
-#include "ml/linear_regression.h"
 #include "obs/metrics.h"
 #include "parallel/parallel.h"
 
@@ -123,12 +121,10 @@ uint64_t ComputeSearchSpaceKey(const RunState& state) {
   return h;
 }
 
-/// The run's shard backend, constructed on first use and owned by the
-/// RunState so every task round of the run shares one instance. The
-/// in-process backend is stateless, but the remote backend caches worker
-/// connections and installed-input epochs — sharing it across rounds is what
-/// makes the ShardInput ship once per (snapshot, plan) instead of once per
-/// round.
+/// The run's shard backend (CharlesOptions::shard_backend), constructed on
+/// first use and owned by the RunState. The in-process backend is stateless;
+/// the remote backend caches worker connections and the installed-input
+/// epoch.
 Result<ShardBackend*> SelectShardBackend(RunState& state) {
   if (state.shard_backend == nullptr) {
     const CharlesOptions& options = state.options;
@@ -154,9 +150,8 @@ Result<ShardBackend*> SelectShardBackend(RunState& state) {
   return state.shard_backend.get();
 }
 
-/// Copies the remote backend's cumulative dispatch counters into the run
-/// result; no-op for the in-process backend. Called after every coordinator
-/// round — the counters are cumulative, so the last call's values stand.
+/// Copies the remote backend's dispatch counters into the run result; no-op
+/// for the in-process backend.
 void FoldRemoteDiagnostics(RunState& state) {
   auto* remote = dynamic_cast<RemoteBackend*>(state.shard_backend.get());
   if (remote == nullptr) return;
@@ -167,15 +162,15 @@ void FoldRemoteDiagnostics(RunState& state) {
   state.result.remote_workers = std::move(diagnostics.workers);
 }
 
-/// Folds one coordinator round's execution counters into the run result.
+/// Copies the coordinator round's execution counters into the run result.
 void FoldRoundDiagnostics(const CoordinatorTaskResult& merged,
                           const ShardPlan& plan, SummaryList* result) {
-  result->shards_used =
-      std::max(result->shards_used, static_cast<int>(plan.num_shards()));
-  result->shard_tasks_executed += merged.shards_executed;
-  result->shard_rows_scanned += merged.rows_scanned;
-  result->shard_blocks_merged += merged.blocks_merged;
-  result->shard_seconds += merged.elapsed_seconds;
+  result->shards_used = static_cast<int>(plan.num_shards());
+  result->shard_tasks_executed = merged.shards_executed;
+  result->shard_rows_scanned = merged.rows_scanned;
+  result->shard_blocks_merged = merged.blocks_merged;
+  result->shard_seconds = merged.elapsed_seconds;
+  result->shard_moments_seconds = merged.elapsed_seconds;
 }
 
 /// The InvalidArgument for a non-finite cell the run reads: `what` (the
@@ -385,7 +380,7 @@ Status RunPipeline::Phase1Signals(RunState& state) {
   // `fingerprint` field keeps its historical contract — 0 without a context
   // — so nothing cache-keys on a run that has no cross-run cache. The run
   // id doubles as the trace id; the scope installs it on this thread for
-  // the rest of the stage (the signal-stats round below dispatches with it).
+  // the rest of the stage.
   state.run_id = ComputeRunFingerprint(options, state.tran_names,
                                        state.tran_columns, state.y_old,
                                        state.y_new);
@@ -396,7 +391,7 @@ Status RunPipeline::Phase1Signals(RunState& state) {
 
   // Phase cache: a context keeps the phase 1–2 products of recent runs. On
   // a hit this stage takes the cached shortlist moments (bit-identical to a
-  // fresh fold or kSignalStats round) and skips the clustering; Phase2Trees
+  // fresh fold) and skips the clustering; Phase2Trees
   // installs the cached partitions. Runs without a context never look.
   if (state.context != nullptr) {
     state.search_space_key = ComputeSearchSpaceKey(state);
@@ -417,50 +412,14 @@ Status RunPipeline::Phase1Signals(RunState& state) {
   // model from these moments (a p×p sub-solve instead of an O(n·p²) QR per
   // subset), and phase 3 reuses them for the all-rows leaf — the k = 1
   // "universal" partitions cover exactly these rows in exactly this order.
-  // A sharded run accumulates them through a kSignalStats task round —
-  // shards emit the identical per-block partials and the coordinator folds
-  // them in block order, so the merged moments are bit-identical to the
-  // central fold (this is the phase-1 row scan that used to stay on the
-  // coordinator even when sharding was on).
   std::vector<const std::vector<double>*> shortlist_columns;
   bool resolved =
       state.tran_columns.ResolveColumns(state.tran_names, &shortlist_columns);
   CHARLES_CHECK(resolved);  // Build() covered exactly these names
-  ShardPlan plan;
-  if (options.num_shards > 0) {
-    plan = PlanShards(state.analysis->num_rows(), options.stats_block_rows,
-                      options.num_shards);
-  }
-  if (plan.num_shards() > 0) {
-    ShardInput shard_input;
-    shard_input.shortlist = &state.tran_names;
-    shard_input.columns = &state.tran_columns;
-    shard_input.y_old = &state.y_old;
-    shard_input.y_new = &state.y_new;
-    CHARLES_ASSIGN_OR_RETURN(ShardBackend* backend,
-                             SelectShardBackend(state));
-    ShardTask task;
-    task.kind = ShardTaskKind::kSignalStats;
-    Result<CoordinatorTaskResult> merged =
-        Coordinator::RunTask(shard_input, plan, backend, state.pool, task,
-                             state.stop);
-    if (!merged.ok()) {
-      if (merged.status().IsCancelled()) {
-        return state.Cancelled("during the signal-stats shard round");
-      }
-      return merged.status();
-    }
-    state.shortlist_stats =
-        std::make_shared<const SufficientStats>(std::move(merged->signal_stats));
-    state.result.shard_signal_seconds = merged->elapsed_seconds;
-    FoldRoundDiagnostics(*merged, plan, &state.result);
-    FoldRemoteDiagnostics(state);
-  } else {
-    state.shortlist_stats = std::make_shared<const SufficientStats>(
-        AccumulateRangeBlocks(shortlist_columns, state.y_new,
-                              static_cast<int64_t>(state.y_new.size()),
-                              options.stats_block_rows));
-  }
+  state.shortlist_stats = std::make_shared<const SufficientStats>(
+      AccumulateRangeBlocks(shortlist_columns, state.y_new,
+                            static_cast<int64_t>(state.y_new.size()),
+                            options.stats_block_rows));
   CHARLES_RETURN_NOT_OK(CheckFiniteMoments(state));
 
   // Phase 1 — change-signal clusterings. Residual clusterings depend on the
@@ -519,7 +478,7 @@ namespace {
 /// rows.
 ///
 /// Distinct condition trees share most of their leaves, so phase 3 keys its
-/// moments, no-change evidence, score evidence and fits by these ids instead
+/// moments, no-change evidence and fits by these ids instead
 /// of by row vectors. Equal row hashes are confirmed by comparing the rows.
 void InternLeaves(RunState& state) {
   std::unordered_multimap<uint64_t, int64_t> ids_by_hash;
@@ -662,8 +621,6 @@ struct FitTable {
     std::once_flag once;
     Status status;  ///< the fit's failure, if it failed
     SharedLeafFit fit;
-    /// The kScorePartials round's evidence for this slot (sharded runs).
-    std::optional<ScorePartials> evidence;
   };
 
   FitTable(size_t num_leaves, size_t t_count)
@@ -695,10 +652,10 @@ struct FitTable {
 /// \brief Step 1: looks every (leaf, T) slot up in the context cache once,
 /// in parallel over leaves, and keeps what it finds.
 ///
-/// Unsharded runs also fold max |y_new − y_old| here for every leaf left
-/// with an empty slot (sharded runs take it from the kLeafMoments round).
-/// Max folds exactly, so it equals what any other producer computes.
-void ResolveSlots(const RunState& state, bool scan_deltas, FitTable* table) {
+/// Also folds max |y_new − y_old| for every leaf left with an empty slot:
+/// the no-change decision of its fits. Max folds exactly, so the order of
+/// the scan never shows.
+void ResolveSlots(const RunState& state, FitTable* table) {
   SharedLeafFitCache* cache =
       state.context != nullptr ? state.context->leaf_cache() : nullptr;
   const int64_t num_leaves = static_cast<int64_t>(state.leaves.size());
@@ -712,7 +669,7 @@ void ResolveSlots(const RunState& state, bool scan_deltas, FitTable* table) {
         slot.resolved = cache->Lookup(key, &slot.fit);
       }
     }
-    if (!scan_deltas || !table->NeedsFit(leaf)) return;
+    if (!table->NeedsFit(leaf)) return;
     double max_delta = 0.0;
     for (int64_t row : rows) {
       const double delta = std::abs(state.y_new[static_cast<size_t>(row)] -
@@ -723,151 +680,54 @@ void ResolveSlots(const RunState& state, bool scan_deltas, FitTable* table) {
   });
 }
 
-/// The shard input every phase-3 task round reads: the run's columns and
-/// targets, and the interned leaves (task payloads refer to leaf ids).
-ShardInput LeafShardInput(const RunState& state) {
-  ShardInput input;
-  input.shortlist = &state.tran_names;
-  input.columns = &state.tran_columns;
-  input.y_old = &state.y_old;
-  input.y_new = &state.y_new;
-  input.leaves = state.leaves;
-  return input;
-}
-
-/// \brief Step 2, sharded: the distributed task rounds — kLeafMoments over
-/// the leaves with an empty slot, then kScorePartials for the empty slots'
-/// candidate transforms those moments admit.
+/// \brief Step 2: the kLeafMoments round.
 ///
-/// Fills the table's max |Δy| and moments for every swept leaf and each
-/// probed slot's score evidence — all bit-identical to the central
-/// computations they replace, so the sweep runs unchanged. The score
-/// probes' L1 projection doubles as the SnapModel baseline, so no separate
-/// error round is needed. Leaves whose every slot the context served are
-/// elided: a warm repeat run issues no moment task at all.
-Status RunShardRounds(RunState& state, const ShardPlan& plan, FitTable* table) {
-  const ShardInput shard_input = LeafShardInput(state);
+/// Routes every changed leaf with an empty slot and no moments yet (the
+/// all-rows leaf has phase 1's) through one kLeafMoments task on the run's
+/// backend, planned as `num_shards` block-aligned ranges — one per pool
+/// thread when num_shards is 0 — so the column walks run block-parallel
+/// before the sweep starts. The coordinator's block-order merge replays the
+/// canonical fold, so the moments are bit-identical at any range count and
+/// on any backend. Leaves whose every slot the context served are elided:
+/// a warm repeat run dispatches no task at all.
+Status RunMomentsRound(RunState& state, FitTable* table) {
   ShardTask moments;
   moments.kind = ShardTaskKind::kLeafMoments;
   for (int64_t leaf = 0; leaf < static_cast<int64_t>(state.leaves.size()); ++leaf) {
-    if (table->NeedsFit(leaf)) {
-      moments.leaves.push_back(leaf);
-    } else {
+    const size_t l = static_cast<size_t>(leaf);
+    if (!table->NeedsFit(leaf)) {
       state.result.shard_moment_leaves_elided += 1;
+    } else if (table->moments[l] == nullptr &&
+               table->max_abs_delta[l] > state.options.numeric_tolerance) {
+      moments.leaves.push_back(leaf);
     }
   }
   state.result.shard_moment_leaves_swept =
       static_cast<int64_t>(moments.leaves.size());
   if (moments.leaves.empty()) return Status::OK();
 
-  CHARLES_ASSIGN_OR_RETURN(ShardBackend* backend, SelectShardBackend(state));
-  Result<CoordinatorTaskResult> merged =
-      Coordinator::RunTask(shard_input, plan, backend, state.pool, moments,
-                           state.stop);
-  if (!merged.ok()) {
-    if (merged.status().IsCancelled()) {
-      return state.Cancelled("during the leaf-moments shard round");
-    }
-    return merged.status();
-  }
-  state.result.shard_moments_seconds = merged->elapsed_seconds;
-  FoldRoundDiagnostics(*merged, plan, &state.result);
-  for (size_t i = 0; i < moments.leaves.size(); ++i) {
-    const size_t leaf = static_cast<size_t>(moments.leaves[i]);
-    LeafRollup& rollup = merged->leaves[i];
-    table->max_abs_delta[leaf] = rollup.max_abs_delta;
-    // The all-rows leaf keeps phase 1's moments (bit-identical anyway).
-    if (table->moments[leaf] == nullptr) {
-      table->moments[leaf] =
-          std::make_shared<const SufficientStats>(std::move(rollup.stats));
-    }
-  }
-
-  // Round 2 — kScorePartials: pre-solve every empty slot of a changed leaf
-  // from its merged moments (row-free p×p solves) and have the shards
-  // evaluate the model's exact score partials — Σ|y − ŷ| plus the
-  // within-band count, folded where the rows live. Unchanged leaves snap to
-  // no-change centrally and need no probe; failed solves fall back to the
-  // row-level QR ladder centrally and need none either.
-  ShardTask scores;
-  scores.kind = ShardTaskKind::kScorePartials;
-  scores.score_tolerance = state.scorer->exact_tolerance();
-  std::vector<FitTable::Slot*> probed;
-  for (int64_t leaf : moments.leaves) {
-    if (table->max_abs_delta[static_cast<size_t>(leaf)] <=
-        state.options.numeric_tolerance) {
-      continue;
-    }
-    for (size_t ti = 0; ti < table->t_count; ++ti) {
-      FitTable::Slot& slot = table->at(leaf, ti);
-      if (slot.resolved) continue;
-      Result<LinearModel> fast = LinearRegression::FitFromStats(
-          *table->moments[static_cast<size_t>(leaf)], state.t_subsets[ti],
-          state.t_attr_names[ti]);
-      if (!fast.ok()) continue;
-      ErrorProbe probe;
-      probe.leaf = leaf;
-      probe.intercept = fast->intercept;
-      probe.coefficients = fast->coefficients;
-      probe.features.assign(state.t_subsets[ti].begin(), state.t_subsets[ti].end());
-      scores.probes.push_back(std::move(probe));
-      probed.push_back(&slot);
-    }
-  }
-  if (!scores.probes.empty()) {
-    Result<CoordinatorTaskResult> score_merged =
-        Coordinator::RunTask(shard_input, plan, backend, state.pool, scores,
-                             state.stop);
-    if (!score_merged.ok()) {
-      if (score_merged.status().IsCancelled()) {
-        return state.Cancelled("during the score-partials shard round");
-      }
-      return score_merged.status();
-    }
-    for (size_t p = 0; p < probed.size(); ++p) {
-      probed[p]->evidence = score_merged->score_probes[p].partials;
-    }
-    state.result.shard_score_probes = static_cast<int64_t>(scores.probes.size());
-    state.result.shard_score_seconds = score_merged->elapsed_seconds;
-    FoldRoundDiagnostics(*score_merged, plan, &state.result);
-  }
-  FoldRemoteDiagnostics(state);
-  return Status::OK();
-}
-
-/// \brief Step 2, unsharded: the central moments pre-sweep.
-///
-/// Routes every changed leaf with an empty slot (and no moments yet — the
-/// all-rows leaf has phase 1's) through one kLeafMoments task on a stack
-/// InProcessBackend, planned as one block-aligned range per pool thread, so
-/// the column walks run block-parallel before the sweep starts. The
-/// coordinator's block-order merge replays the canonical fold, so the
-/// moments are bit-identical at any range count. Deliberately not a shard
-/// round: shards_used and the shard_* diagnostics stay zero.
-Status RunCentralMomentsSweep(RunState& state, FitTable* table) {
-  ShardTask moments;
-  moments.kind = ShardTaskKind::kLeafMoments;
-  for (int64_t leaf = 0; leaf < static_cast<int64_t>(state.leaves.size()); ++leaf) {
-    const size_t l = static_cast<size_t>(leaf);
-    if (table->moments[l] == nullptr &&
-        table->max_abs_delta[l] > state.options.numeric_tolerance &&
-        table->NeedsFit(leaf)) {
-      moments.leaves.push_back(leaf);
-    }
-  }
-  if (moments.leaves.empty()) return Status::OK();
+  const CharlesOptions& options = state.options;
+  const int ranges = options.num_shards > 0 ? options.num_shards
+                     : state.pool != nullptr ? state.num_threads
+                                             : 1;
   ShardPlan plan =
-      PlanShards(state.analysis->num_rows(), state.options.stats_block_rows,
-                 state.pool != nullptr ? state.num_threads : 1);
-  InProcessBackend backend;
+      PlanShards(state.analysis->num_rows(), options.stats_block_rows, ranges);
+  ShardInput input;
+  input.shortlist = &state.tran_names;
+  input.columns = &state.tran_columns;
+  input.y_new = &state.y_new;
+  input.leaves = state.leaves;
+  CHARLES_ASSIGN_OR_RETURN(ShardBackend* backend, SelectShardBackend(state));
   Result<CoordinatorTaskResult> merged = Coordinator::RunTask(
-      LeafShardInput(state), plan, &backend, state.pool, moments, state.stop);
+      input, plan, backend, state.pool, moments, state.stop);
   if (!merged.ok()) {
     if (merged.status().IsCancelled()) {
-      return state.Cancelled("during the leaf-moments pre-sweep");
+      return state.Cancelled("during the leaf-moments round");
     }
     return merged.status();
   }
+  FoldRoundDiagnostics(*merged, plan, &state.result);
+  FoldRemoteDiagnostics(state);
   for (size_t i = 0; i < moments.leaves.size(); ++i) {
     table->moments[static_cast<size_t>(moments.leaves[i])] =
         std::make_shared<const SufficientStats>(std::move(merged->leaves[i].stats));
@@ -885,19 +745,11 @@ Status RunPipeline::Phase3Fits(RunState& state) {
       static_cast<int64_t>(state.partitions.size()) * static_cast<int64_t>(t_count);
 
   // The run's one Scorer — the single y_old/y_new copy of the whole sweep.
-  // Built before the shard rounds: its exactness band is what the
-  // kScorePartials round ships to workers.
   state.scorer = std::make_unique<Scorer>(options, state.y_old, state.y_new);
 
   // Step 1 — resolve: one context lookup per (leaf, T) slot.
   FitTable table(state.leaves.size(), t_count);
-  ShardPlan plan;
-  if (options.num_shards > 0) {
-    plan = PlanShards(state.analysis->num_rows(), options.stats_block_rows,
-                      options.num_shards);
-  }
-  const bool sharded = plan.num_shards() > 0;
-  ResolveSlots(state, /*scan_deltas=*/!sharded, &table);
+  ResolveSlots(state, &table);
 
   // Step 2 — moments for every changed leaf with an empty slot, so no fit
   // ever scans for them. The k = 1 "universal" leaves cover every row in
@@ -909,11 +761,7 @@ Status RunPipeline::Phase3Fits(RunState& state) {
       table.moments[leaf] = state.shortlist_stats;
     }
   }
-  if (sharded) {
-    CHARLES_RETURN_NOT_OK(RunShardRounds(state, plan, &table));
-  } else {
-    CHARLES_RETURN_NOT_OK(RunCentralMomentsSweep(state, &table));
-  }
+  CHARLES_RETURN_NOT_OK(RunMomentsRound(state, &table));
 
   // Streaming: completed work items merge a copy of their summary into a
   // provisional top-N under a lock, kept sorted and deduplicated by
@@ -959,7 +807,6 @@ Status RunPipeline::Phase3Fits(RunState& state) {
     workspace.moments = table.moments[l].get();
     workspace.t_subset = &state.t_subsets[ti];
     workspace.max_abs_delta = table.max_abs_delta[l];
-    workspace.score_evidence = slot.evidence.has_value() ? &*slot.evidence : nullptr;
     workspace.block_rows = options.stats_block_rows;
     workspace.score_tolerance = state.scorer->exact_tolerance();
     workspace.score_folds = score_folds;
@@ -1244,19 +1091,15 @@ Result<SummaryList> RunPipeline::Run(const CharlesEngine& engine,
     runs->Increment();
     latency->Observe(state.result.elapsed_seconds);
     // Row-free scoring health: candidates scored from merged partials vs.
-    // ones that materialized a run-wide ŷ (engine runs must report zero),
-    // plus the shard probes the score round merged.
+    // ones that materialized a run-wide ŷ (engine runs must report zero).
     static obs::Counter* const partials_scored =
         obs::MetricsRegistry::Global().counter(
             "score_partials.candidates_scored");
     static obs::Counter* const yhat_scored =
         obs::MetricsRegistry::Global().counter(
             "score_partials.yhat_materializations");
-    static obs::Counter* const probes_merged =
-        obs::MetricsRegistry::Global().counter("score_partials.probes_merged");
     partials_scored->Add(state.result.score_partials_candidates);
     yhat_scored->Add(state.result.score_yhat_materializations);
-    probes_merged->Add(state.result.shard_score_probes);
     if (state.context != nullptr) {
       // Cross-run cache health, refreshed once per run (the counters live in
       // the sharded cache; gauges mirror them into the registry snapshot).

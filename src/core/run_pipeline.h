@@ -16,17 +16,16 @@
 ///    (C, T) subset enumeration;
 ///  - **Phase1Signals** — change-signal clustering: column cache, run id,
 ///    the phase-cache lookup (runs with a context), then — on a miss — the
-///    run's shortlist moments (central fold, or a distributed kSignalStats
-///    sweep when sharding is on), per-T clusterings, pooled labelings;
+///    run's shortlist moments (one central block fold), per-T clusterings,
+///    pooled labelings;
 ///  - **Phase2Trees** — condition-tree induction, partition dedup and leaf
 ///    interning, or the cached partitions on a phase-cache hit; a miss with
 ///    a context inserts its search space afterwards;
 ///  - **Phase3Fits** — one fit table slot per distinct (leaf, T): resolve
 ///    the slots the context cache holds, compute the moments of every
-///    changed leaf with an empty slot (centrally, or by the distributed
-///    kLeafMoments / kScorePartials rounds when sharding is on), then the
-///    (partition, T) sweep, which fills each empty slot once on first
-///    demand;
+///    changed leaf with an empty slot in one kLeafMoments round on the
+///    run's shard backend, then the (partition, T) sweep, which fills each
+///    empty slot once on first demand;
 ///  - **RankStream** — deterministic best-by-signature reduction, ranking,
 ///    truncation, and diagnostics fold.
 ///
@@ -180,8 +179,7 @@ struct RunState {
   /// The one run-level Scorer: constructed once at the top of Phase3Fits
   /// (the single y_old/y_new copy of the whole sweep) and shared by every
   /// work item — BuildSummary scores row-free against it from merged
-  /// per-leaf ScorePartials. Its exact_tolerance() is what the
-  /// kScorePartials round ships to shard workers.
+  /// per-leaf ScorePartials, folded in the band of its exact_tolerance().
   std::unique_ptr<Scorer> scorer;
   /// @}
 
@@ -200,10 +198,8 @@ struct RunState {
   bool cancel_emitted = false;  ///< the one final cancelled update was sent
   /// @}
 
-  /// The run's shard backend, constructed lazily by the first task round
-  /// (see SelectShardBackend) and shared by every round after it — the
-  /// remote backend caches worker connections and installed-input epochs
-  /// across rounds. Null until a round runs / for unsharded runs.
+  /// The run's shard backend, constructed lazily by phase 3's kLeafMoments
+  /// round (see SelectShardBackend). Null when no round ran.
   std::unique_ptr<ShardBackend> shard_backend;
 
   /// The run's accumulating result (diagnostics are filled as stages run).

@@ -76,8 +76,7 @@ class Scorer {
   ScoreBreakdown InterpretabilityOnly(const ChangeSummary& summary) const;
 
   /// The exactness band: max(numeric_tolerance, 0.1% of mean |y_new|) —
-  /// what every ScorePartials fold feeding this scorer must use, and what
-  /// the kScorePartials shard round ships to workers.
+  /// what every ScorePartials fold feeding this scorer must use.
   double exact_tolerance() const { return exact_tolerance_; }
 
   /// Aligned row count (the n every covering partials fold must reach).

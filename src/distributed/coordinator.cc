@@ -1,6 +1,5 @@
 #include "distributed/coordinator.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <unordered_map>
@@ -35,7 +34,6 @@ Status MergeLeafMoments(const ShardOutcome& outcome,
                               std::to_string(leaf.leaf));
     }
     LeafRollup& rollup = merged->leaves[it->second];
-    rollup.max_abs_delta = std::max(rollup.max_abs_delta, leaf.max_abs_delta);
     for (const auto& [block, stats] : leaf.blocks) {
       (void)block;  // ascending by construction; order is the contract
       CHARLES_RETURN_NOT_OK(rollup.stats.Merge(stats));
@@ -43,53 +41,6 @@ Status MergeLeafMoments(const ShardOutcome& outcome,
     }
   }
   return Status::OK();
-}
-
-Status MergeSignalStats(const ShardOutcome& outcome, int64_t* signal_blocks,
-                        CoordinatorTaskResult* merged) {
-  for (const auto& [block, stats] : outcome.result.signal_blocks) {
-    (void)block;
-    CHARLES_RETURN_NOT_OK(merged->signal_stats.Merge(stats));
-    *signal_blocks += 1;
-  }
-  merged->signal_max_abs_delta =
-      std::max(merged->signal_max_abs_delta, outcome.result.signal_max_abs_delta);
-  merged->signal_rows_changed += outcome.result.signal_rows_changed;
-  return Status::OK();
-}
-
-Status MergeScorePartials(const ShardOutcome& outcome,
-                          CoordinatorTaskResult* merged) {
-  for (const ProbeShardScores& probe : outcome.result.score_probes) {
-    if (probe.probe < 0 ||
-        probe.probe >= static_cast<int64_t>(merged->score_probes.size())) {
-      return Status::Internal("Coordinator::RunTask: shard " +
-                              std::to_string(outcome.result.shard) +
-                              " reported unknown score probe " +
-                              std::to_string(probe.probe));
-    }
-    ScoreRollup& rollup = merged->score_probes[static_cast<size_t>(probe.probe)];
-    for (const auto& [block, partials] : probe.blocks) {
-      (void)block;
-      rollup.partials.Merge(partials);
-      rollup.blocks_merged += 1;
-    }
-  }
-  return Status::OK();
-}
-
-/// Static span name per round kind (Span wants a const char* so the
-/// tracing-off path never materializes a std::string).
-const char* RoundSpanName(ShardTaskKind kind) {
-  switch (kind) {
-    case ShardTaskKind::kLeafMoments:
-      return "round:leaf_moments";
-    case ShardTaskKind::kSignalStats:
-      return "round:signal_stats";
-    case ShardTaskKind::kScorePartials:
-      return "round:score_partials";
-  }
-  return "round:?";
 }
 
 }  // namespace
@@ -111,7 +62,7 @@ Result<CoordinatorTaskResult> Coordinator::RunTask(const ShardInput& input,
   // re-installs the run id and parents its span on the round span
   // explicitly. All of this is inert when tracing is off (null recorder).
   const obs::ThreadTraceContext caller = obs::CurrentTraceContext();
-  obs::Span round_span(caller.recorder, RoundSpanName(task.kind));
+  obs::Span round_span(caller.recorder, "round:leaf_moments");
   if (round_span.active()) {
     round_span.Annotate("backend", backend->name());
     round_span.Annotate("shards", std::to_string(plan.num_shards()));
@@ -158,17 +109,11 @@ Result<CoordinatorTaskResult> Coordinator::RunTask(const ShardInput& input,
   // contributes no partials from the others, and an all-empty rollup must
   // still carry the shortlist width.
   std::unordered_map<int64_t, size_t> leaf_position;
-  if (task.kind == ShardTaskKind::kLeafMoments) {
-    merged.leaves.resize(task.leaves.size());
-    leaf_position.reserve(task.leaves.size());
-    for (size_t l = 0; l < task.leaves.size(); ++l) {
-      merged.leaves[l].stats = SufficientStats(num_features);
-      leaf_position.emplace(task.leaves[l], l);
-    }
-  } else if (task.kind == ShardTaskKind::kSignalStats) {
-    merged.signal_stats = SufficientStats(num_features);
-  } else {
-    merged.score_probes.resize(task.probes.size());
+  merged.leaves.resize(task.leaves.size());
+  leaf_position.reserve(task.leaves.size());
+  for (size_t l = 0; l < task.leaves.size(); ++l) {
+    merged.leaves[l].stats = SufficientStats(num_features);
+    leaf_position.emplace(task.leaves[l], l);
   }
 
   // Outcomes arrive in shard (= row) order and each shard lists its blocks
@@ -176,30 +121,15 @@ Result<CoordinatorTaskResult> Coordinator::RunTask(const ShardInput& input,
   // ascending global block order — the canonical fold of each currency.
   // The merge span wraps the fold; it observes the order, never changes it.
   obs::Span merge_span(caller.recorder, "merge", round_id);
-  int64_t signal_blocks = 0;
   for (const ShardOutcome& outcome : outcomes) {
     if (!outcome.executed) continue;
     merged.shards_executed += 1;
     merged.rows_scanned += outcome.result.rows_scanned;
-    switch (task.kind) {
-      case ShardTaskKind::kLeafMoments:
-        CHARLES_RETURN_NOT_OK(MergeLeafMoments(outcome, leaf_position, &merged));
-        break;
-      case ShardTaskKind::kSignalStats:
-        CHARLES_RETURN_NOT_OK(MergeSignalStats(outcome, &signal_blocks, &merged));
-        break;
-      case ShardTaskKind::kScorePartials:
-        CHARLES_RETURN_NOT_OK(MergeScorePartials(outcome, &merged));
-        break;
-    }
+    CHARLES_RETURN_NOT_OK(MergeLeafMoments(outcome, leaf_position, &merged));
   }
   for (const LeafRollup& rollup : merged.leaves) {
     merged.blocks_merged += rollup.blocks_merged;
   }
-  for (const ScoreRollup& rollup : merged.score_probes) {
-    merged.blocks_merged += rollup.blocks_merged;
-  }
-  merged.blocks_merged += signal_blocks;
   merged.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return merged;

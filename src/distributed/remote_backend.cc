@@ -58,8 +58,8 @@ Result<RemoteBackend::InstallBundle> RemoteBackend::EnsureInstallBundle(
     const ShardInput& input, const ShardPlan& plan) {
   std::lock_guard<std::mutex> lock(input_mu_);
   bool same = key_shortlist_ == input.shortlist &&
-              key_columns_ == input.columns && key_y_old_ == input.y_old &&
-              key_y_new_ == input.y_new && key_leaves_ == input.leaves &&
+              key_columns_ == input.columns && key_y_new_ == input.y_new &&
+              key_leaves_ == input.leaves &&
               key_num_rows_ == plan.num_rows &&
               key_block_rows_ == plan.block_rows &&
               key_num_shards_ == plan.num_shards();
@@ -72,7 +72,6 @@ Result<RemoteBackend::InstallBundle> RemoteBackend::EnsureInstallBundle(
   bundle_.payload = std::move(payload);
   key_shortlist_ = input.shortlist;
   key_columns_ = input.columns;
-  key_y_old_ = input.y_old;
   key_y_new_ = input.y_new;
   key_leaves_ = input.leaves;
   key_num_rows_ = plan.num_rows;

@@ -139,7 +139,6 @@ class RemoteBackend : public ShardBackend {
   mutable std::mutex input_mu_;
   const void* key_shortlist_ = nullptr;
   const void* key_columns_ = nullptr;
-  const void* key_y_old_ = nullptr;
   const void* key_y_new_ = nullptr;
   std::vector<const RowSet*> key_leaves_;
   int64_t key_num_rows_ = -1;

@@ -115,7 +115,6 @@ ShardInput InstalledInput::View() const {
   ShardInput view;
   view.shortlist = &shortlist;
   view.columns = &columns;
-  view.y_old = &y_old;
   view.y_new = &y_new;
   view.leaves.reserve(leaves.size());
   for (const RowSet& leaf : leaves) view.leaves.push_back(&leaf);
@@ -125,7 +124,7 @@ ShardInput InstalledInput::View() const {
 Status SerializeInstallInput(int64_t epoch, const ShardInput& input,
                              const ShardPlan& plan, std::string* out) {
   if (input.shortlist == nullptr || input.columns == nullptr ||
-      input.y_old == nullptr || input.y_new == nullptr) {
+      input.y_new == nullptr) {
     return Status::InvalidArgument(
         "SerializeInstallInput: input view has null members");
   }
@@ -156,7 +155,6 @@ Status SerializeInstallInput(int64_t epoch, const ShardInput& input,
     }
     wire::AppendVector(out, *column);
   }
-  wire::AppendVector(out, *input.y_old);
   wire::AppendVector(out, *input.y_new);
 
   wire::AppendScalar(out, static_cast<int64_t>(input.leaves.size()));
@@ -221,9 +219,8 @@ Result<std::unique_ptr<InstalledInput>> DeserializeInstallInput(const void* data
     input->columns.Insert(input->shortlist[static_cast<size_t>(i)],
                           std::move(column));
   }
-  if (!wire::ReadVector(&cursor, end, &input->y_old) ||
-      !wire::ReadVector(&cursor, end, &input->y_new)) {
-    return Malformed("targets");
+  if (!wire::ReadVector(&cursor, end, &input->y_new)) {
+    return Malformed("target");
   }
 
   int64_t num_leaves = 0;

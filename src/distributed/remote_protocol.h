@@ -21,8 +21,8 @@
 ///   <---------- kShutdownOk --------
 /// ```
 ///
-/// The ShardInput bundle ("CSI1") ships the shortlist columns, targets, plan
-/// and leaf row sets once per (snapshot, plan) epoch; every subsequent task
+/// The ShardInput bundle ("CSI1") ships the shortlist columns, new target,
+/// plan and leaf row sets once per (snapshot, plan) epoch; every subsequent task
 /// frame carries only the epoch it expects, so a worker can detect a stale
 /// or missing install and fail cleanly instead of computing over the wrong
 /// snapshot. Task and result payloads are the CTK1/CST1 formats
@@ -78,8 +78,15 @@ namespace charles {
 /// now follows the signal evidence directly, and ShardTask::Deserialize
 /// rejects kind 3. A version-4 peer cannot parse the shorter frames, so the
 /// range moved past it.
-inline constexpr int32_t kRemoteWireVersionMin = 5;
-inline constexpr int32_t kRemoteWireVersionMax = 5;
+///
+/// Version 6: the signal-stats (tag 2) and score-partials (tag 4) task kinds
+/// were retired, leaving kLeafMoments alone. ShardTask ("CTK1") lost its
+/// probes and score tolerance, ShardTaskResult ("CST1") its signal and
+/// score-probe sections and each leaf's max |Δy|, and the install bundle
+/// ("CSI1") its y_old vector. A version-5 peer cannot parse any of the
+/// shorter frames, so the range moved past it.
+inline constexpr int32_t kRemoteWireVersionMin = 6;
+inline constexpr int32_t kRemoteWireVersionMax = 6;
 /// @}
 
 /// Frame types of the remote protocol (net::Frame::type values).
@@ -134,7 +141,6 @@ struct InstalledInput {
   ShardPlan plan;
   std::vector<std::string> shortlist;
   ColumnCache columns;
-  std::vector<double> y_old;
   std::vector<double> y_new;
   std::vector<RowSet> leaves;
 
@@ -147,8 +153,7 @@ struct InstalledInput {
 ///
 /// Layout: magic "CSI1" | epoch i64 | plan (num_rows, block_rows, shard
 /// count, 5×i64 per shard) | shortlist strings | one double column per
-/// shortlist entry (in shortlist order) | y_old | y_new | leaf index
-/// vectors. All counts are validated against the bytes actually present
+/// shortlist entry (in shortlist order) | y_new | leaf index vectors. All counts are validated against the bytes actually present
 /// before any allocation.
 /// @{
 

@@ -9,9 +9,8 @@
 /// blocks (see AccumulateRowBlocks in linalg/suffstats.h). Block alignment
 /// is what makes the merge exact: a block is never split across executors,
 /// so every sharding produces the identical per-block partials, and the
-/// coordinator's ordered Merge fold produces the identical moments — the
-/// distributed run is bit-identical to the unsharded engine, not merely
-/// close.
+/// coordinator's ordered Merge fold produces the identical moments — a run
+/// is bit-identical at every shard count, not merely close.
 ///
 /// Rows are ranged in analysis-table order, which the engine derives from
 /// key-ordered diff alignment — so plans are deterministic functions of

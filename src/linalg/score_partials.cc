@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/wire.h"
 #include "linalg/suffstats.h"
 
 namespace charles {
@@ -21,24 +20,6 @@ void ScorePartials::Merge(const ScorePartials& other) {
   n += other.n;
 }
 
-void ScorePartials::SerializeTo(std::string* out) const {
-  wire::AppendScalar(out, abs_error_sum);
-  wire::AppendScalar(out, exact_count);
-  wire::AppendScalar(out, n);
-}
-
-Result<ScorePartials> ScorePartials::Deserialize(const unsigned char** cursor,
-                                                 const unsigned char* end) {
-  ScorePartials partials;
-  if (!wire::ReadScalar(cursor, end, &partials.abs_error_sum) ||
-      !wire::ReadScalar(cursor, end, &partials.exact_count) ||
-      !wire::ReadScalar(cursor, end, &partials.n) || partials.n < 0 ||
-      partials.exact_count < 0 || partials.exact_count > partials.n) {
-    return Status::IOError("ScorePartials::Deserialize: truncated input");
-  }
-  return partials;
-}
-
 bool ScorePartials::BitIdenticalTo(const ScorePartials& other) const {
   return n == other.n && exact_count == other.exact_count &&
          std::memcmp(&abs_error_sum, &other.abs_error_sum, sizeof(double)) == 0;
@@ -47,8 +28,8 @@ bool ScorePartials::BitIdenticalTo(const ScorePartials& other) const {
 namespace {
 
 /// One block partial of (Σ|a[i] − b[i]|, #{i : |a[i] − b[i]| ≤ tolerance})
-/// over positional arrays: error_partials.cc's Σ|a − b| chain exactly, with
-/// the within-tolerance tally taken from the same per-row |error| before it
+/// over positional arrays, summed in index order from zero, with the
+/// within-tolerance tally taken from the same per-row |error| before it
 /// joins the sum.
 void ScoreDiffSum(const double* a, const double* b, int64_t count,
                   double tolerance, double* abs_sum, int64_t* exact) {
@@ -66,8 +47,8 @@ void ScoreDiffSum(const double* a, const double* b, int64_t count,
 }  // namespace
 
 // Per-block partials, each produced in row order, merged left-to-right — the
-// same decomposition-invariant shape as error_partials.cc's FoldBlocks,
-// carrying the exact count alongside the sum.
+// same decomposition-invariant shape as AccumulateRowBlocks, carrying the
+// exact count alongside the sum.
 ScorePartials AccumulateScoreDiffBlocks(const std::vector<double>& a,
                                         const std::vector<double>& b,
                                         const std::vector<int64_t>& rows,

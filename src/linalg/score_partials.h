@@ -2,36 +2,29 @@
 #define CHARLES_LINALG_SCORE_PARTIALS_H_
 
 /// \file
-/// \brief Exact accuracy partials: the distributable form of Scorer's fold.
+/// \brief Exact accuracy partials: the block-folded form of Scorer's scan.
 ///
 /// The ChARLES accuracy term blends two per-row reductions over a candidate
 /// summary's predictions: the L1 distance Σ|ŷ − y_new| (the explained-change
 /// numerator) and the exactness count #{i : |ŷᵢ − y_newᵢ| ≤ τ} for the
-/// run's exact tolerance τ. Before this accumulator, both lived inside
-/// Scorer::Accuracy as a central n-row scan over a materialized run-wide
-/// ŷ vector — the last O(rows) cost in the per-candidate hot loop.
+/// run's exact tolerance τ. Scorer::Accuracy computes both as one central
+/// n-row scan over a materialized run-wide ŷ vector.
 ///
 /// ScorePartials is that scan in partial form: (Σ|ŷ − y_new|, exact count,
 /// n) accumulated per canonical row block and folded in ascending block
-/// order — the identical decomposition-invariant recipe ErrorPartials uses
-/// for MAE (linalg/error_partials.h). The sum chain replays ErrorPartials'
-/// addend order exactly, so any executor that owns whole blocks produces
-/// bit-identical sums; the exact count is an integer tally over the same
-/// |errors|, which makes it order-free — equal under *every* fold order,
-/// not merely the canonical one. Together a shard-merged ScorePartials
-/// yields the bit-identical accuracy a central scan of the same fold would
-/// have computed (Scorer::AccuracyFromPartials).
+/// order — the same decomposition-invariant recipe AccumulateRowBlocks uses
+/// for moments (linalg/suffstats.h). The exact count is an integer tally
+/// over the same |errors|, which makes it order-free — equal under *every*
+/// fold order, not merely the canonical one. Merging per-leaf partials in
+/// leaf order yields the bit-identical accuracy a central scan of the same
+/// fold would have computed (Scorer::AccuracyFromPartials).
 ///
-/// This is the `kScorePartials` currency of the distributed ShardTask
-/// protocol (distributed/backend.h) and the per-leaf cache entry that lets
-/// BuildSummary score a candidate without materializing ŷ at all.
+/// This is the one L1 currency of the engine: FitLeaf folds each leaf's
+/// score with it, SnapModel takes its accuracy-guard baseline from the L1
+/// component, and BuildSummary scores a candidate without materializing ŷ.
 
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "common/result.h"
-#include "linalg/error_partials.h"
 
 namespace charles {
 
@@ -66,27 +59,9 @@ struct ScorePartials {
                  : 0.0;
   }
 
-  /// The (Σ|y − ŷ|, n) projection — the ErrorPartials this fold subsumes.
-  /// FitLeaf uses it as the SnapModel accuracy baseline so a score round
-  /// never needs a separate error round.
-  ErrorPartials error() const {
-    ErrorPartials partials;
-    partials.abs_error_sum = abs_error_sum;
-    partials.n = n;
-    return partials;
-  }
-
-  /// \name Wire format (distributed shard execution).
-  /// Native-endian, bit-for-bit doubles — the same same-architecture
-  /// pipe/socket discipline as ErrorPartials' wire format.
-  /// @{
-  void SerializeTo(std::string* out) const;
-  static Result<ScorePartials> Deserialize(const unsigned char** cursor,
-                                           const unsigned char* end);
-  /// Exact representation equality (every byte): the comparator of wire
-  /// round-trip and shard-parity tests.
+  /// Exact representation equality (every byte): the comparator of the
+  /// fold-reference and parity tests.
   bool BitIdenticalTo(const ScorePartials& other) const;
-  /// @}
 };
 
 /// \name Canonical block-structured accuracy accumulation
@@ -97,8 +72,7 @@ struct ScorePartials {
 /// fresh partial, and the partials are folded left-to-right with Merge.
 /// `rows` must be ascending; `block_rows` >= 1. `a`/`b` are positional —
 /// a[i]/b[i] belong to global row rows[i] — matching how the engine holds
-/// leaf-aligned predictions. The sum is bit-identical to
-/// AccumulateAbsDiffBlocks over the same inputs.
+/// leaf-aligned predictions.
 /// @{
 
 /// Canonical fold of (Σ|a[i] − b[i]|, #within tolerance) — e.g. a = observed

@@ -32,7 +32,6 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.shard_tasks_executed = summary.shard_tasks_executed;
   d.shard_moment_leaves_swept = summary.shard_moment_leaves_swept;
   d.shard_moment_leaves_elided = summary.shard_moment_leaves_elided;
-  d.shard_score_probes = summary.shard_score_probes;
 
   d.score_partials_candidates = summary.score_partials_candidates;
   d.score_yhat_materializations = summary.score_yhat_materializations;
@@ -48,9 +47,7 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.induction_seconds = summary.induction_seconds;
   d.fitting_seconds = summary.fitting_seconds;
   d.shard_seconds = summary.shard_seconds;
-  d.shard_signal_seconds = summary.shard_signal_seconds;
   d.shard_moments_seconds = summary.shard_moments_seconds;
-  d.shard_score_seconds = summary.shard_score_seconds;
   return d;
 }
 
@@ -89,7 +86,6 @@ std::string RunDiagnostics::ToJson() const {
   w.Key("tasks_executed").Int(shard_tasks_executed);
   w.Key("moment_leaves_swept").Int(shard_moment_leaves_swept);
   w.Key("moment_leaves_elided").Int(shard_moment_leaves_elided);
-  w.Key("score_probes").Int(shard_score_probes);
   w.EndObject();
 
   w.Key("scoring").BeginObject();
@@ -124,9 +120,7 @@ std::string RunDiagnostics::ToJson() const {
   w.Key("induction").Double(induction_seconds);
   w.Key("fitting").Double(fitting_seconds);
   w.Key("shard").Double(shard_seconds);
-  w.Key("shard_signal").Double(shard_signal_seconds);
   w.Key("shard_moments").Double(shard_moments_seconds);
-  w.Key("shard_score").Double(shard_score_seconds);
   w.EndObject();
 
   w.EndObject();

@@ -30,8 +30,11 @@ struct RunDiagnostics {
   /// Bumped only on a breaking change (key removed or renamed). Version 2
   /// removed the three batched-fold counters under `execution` and the
   /// retired exact-L1 round's probe count (`shards`) and wall time
-  /// (`timings_seconds`); docs/observability.md lists the keys.
-  static constexpr int kSchemaVersion = 2;
+  /// (`timings_seconds`). Version 3 removed the retired signal-stats and
+  /// score-partials rounds' keys: `shards.score_probes` and
+  /// `timings_seconds.shard_signal` / `shard_score`. docs/observability.md
+  /// lists the keys.
+  static constexpr int kSchemaVersion = 3;
 
   std::string run_id;        ///< 16-hex run fingerprint
   int64_t summaries = 0;     ///< ranked summaries returned
@@ -46,8 +49,7 @@ struct RunDiagnostics {
 
   // Execution shape.
   int threads_used = 1;
-  /// Fixed at "scalar" (the folds have one implementation); it goes in the
-  /// next schema bump together with score_yhat_materializations.
+  /// Fixed at "scalar" (the folds have one implementation).
   std::string kernel_used;
 
   // Leaf-fit and phase caches.
@@ -63,7 +65,6 @@ struct RunDiagnostics {
   int64_t shard_tasks_executed = 0;
   int64_t shard_moment_leaves_swept = 0;
   int64_t shard_moment_leaves_elided = 0;
-  int64_t shard_score_probes = 0;
 
   // Row-free scoring.
   int64_t score_partials_candidates = 0;
@@ -82,9 +83,7 @@ struct RunDiagnostics {
   double induction_seconds = 0.0;
   double fitting_seconds = 0.0;
   double shard_seconds = 0.0;
-  double shard_signal_seconds = 0.0;
   double shard_moments_seconds = 0.0;
-  double shard_score_seconds = 0.0;
 
   /// Copies the diagnostic fields out of a finished run's SummaryList.
   static RunDiagnostics FromSummary(const SummaryList& summary);

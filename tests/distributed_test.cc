@@ -15,7 +15,6 @@
 #include "table/table_builder.h"
 #include "distributed/in_process_backend.h"
 #include "distributed/shard_planner.h"
-#include "linalg/score_partials.h"
 #include "workload/billionaires_gen.h"
 #include "workload/employee_gen.h"
 
@@ -111,7 +110,6 @@ SyntheticInput MakeSyntheticInput(int64_t rows) {
 
   s.input.shortlist = &s.shortlist;
   s.input.columns = &s.columns;
-  s.input.y_old = &s.y_old;
   s.input.y_new = &s.y_new;
   for (const RowSet& leaf : s.leaf_storage) s.input.leaves.push_back(&leaf);
   return s;
@@ -126,36 +124,6 @@ ShardTask MakeMomentsTask(const ShardInput& input) {
   return task;
 }
 
-ShardTask MakeSignalTask() {
-  ShardTask task;
-  task.kind = ShardTaskKind::kSignalStats;
-  return task;
-}
-
-/// Two score probes with distinct leaves/subsets: a one-feature model on
-/// the all-rows leaf and a two-feature model on the stride leaf. The worker
-/// tallies rows whose |ŷ − y_new| is within the shipped exactness band.
-ShardTask MakeScoreTask() {
-  ShardTask task;
-  task.kind = ShardTaskKind::kScorePartials;
-  // Sized to the synthetic input's error decades (~4e2..2e3) so the band
-  // genuinely splits the rows: some within, some out.
-  task.score_tolerance = 1000.0;
-  ErrorProbe p0;
-  p0.leaf = 0;
-  p0.features = {0};
-  p0.intercept = 12.5;
-  p0.coefficients = {1.05};
-  task.probes.push_back(p0);
-  ErrorProbe p1;
-  p1.leaf = 1;
-  p1.features = {0, 1};
-  p1.intercept = -3.0;
-  p1.coefficients = {0.5, 2.0};
-  task.probes.push_back(p1);
-  return task;
-}
-
 void ExpectBitIdenticalResults(const ShardTaskResult& a,
                                const ShardTaskResult& b) {
   EXPECT_EQ(a.kind, b.kind);
@@ -165,9 +133,6 @@ void ExpectBitIdenticalResults(const ShardTaskResult& a,
   ASSERT_EQ(a.leaves.size(), b.leaves.size());
   for (size_t l = 0; l < a.leaves.size(); ++l) {
     EXPECT_EQ(a.leaves[l].leaf, b.leaves[l].leaf);
-    EXPECT_EQ(std::memcmp(&a.leaves[l].max_abs_delta, &b.leaves[l].max_abs_delta,
-                          sizeof(double)),
-              0);
     ASSERT_EQ(a.leaves[l].blocks.size(), b.leaves[l].blocks.size());
     for (size_t i = 0; i < a.leaves[l].blocks.size(); ++i) {
       EXPECT_EQ(a.leaves[l].blocks[i].first, b.leaves[l].blocks[i].first);
@@ -287,161 +252,39 @@ TEST(CoordinatorTest, StopTokenCancelsBetweenShards) {
 
 TEST(ShardTaskWireTest, TaskRoundTripIsExactForAllKinds) {
   SyntheticInput s = MakeSyntheticInput(100);
-  for (const ShardTask& task :
-       {MakeMomentsTask(s.input), MakeSignalTask(), MakeScoreTask()}) {
-    std::string wire;
-    task.SerializeTo(&wire);
-    ShardTask back = ShardTask::Deserialize(wire.data(), wire.size()).ValueOrDie();
-    EXPECT_EQ(back.kind, task.kind);
-    EXPECT_EQ(back.leaves, task.leaves);
-    ASSERT_EQ(back.probes.size(), task.probes.size());
-    for (size_t p = 0; p < task.probes.size(); ++p) {
-      EXPECT_EQ(back.probes[p].leaf, task.probes[p].leaf);
-      EXPECT_EQ(back.probes[p].features, task.probes[p].features);
-      EXPECT_EQ(std::memcmp(&back.probes[p].intercept, &task.probes[p].intercept,
-                            sizeof(double)),
-                0);
-      EXPECT_EQ(back.probes[p].coefficients, task.probes[p].coefficients);
-    }
-    EXPECT_EQ(std::memcmp(&back.score_tolerance, &task.score_tolerance,
-                          sizeof(double)),
-              0);
-    // Truncation and a foreign magic must fail loudly.
-    EXPECT_TRUE(ShardTask::Deserialize(wire.data(), wire.size() / 2)
-                    .status()
-                    .IsIOError());
-    std::string corrupted = wire;
-    corrupted[0] = 'X';
-    EXPECT_TRUE(ShardTask::Deserialize(corrupted.data(), corrupted.size())
-                    .status()
-                    .IsIOError());
-  }
+  ShardTask task = MakeMomentsTask(s.input);
+  std::string wire;
+  task.SerializeTo(&wire);
+  ShardTask back = ShardTask::Deserialize(wire.data(), wire.size()).ValueOrDie();
+  EXPECT_EQ(back.kind, task.kind);
+  EXPECT_EQ(back.leaves, task.leaves);
+  // Truncation and a foreign magic must fail loudly.
+  EXPECT_TRUE(ShardTask::Deserialize(wire.data(), wire.size() / 2)
+                  .status()
+                  .IsIOError());
+  std::string corrupted = wire;
+  corrupted[0] = 'X';
+  EXPECT_TRUE(ShardTask::Deserialize(corrupted.data(), corrupted.size())
+                  .status()
+                  .IsIOError());
 }
 
 TEST(ShardTaskWireTest, TaskResultRoundTripIsExactForAllKinds) {
   SyntheticInput s = MakeSyntheticInput(500);
   ShardPlan plan = PlanShards(500, 64, 3);
-  for (const ShardTask& task :
-       {MakeMomentsTask(s.input), MakeSignalTask(), MakeScoreTask()}) {
-    for (int64_t shard = 0; shard < plan.num_shards(); ++shard) {
-      ShardTaskResult result =
-          ExecuteShardTaskKernel(s.input, plan, shard, task).ValueOrDie();
-      std::string wire;
-      result.SerializeTo(&wire);
-      ShardTaskResult back =
-          ShardTaskResult::Deserialize(wire.data(), wire.size()).ValueOrDie();
-      EXPECT_EQ(back.kind, result.kind);
-      EXPECT_EQ(back.shard, result.shard);
-      EXPECT_EQ(back.rows_scanned, result.rows_scanned);
-      EXPECT_EQ(back.blocks_emitted, result.blocks_emitted);
-      ASSERT_EQ(back.leaves.size(), result.leaves.size());
-      for (size_t l = 0; l < result.leaves.size(); ++l) {
-        EXPECT_EQ(back.leaves[l].leaf, result.leaves[l].leaf);
-        ASSERT_EQ(back.leaves[l].blocks.size(), result.leaves[l].blocks.size());
-        for (size_t b = 0; b < result.leaves[l].blocks.size(); ++b) {
-          EXPECT_TRUE(back.leaves[l].blocks[b].second.BitIdenticalTo(
-              result.leaves[l].blocks[b].second));
-        }
-      }
-      ASSERT_EQ(back.signal_blocks.size(), result.signal_blocks.size());
-      for (size_t b = 0; b < result.signal_blocks.size(); ++b) {
-        EXPECT_EQ(back.signal_blocks[b].first, result.signal_blocks[b].first);
-        EXPECT_TRUE(back.signal_blocks[b].second.BitIdenticalTo(
-            result.signal_blocks[b].second));
-      }
-      EXPECT_EQ(std::memcmp(&back.signal_max_abs_delta,
-                            &result.signal_max_abs_delta, sizeof(double)),
-                0);
-      EXPECT_EQ(back.signal_rows_changed, result.signal_rows_changed);
-      ASSERT_EQ(back.score_probes.size(), result.score_probes.size());
-      for (size_t p = 0; p < result.score_probes.size(); ++p) {
-        EXPECT_EQ(back.score_probes[p].probe, result.score_probes[p].probe);
-        ASSERT_EQ(back.score_probes[p].blocks.size(),
-                  result.score_probes[p].blocks.size());
-        for (size_t b = 0; b < result.score_probes[p].blocks.size(); ++b) {
-          EXPECT_EQ(back.score_probes[p].blocks[b].first,
-                    result.score_probes[p].blocks[b].first);
-          EXPECT_TRUE(back.score_probes[p].blocks[b].second.BitIdenticalTo(
-              result.score_probes[p].blocks[b].second));
-        }
-      }
-      EXPECT_TRUE(ShardTaskResult::Deserialize(wire.data(), wire.size() / 2)
-                      .status()
-                      .IsIOError());
-    }
-  }
-}
-
-TEST(ShardTaskMergeTest, SignalStatsMergeMatchesCentralFoldBitForBit) {
-  SyntheticInput s = MakeSyntheticInput(777);
-  std::vector<const std::vector<double>*> cols;
-  ASSERT_TRUE(s.columns.ResolveColumns(s.shortlist, &cols));
-  SufficientStats central = AccumulateRangeBlocks(cols, s.y_new, 777, 64);
-  InProcessBackend backend;
-  for (int shards : {1, 2, 5, 8}) {
-    ShardPlan plan = PlanShards(777, 64, shards);
-    CoordinatorTaskResult merged =
-        Coordinator::RunTask(s.input, plan, &backend, /*pool=*/nullptr,
-                             MakeSignalTask())
+  for (int64_t shard = 0; shard < plan.num_shards(); ++shard) {
+    ShardTaskResult result =
+        ExecuteShardTaskKernel(s.input, plan, shard, MakeMomentsTask(s.input))
             .ValueOrDie();
-    EXPECT_TRUE(merged.signal_stats.BitIdenticalTo(central))
-        << "at " << shards << " shards";
-    EXPECT_EQ(merged.rows_scanned, 777);
-    EXPECT_GT(merged.signal_rows_changed, 0);
+    std::string wire;
+    result.SerializeTo(&wire);
+    ShardTaskResult back =
+        ShardTaskResult::Deserialize(wire.data(), wire.size()).ValueOrDie();
+    ExpectBitIdenticalResults(result, back);
+    EXPECT_TRUE(ShardTaskResult::Deserialize(wire.data(), wire.size() / 2)
+                    .status()
+                    .IsIOError());
   }
-}
-
-TEST(ShardTaskMergeTest, ScorePartialsMergeMatchesCentralFoldBitForBit) {
-  SyntheticInput s = MakeSyntheticInput(641);
-  ShardTask task = MakeScoreTask();
-  // Central canonical fold of each probe, straight from the definition: the
-  // ŷ chain of LinearModel::PredictRow, the canonical L1 fold, and the
-  // within-band tally.
-  std::vector<ScorePartials> central;
-  for (const ErrorProbe& probe : task.probes) {
-    const RowSet& rows = s.leaf_storage[static_cast<size_t>(probe.leaf)];
-    std::vector<double> y(static_cast<size_t>(rows.size()));
-    std::vector<double> y_hat(static_cast<size_t>(rows.size()));
-    for (int64_t r = 0; r < rows.size(); ++r) {
-      size_t row = static_cast<size_t>(rows[r]);
-      y[static_cast<size_t>(r)] = s.y_new[row];
-      double prediction = probe.intercept;
-      for (size_t f = 0; f < probe.features.size(); ++f) {
-        const std::vector<double>& column =
-            *s.columns.Find(s.shortlist[static_cast<size_t>(probe.features[f])]);
-        prediction += probe.coefficients[f] * column[row];
-      }
-      y_hat[static_cast<size_t>(r)] = prediction;
-    }
-    central.push_back(AccumulateScoreDiffBlocks(y, y_hat, rows.indices(), 64,
-                                                task.score_tolerance));
-    EXPECT_EQ(central.back().n, rows.size());
-  }
-  // The band actually splits the rows on this input — a tolerance that
-  // matches nothing (or everything) would let a broken tally pass.
-  EXPECT_GT(central[0].exact_count, 0);
-  EXPECT_LT(central[0].exact_count, central[0].n);
-  InProcessBackend backend;
-  for (int shards : {1, 3, 8}) {
-    ShardPlan plan = PlanShards(641, 64, shards);
-    CoordinatorTaskResult merged =
-        Coordinator::RunTask(s.input, plan, &backend, nullptr, task).ValueOrDie();
-    ASSERT_EQ(merged.score_probes.size(), task.probes.size());
-    for (size_t p = 0; p < central.size(); ++p) {
-      EXPECT_TRUE(merged.score_probes[p].partials.BitIdenticalTo(central[p]))
-          << "probe " << p << " at " << shards << " shards";
-    }
-  }
-}
-
-TEST(ShardTaskMergeTest, NegativeScoreToleranceIsRejected) {
-  SyntheticInput s = MakeSyntheticInput(200);
-  ShardPlan plan = PlanShards(200, 64, 2);
-  ShardTask task = MakeScoreTask();
-  task.score_tolerance = -0.5;  // a band below zero can never be intended
-  EXPECT_TRUE(ExecuteShardTaskKernel(s.input, plan, 0, task)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 TEST(ShardTaskMergeTest, LeafMomentsSubsetSweepsOnlyRequestedLeaves) {
@@ -465,17 +308,18 @@ TEST(ShardTaskMergeTest, LeafMomentsSubsetSweepsOnlyRequestedLeaves) {
   EXPECT_EQ(merged.rows_scanned, s.leaf_storage[2].size());
 }
 
-TEST(ShardTaskMergeTest, MalformedProbeSurfacesAsInvalidArgument) {
+TEST(ShardTaskMergeTest, OutOfRangeLeafSurfacesAsInvalidArgument) {
   SyntheticInput s = MakeSyntheticInput(200);
   ShardPlan plan = PlanShards(200, 64, 2);
   ShardTask task;
-  task.kind = ShardTaskKind::kScorePartials;
-  ErrorProbe bad;
-  bad.leaf = 99;  // out of range
-  task.probes.push_back(bad);
-  EXPECT_TRUE(ExecuteShardTaskKernel(s.input, plan, 0, task)
-                  .status()
-                  .IsInvalidArgument());
+  task.kind = ShardTaskKind::kLeafMoments;
+  for (int64_t leaf : {int64_t{99}, int64_t{-1}}) {
+    task.leaves = {0, leaf};
+    EXPECT_TRUE(ExecuteShardTaskKernel(s.input, plan, 0, task)
+                    .status()
+                    .IsInvalidArgument())
+        << "leaf " << leaf;
+  }
 }
 
 // --- The headline contract: shard parity on real workloads ------------------
@@ -538,7 +382,8 @@ Workload MakeBillionairesWorkload() {
 void RunShardParity(const Workload& w) {
   SummaryList unsharded = SummarizeChanges(w.source, w.target, w.options).ValueOrDie();
   ASSERT_FALSE(unsharded.summaries.empty());
-  EXPECT_EQ(unsharded.shards_used, 0);
+  // num_shards = 0 plans one range per pool thread: min(2 threads, blocks).
+  EXPECT_EQ(unsharded.shards_used, 2);
   for (int shards : {1, 2, 8}) {
     CharlesOptions sharded_options = w.options;
     sharded_options.num_shards = shards;

@@ -193,7 +193,7 @@ charles::Result<std::string> DiagnosticsJson(const charles::Table& source,
   charles::Result<charles::SummaryList> result =
       charles::SummarizeChanges(source, target, options);
   if (!result.ok()) return result.status();
-  return result->ToJson();  // {"schema_version":2,"run_id":"…",…}
+  return result->ToJson();  // {"schema_version":3,"run_id":"…",…}
 }
 
 // --- docs/observability.md "Log correlation" --------------------------------
@@ -352,7 +352,7 @@ TEST(DocsSnippetsTest, DiagnosticsSnippetEmitsVersionedSchema) {
   options.target_attribute = "bonus";
   options.key_columns = {"name"};
   std::string json = DiagnosticsJson(source, target, options).ValueOrDie();
-  EXPECT_EQ(json.find("{\"schema_version\":2"), 0u);
+  EXPECT_EQ(json.find("{\"schema_version\":3"), 0u);
   EXPECT_NE(json.find("\"run_id\":\""), std::string::npos);
   EXPECT_NE(json.find("\"elapsed\":"), std::string::npos);
 }

@@ -15,16 +15,10 @@
 #include <cstring>
 #include <limits>
 #include <random>
-#include <string>
 #include <vector>
 
-#include "core/partition_finder.h"
-#include "distributed/backend.h"
-#include "distributed/shard_planner.h"
-#include "linalg/error_partials.h"
 #include "linalg/score_partials.h"
 #include "linalg/suffstats.h"
-#include "table/table_builder.h"
 
 namespace charles {
 namespace {
@@ -58,39 +52,12 @@ double RefAbsDiffSum(const double* a, const double* b, int64_t count) {
   return sum;
 }
 
-double RefAbsSum(const double* values, int64_t count) {
-  double sum = 0.0;
-  for (int64_t i = 0; i < count; ++i) sum += std::abs(values[i]);
-  return sum;
-}
-
 void RefScoreDiffSum(const double* a, const double* b, int64_t count,
                      double tolerance, double* abs_sum, int64_t* exact) {
   double sum = 0.0;
   int64_t within = 0;
   for (int64_t i = 0; i < count; ++i) {
     const double err = std::abs(a[i] - b[i]);
-    sum += err;
-    if (err <= tolerance) ++within;
-  }
-  *abs_sum = sum;
-  *exact = within;
-}
-
-void RefProbeScoreSum(double intercept, const double* coefficients,
-                      const std::vector<const std::vector<double>*>& columns,
-                      const std::vector<double>& y, const int64_t* rows,
-                      int64_t count, double tolerance, double* abs_sum,
-                      int64_t* exact) {
-  double sum = 0.0;
-  int64_t within = 0;
-  for (int64_t i = 0; i < count; ++i) {
-    size_t row = static_cast<size_t>(rows[i]);
-    double y_hat = intercept;
-    for (size_t f = 0; f < columns.size(); ++f) {
-      y_hat += coefficients[f] * (*columns[f])[row];
-    }
-    const double err = std::abs(y[row] - y_hat);
     sum += err;
     if (err <= tolerance) ++within;
   }
@@ -142,21 +109,6 @@ SufficientStats RefRangeBlocks(
                     .ok());
   }
   return merged;
-}
-
-/// Reference canonical L1 fold; `block_sum(lo, count)` sums one block of
-/// the positional arrays.
-template <typename BlockSum>
-ErrorPartials RefErrorBlocks(const std::vector<int64_t>& rows,
-                             int64_t block_rows, BlockSum&& block_sum) {
-  ErrorPartials total;
-  RefForEachBlock(rows, block_rows, [&](int64_t lo, int64_t count) {
-    ErrorPartials block;
-    block.abs_error_sum = block_sum(lo, count);
-    block.n = count;
-    total.Merge(block);
-  });
-  return total;
 }
 
 /// One adversarial double: a mixture of benign values, huge/tiny decades
@@ -337,151 +289,6 @@ TEST(KernelParityTest, MergeAcrossShardBoundarySplitsBitIdentical) {
   }
 }
 
-// --- ErrorPartials folds -----------------------------------------------------
-
-TEST(KernelParityTest, AbsDiffAndAbsFoldsBitIdentical) {
-  for (uint64_t seed = 0; seed < 100; ++seed) {
-    std::mt19937_64 rng(seed * 911 + 1);
-    int64_t num_rows = 1 + static_cast<int64_t>(rng() % 400);
-    std::vector<int64_t> rows = MakeRows(num_rows, (rng() % 2) == 0, rng);
-    // Positional arrays: values[i] belongs to global row rows[i].
-    std::vector<double> a = AdversarialColumn(static_cast<int64_t>(rows.size()), rng);
-    std::vector<double> b = AdversarialColumn(static_cast<int64_t>(rows.size()), rng);
-    for (int64_t block_rows : {1L, 7L, 64L, num_rows + 1}) {
-      ErrorPartials expected_diff =
-          RefErrorBlocks(rows, block_rows, [&](int64_t lo, int64_t count) {
-            return RefAbsDiffSum(a.data() + lo, b.data() + lo, count);
-          });
-      ErrorPartials actual_diff = AccumulateAbsDiffBlocks(a, b, rows, block_rows);
-      ASSERT_TRUE(actual_diff.BitIdenticalTo(expected_diff))
-          << "seed " << seed << " block " << block_rows;
-      ErrorPartials expected_abs =
-          RefErrorBlocks(rows, block_rows, [&](int64_t lo, int64_t count) {
-            return RefAbsSum(a.data() + lo, count);
-          });
-      ErrorPartials actual_abs = AccumulateAbsBlocks(a, rows, block_rows);
-      ASSERT_TRUE(actual_abs.BitIdenticalTo(expected_abs))
-          << "seed " << seed << " block " << block_rows;
-    }
-  }
-}
-
-// --- Probe folds (the kScorePartials shard kernel) ---------------------------
-
-/// The reference probe error chain: ŷ = intercept + Σ_f c_f·x_f accumulated
-/// left-to-right (LinearModel::PredictRow's order), then Σ|y − ŷ| in row
-/// order from zero. The shard kernel's probe Σ must replay it bit for bit,
-/// which is what lets a kScorePartials round double as the SnapModel error
-/// baseline.
-double ProbeAbsErrorSum(double intercept, const double* coefficients,
-                        const std::vector<const std::vector<double>*>& columns,
-                        const std::vector<double>& y, const int64_t* rows,
-                        int64_t count) {
-  double sum = 0.0;
-  for (int64_t i = 0; i < count; ++i) {
-    size_t row = static_cast<size_t>(rows[i]);
-    double y_hat = intercept;
-    for (size_t f = 0; f < columns.size(); ++f) {
-      y_hat += coefficients[f] * (*columns[f])[row];
-    }
-    sum += std::abs(y[row] - y_hat);
-  }
-  return sum;
-}
-
-/// One probe evaluated by the production shard kernel: the shape's columns
-/// become the shortlist, its rows the probe's leaf, and a one-shard plan
-/// returns one ScorePartials per canonical block.
-struct ProbeCase {
-  ShapeCase shape;
-  std::vector<std::string> shortlist;
-  ColumnCache cache;
-  RowSet leaf;
-  ShardInput input;
-  ShardTask task;
-};
-
-void MakeProbeCase(int64_t num_rows, int64_t num_cols, std::mt19937_64& rng,
-                   ProbeCase* p) {
-  p->shape = MakeShapeCase(num_rows, num_cols, /*subset=*/true, rng);
-  // The table carries one extra column so it is never empty at p = 0.
-  std::vector<Field> fields;
-  for (int64_t f = 0; f <= num_cols; ++f) {
-    fields.push_back(Field{"c" + std::to_string(f), TypeKind::kDouble, false});
-  }
-  TableBuilder builder(Schema::Make(fields).ValueOrDie());
-  for (int64_t r = 0; r < num_rows; ++r) {
-    std::vector<Value> row;
-    for (int64_t f = 0; f < num_cols; ++f) {
-      row.emplace_back(p->shape.column_storage[static_cast<size_t>(f)]
-                                              [static_cast<size_t>(r)]);
-    }
-    row.emplace_back(0.0);
-    builder.AppendRow(row).AbortIfNotOk();
-  }
-  Table table = builder.Finish().ValueOrDie();
-  for (int64_t f = 0; f < num_cols; ++f) {
-    p->shortlist.push_back("c" + std::to_string(f));
-  }
-  p->cache = ColumnCache::Build(table, p->shortlist).ValueOrDie();
-  p->leaf = RowSet(p->shape.rows);
-  p->input.shortlist = &p->shortlist;
-  p->input.columns = &p->cache;
-  p->input.y_old = &p->shape.y;
-  p->input.y_new = &p->shape.y;
-  p->input.leaves = {&p->leaf};
-
-  ErrorProbe probe;
-  probe.leaf = 0;
-  probe.intercept = AdversarialValue(rng);
-  for (int64_t f = 0; f < num_cols; ++f) {
-    probe.features.push_back(f);
-    probe.coefficients.push_back(AdversarialValue(rng));
-  }
-  p->task.kind = ShardTaskKind::kScorePartials;
-  p->task.probes = {probe};
-}
-
-/// Runs the case's probe through the shard kernel at `block_rows`.
-std::vector<std::pair<int64_t, ScorePartials>> ShardProbeBlocks(
-    ProbeCase& p, int64_t block_rows, double tolerance) {
-  p.task.score_tolerance = tolerance;
-  ShardPlan plan = PlanShards(static_cast<int64_t>(p.shape.y.size()), block_rows,
-                              /*requested_shards=*/1);
-  Result<ShardTaskResult> result =
-      ExecuteShardTaskKernel(p.input, plan, /*shard_index=*/0, p.task);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  if (!result.ok() || result->score_probes.size() != 1) return {};
-  return result->score_probes[0].blocks;
-}
-
-TEST(KernelParityTest, ProbeAbsErrorSumBitIdentical) {
-  for (uint64_t seed = 0; seed < 100; ++seed) {
-    std::mt19937_64 rng(seed * 2221 + 9);
-    int64_t num_rows = 1 + static_cast<int64_t>(rng() % 300);
-    int64_t num_cols = static_cast<int64_t>(rng() % 4);
-    ProbeCase p;
-    MakeProbeCase(num_rows, num_cols, rng, &p);
-    const ErrorProbe& probe = p.task.probes[0];
-    const std::vector<int64_t>& rows = p.shape.rows;
-    for (int64_t block_rows : {1L, 7L, 64L, num_rows + 1}) {
-      auto blocks = ShardProbeBlocks(p, block_rows, /*tolerance=*/0.0);
-      size_t next = 0;
-      RefForEachBlock(rows, block_rows, [&](int64_t lo, int64_t count) {
-        ASSERT_LT(next, blocks.size());
-        double expected =
-            ProbeAbsErrorSum(probe.intercept, probe.coefficients.data(),
-                             p.shape.columns, p.shape.y, rows.data() + lo, count);
-        const ScorePartials& actual = blocks[next++].second;
-        ASSERT_EQ(std::memcmp(&expected, &actual.abs_error_sum, sizeof(double)),
-                  0)
-            << "seed " << seed << " block " << block_rows << " at " << lo;
-      });
-      EXPECT_EQ(next, blocks.size());
-    }
-  }
-}
-
 // --- ScorePartials folds ------------------------------------------------------
 
 TEST(KernelParityTest, ScoreDiffSumBitIdenticalAndSumMatchesAbsDiff) {
@@ -513,68 +320,15 @@ TEST(KernelParityTest, ScoreDiffSumBitIdenticalAndSumMatchesAbsDiff) {
           AccumulateScoreDiffBlocks(a, b, rows, block_rows, tolerance);
       ASSERT_TRUE(actual.BitIdenticalTo(expected))
           << "seed " << seed << " block " << block_rows;
-      // The Σ chain is the error fold's chain: same addends, same order.
-      ErrorPartials error_fold = AccumulateAbsDiffBlocks(a, b, rows, block_rows);
-      ASSERT_EQ(std::memcmp(&actual.abs_error_sum, &error_fold.abs_error_sum,
-                            sizeof(double)),
-                0)
-          << "seed " << seed << " block " << block_rows;
-      ASSERT_EQ(actual.n, error_fold.n);
-    }
-  }
-}
-
-TEST(KernelParityTest, ProbeScoreSumBitIdenticalAndSumMatchesProbeError) {
-  for (uint64_t seed = 0; seed < 100; ++seed) {
-    std::mt19937_64 rng(seed * 3907 + 11);
-    int64_t num_rows = 1 + static_cast<int64_t>(rng() % 300);
-    int64_t num_cols = static_cast<int64_t>(rng() % 4);
-    ProbeCase p;
-    MakeProbeCase(num_rows, num_cols, rng, &p);
-    const ErrorProbe& probe = p.task.probes[0];
-    const std::vector<int64_t>& rows = p.shape.rows;
-    double tolerance = std::pow(10.0, static_cast<int>(rng() % 61) - 30);
-    // Every fourth seed puts the band edge at zero and every fourth leaf row
-    // exactly on the model, so a zero error must count as within the band.
-    if (seed % 4 == 0) {
-      tolerance = 0.0;
-      for (size_t i = 0; i < rows.size(); i += 4) {
-        size_t row = static_cast<size_t>(rows[i]);
-        double y_hat = probe.intercept;
-        for (size_t f = 0; f < p.shape.columns.size(); ++f) {
-          y_hat += probe.coefficients[f] * (*p.shape.columns[f])[row];
-        }
-        p.shape.y[row] = y_hat;
-      }
-    }
-    for (int64_t block_rows : {1L, 7L, 64L, num_rows + 1}) {
-      auto blocks = ShardProbeBlocks(p, block_rows, tolerance);
-      size_t next = 0;
+      // The Σ chain is the plain L1 fold's chain — per-block Σ|a − b| from
+      // zero, merged left to right — which is what lets SnapModel take its
+      // accuracy-guard baseline from this fold.
+      double l1 = 0.0;
       RefForEachBlock(rows, block_rows, [&](int64_t lo, int64_t count) {
-        ASSERT_LT(next, blocks.size());
-        const auto& [block, actual] = blocks[next++];
-        EXPECT_EQ(block, rows[static_cast<size_t>(lo)] / block_rows);
-        double expected_sum = 0.0;
-        int64_t expected_exact = 0;
-        RefProbeScoreSum(probe.intercept, probe.coefficients.data(),
-                         p.shape.columns, p.shape.y, rows.data() + lo, count,
-                         tolerance, &expected_sum, &expected_exact);
-        ASSERT_EQ(std::memcmp(&expected_sum, &actual.abs_error_sum,
-                              sizeof(double)),
-                  0)
-            << "seed " << seed << " block " << block_rows << " at " << lo;
-        ASSERT_EQ(expected_exact, actual.exact_count)
-            << "seed " << seed << " block " << block_rows << " at " << lo;
-        ASSERT_EQ(actual.n, count);
-        // The ŷ + Σ chain replays the reference probe error chain exactly.
-        double error_sum =
-            ProbeAbsErrorSum(probe.intercept, probe.coefficients.data(),
-                             p.shape.columns, p.shape.y, rows.data() + lo, count);
-        ASSERT_EQ(std::memcmp(&actual.abs_error_sum, &error_sum, sizeof(double)),
-                  0)
-            << "seed " << seed << " block " << block_rows << " at " << lo;
+        l1 += RefAbsDiffSum(a.data() + lo, b.data() + lo, count);
       });
-      EXPECT_EQ(next, blocks.size());
+      ASSERT_EQ(std::memcmp(&actual.abs_error_sum, &l1, sizeof(double)), 0)
+          << "seed " << seed << " block " << block_rows;
     }
   }
 }

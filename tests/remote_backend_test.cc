@@ -65,7 +65,6 @@ SyntheticInput MakeSyntheticInput(int64_t rows) {
 
   s.input.shortlist = &s.shortlist;
   s.input.columns = &s.columns;
-  s.input.y_old = &s.y_old;
   s.input.y_new = &s.y_new;
   for (const RowSet& leaf : s.leaf_storage) s.input.leaves.push_back(&leaf);
   return s;
@@ -80,34 +79,6 @@ ShardTask MakeMomentsTask(const ShardInput& input) {
   return task;
 }
 
-ShardTask MakeSignalTask() {
-  ShardTask task;
-  task.kind = ShardTaskKind::kSignalStats;
-  return task;
-}
-
-/// Two score probes with distinct leaves/subsets, plus the exactness band
-/// the worker tallies against.
-ShardTask MakeScoreTask() {
-  ShardTask task;
-  task.kind = ShardTaskKind::kScorePartials;
-  // Sized to the synthetic input's error decades so the band splits rows.
-  task.score_tolerance = 1000.0;
-  ErrorProbe p0;
-  p0.leaf = 0;
-  p0.features = {0};
-  p0.intercept = 12.5;
-  p0.coefficients = {1.05};
-  task.probes.push_back(p0);
-  ErrorProbe p1;
-  p1.leaf = 1;
-  p1.features = {0, 1};
-  p1.intercept = -3.0;
-  p1.coefficients = {0.5, 2.0};
-  task.probes.push_back(p1);
-  return task;
-}
-
 /// Bitwise equality of two merged task results (elapsed time excluded).
 void ExpectBitIdenticalMerges(const CoordinatorTaskResult& expected,
                               const CoordinatorTaskResult& actual) {
@@ -119,23 +90,7 @@ void ExpectBitIdenticalMerges(const CoordinatorTaskResult& expected,
   for (size_t l = 0; l < expected.leaves.size(); ++l) {
     EXPECT_TRUE(expected.leaves[l].stats.BitIdenticalTo(actual.leaves[l].stats))
         << "leaf " << l;
-    EXPECT_EQ(std::memcmp(&expected.leaves[l].max_abs_delta,
-                          &actual.leaves[l].max_abs_delta, sizeof(double)),
-              0);
     EXPECT_EQ(expected.leaves[l].blocks_merged, actual.leaves[l].blocks_merged);
-  }
-  EXPECT_TRUE(expected.signal_stats.BitIdenticalTo(actual.signal_stats));
-  EXPECT_EQ(std::memcmp(&expected.signal_max_abs_delta,
-                        &actual.signal_max_abs_delta, sizeof(double)),
-            0);
-  EXPECT_EQ(expected.signal_rows_changed, actual.signal_rows_changed);
-  ASSERT_EQ(expected.score_probes.size(), actual.score_probes.size());
-  for (size_t p = 0; p < expected.score_probes.size(); ++p) {
-    EXPECT_TRUE(expected.score_probes[p].partials.BitIdenticalTo(
-        actual.score_probes[p].partials))
-        << "score probe " << p;
-    EXPECT_EQ(expected.score_probes[p].blocks_merged,
-              actual.score_probes[p].blocks_merged);
   }
 }
 
@@ -187,8 +142,11 @@ TEST(RemoteProtocolTest, InstallBundleRoundTripIsExact) {
   }
   // The kernel over the worker's owned reconstruction produces the same
   // bytes as over the coordinator's original view — the determinism hinge.
-  for (const ShardTask& task :
-       {MakeMomentsTask(s.input), MakeSignalTask(), MakeScoreTask()}) {
+  // A subset task as well as the full one: leaf indices must address the
+  // same row sets on both sides.
+  ShardTask subset;
+  subset.leaves = {2};
+  for (const ShardTask& task : {MakeMomentsTask(s.input), subset}) {
     for (int64_t shard = 0; shard < plan.num_shards(); ++shard) {
       ShardTaskResult original =
           ExecuteShardTaskKernel(s.input, plan, shard, task).ValueOrDie();
@@ -206,7 +164,7 @@ TEST(RemoteProtocolTest, InstallBundleRoundTripIsExact) {
       original.SerializeTo(&original_wire);
       reconstructed.SerializeTo(&reconstructed_wire);
       EXPECT_EQ(original_wire, reconstructed_wire)
-          << ShardTaskKindName(task.kind) << " shard " << shard;
+          << task.leaves.size() << " leaves, shard " << shard;
     }
   }
 }
@@ -260,18 +218,15 @@ TEST(RemoteBackendTest, CoordinatorParityAllKindsAllShardCounts) {
   InProcessBackend in_process;
   for (int shards : {1, 2, 8}) {
     ShardPlan plan = PlanShards(777, 64, shards);
-    for (const ShardTask& task :
-         {MakeMomentsTask(s.input), MakeSignalTask(), MakeScoreTask()}) {
-      CoordinatorTaskResult expected =
-          Coordinator::RunTask(s.input, plan, &in_process, nullptr, task)
-              .ValueOrDie();
-      CoordinatorTaskResult actual =
-          Coordinator::RunTask(s.input, plan, remote.get(), nullptr, task)
-              .ValueOrDie();
-      SCOPED_TRACE(ShardTaskKindName(task.kind) + " at " +
-                   std::to_string(shards) + " shards");
-      ExpectBitIdenticalMerges(expected, actual);
-    }
+    ShardTask task = MakeMomentsTask(s.input);
+    CoordinatorTaskResult expected =
+        Coordinator::RunTask(s.input, plan, &in_process, nullptr, task)
+            .ValueOrDie();
+    CoordinatorTaskResult actual =
+        Coordinator::RunTask(s.input, plan, remote.get(), nullptr, task)
+            .ValueOrDie();
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    ExpectBitIdenticalMerges(expected, actual);
   }
   RemoteBackendDiagnostics diagnostics = remote->Diagnostics();
   EXPECT_EQ(diagnostics.task_retries, 0);
@@ -285,8 +240,10 @@ TEST(RemoteBackendTest, InputShipsOncePerEpochAndPlanChangeRolls) {
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   ShardPlan plan = PlanShards(400, 64, 4);
   int64_t tasks = 0;
-  for (const ShardTask& task :
-       {MakeMomentsTask(s.input), MakeSignalTask(), MakeScoreTask()}) {
+  ShardTask subset;
+  subset.leaves = {1};
+  // Two rounds over one (snapshot, plan): the input still ships once.
+  for (const ShardTask& task : {MakeMomentsTask(s.input), subset}) {
     for (int64_t shard = 0; shard < plan.num_shards(); ++shard) {
       ASSERT_TRUE(remote->ExecuteTask(s.input, plan, shard, task).ok());
       ++tasks;
@@ -300,7 +257,7 @@ TEST(RemoteBackendTest, InputShipsOncePerEpochAndPlanChangeRolls) {
   // A different plan over the same snapshot is a new epoch: one reinstall.
   ShardPlan replanned = PlanShards(400, 64, 2);
   ASSERT_TRUE(
-      remote->ExecuteTask(s.input, replanned, 0, MakeSignalTask()).ok());
+      remote->ExecuteTask(s.input, replanned, 0, MakeMomentsTask(s.input)).ok());
   RemoteBackendDiagnostics after_replan = remote->Diagnostics();
   EXPECT_EQ(after_replan.input_epochs, 2);
   EXPECT_EQ(after_replan.input_installs, 2);
@@ -312,10 +269,8 @@ TEST(RemoteBackendTest, DeterministicTaskErrorPropagatesWithoutRetry) {
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   ShardPlan plan = PlanShards(200, 64, 2);
   ShardTask bad_task;
-  bad_task.kind = ShardTaskKind::kScorePartials;
-  ErrorProbe bad;
-  bad.leaf = 99;  // out of range: the kernel fails deterministically
-  bad_task.probes.push_back(bad);
+  bad_task.kind = ShardTaskKind::kLeafMoments;
+  bad_task.leaves = {99};  // out of range: the kernel fails deterministically
   Status status = remote->ExecuteTask(s.input, plan, 0, bad_task).status();
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
   // Rerunning a deterministic failure elsewhere would only repeat it: no
@@ -325,7 +280,8 @@ TEST(RemoteBackendTest, DeterministicTaskErrorPropagatesWithoutRetry) {
   ASSERT_EQ(diagnostics.workers.size(), 1u);
   EXPECT_TRUE(diagnostics.workers[0].healthy);
   // The connection survives: a good task right after succeeds.
-  EXPECT_TRUE(remote->ExecuteTask(s.input, plan, 0, MakeSignalTask()).ok());
+  EXPECT_TRUE(
+      remote->ExecuteTask(s.input, plan, 0, MakeMomentsTask(s.input)).ok());
 }
 
 TEST(RemoteBackendTest, VersionSkewedWorkerIsExcludedAtHandshake) {
@@ -364,21 +320,22 @@ TEST(RemoteBackendTest, VersionSkewedWorkerIsExcludedAtHandshake) {
 }
 
 TEST(RemoteBackendTest, PreviousWireVersionWorkerIsRejectedAtHandshake) {
-  // The concrete v4 → v5 skew: a worker from the build before the exact-L1
-  // kind and the batched-fold counters were retired (wire range [4, 4]) must
-  // be excluded at the handshake. If it were allowed to negotiate, its CST1
-  // replies would carry the error-probes section and counters this build no
-  // longer parses — the reject is what keeps the skew a clean handshake
-  // error instead of a mid-run parse failure.
+  // The concrete v5 → v6 skew: a worker from the build before the
+  // signal-stats and score-partials kinds were retired (wire range [5, 5])
+  // must be excluded at the handshake. If it were allowed to negotiate, it
+  // would expect a y_old vector in the install bundle and send CST1 replies
+  // with signal and score-probe sections this build no longer parses — the
+  // reject is what keeps the skew a clean handshake error instead of a
+  // mid-run parse failure.
   SyntheticInput s = MakeSyntheticInput(200);
-  WorkerServiceOptions v4;
-  v4.version_min = 4;
-  v4.version_max = 4;
-  std::unique_ptr<LoopbackWorker> worker = StartWorker(std::move(v4));
+  WorkerServiceOptions v5;
+  v5.version_min = 5;
+  v5.version_max = 5;
+  std::unique_ptr<LoopbackWorker> worker = StartWorker(std::move(v5));
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   ShardPlan plan = PlanShards(200, 64, 2);
   Status status =
-      remote->ExecuteTask(s.input, plan, 0, MakeScoreTask()).status();
+      remote->ExecuteTask(s.input, plan, 0, MakeMomentsTask(s.input)).status();
   ASSERT_TRUE(status.IsIOError()) << status.ToString();
   RemoteBackendDiagnostics diagnostics = remote->Diagnostics();
   ASSERT_EQ(diagnostics.workers.size(), 1u);
@@ -394,7 +351,8 @@ TEST(RemoteBackendTest, AllWorkersVersionSkewedFailsWithCleanDiagnostic) {
   std::unique_ptr<LoopbackWorker> worker = StartWorker(std::move(skewed));
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   ShardPlan plan = PlanShards(200, 64, 2);
-  Status status = remote->ExecuteTask(s.input, plan, 0, MakeSignalTask()).status();
+  Status status =
+      remote->ExecuteTask(s.input, plan, 0, MakeMomentsTask(s.input)).status();
   ASSERT_TRUE(status.IsIOError()) << status.ToString();
   EXPECT_NE(status.message().find("wire versions"), std::string::npos)
       << status.ToString();
@@ -428,8 +386,8 @@ TEST(WorkerServiceTest, ExecuteBeforeInstallFailsCleanly) {
   ASSERT_TRUE(RemoteClientHandshake(fd, 2'000, kRemoteMaxFrameBytes).ok());
   std::string request;
   SerializeExecuteRequest(/*epoch=*/5, /*shard=*/0, /*run_id=*/0,
-                          /*parent_span=*/0, /*traced=*/false, MakeSignalTask(),
-                          &request);
+                          /*parent_span=*/0, /*traced=*/false,
+                          ShardTask{}, &request);
   ASSERT_TRUE(net::WriteFrame(
                   fd, static_cast<int32_t>(RemoteMessageType::kExecuteTask),
                   request)
@@ -498,7 +456,8 @@ Workload MakeBillionairesWorkload() {
 void RunRemoteShardParity(const Workload& w) {
   SummaryList unsharded = SummarizeChanges(w.source, w.target, w.options).ValueOrDie();
   ASSERT_FALSE(unsharded.summaries.empty());
-  EXPECT_EQ(unsharded.shards_used, 0);
+  // num_shards = 0 plans one range per pool thread: min(2 threads, blocks).
+  EXPECT_EQ(unsharded.shards_used, 2);
   EXPECT_EQ(unsharded.remote_tasks_dispatched, 0);
   std::unique_ptr<LoopbackWorker> worker_a = StartWorker();
   std::unique_ptr<LoopbackWorker> worker_b = StartWorker();
@@ -514,6 +473,9 @@ void RunRemoteShardParity(const Workload& w) {
     EXPECT_GT(sharded.remote_tasks_dispatched, 0);
     EXPECT_EQ(sharded.remote_task_retries, 0);
     EXPECT_GT(sharded.remote_input_installs, 0);
+    // One (snapshot, plan) epoch per run: at most one install per worker.
+    EXPECT_LE(sharded.remote_input_installs,
+              static_cast<int64_t>(sharded.remote_workers.size()));
     ASSERT_EQ(sharded.remote_workers.size(), 2u);
     ExpectIdenticalRuns(unsharded, sharded);
   }

@@ -1,15 +1,13 @@
 /// \file
-/// ScorePartials: the distributable accuracy fold behind row-free scoring.
-/// The properties under test are the ones the engine's determinism contract
-/// leans on: the canonical block fold's Σ chain is bit-identical to the
-/// error fold's (same addends, same order); block-aligned merge splits
-/// reproduce the whole fold's bits exactly (the shard-merge identity); the
-/// exact count is order-free (equal under every block size); the degenerate
+/// ScorePartials: the block-folded accuracy currency behind row-free
+/// scoring. The properties under test are the ones the engine's determinism
+/// contract leans on: block-aligned merge splits reproduce the whole fold's
+/// bits exactly (the per-leaf merge identity); the exact count is
+/// order-free (equal under every block size); and the degenerate
 /// single-chain fold replays a serial row scan bitwise (what keeps
-/// Scorer::Accuracy and AccuracyFromPartials interchangeable); and the wire
-/// format round-trips bit-for-bit while rejecting truncation and impossible
-/// tallies. All of it under adversarial magnitudes — huge/tiny decades,
-/// denormals, signed zeros — where any reassociation shows up immediately.
+/// Scorer::Accuracy and AccuracyFromPartials interchangeable). All of it
+/// under adversarial magnitudes — huge/tiny decades, denormals, signed
+/// zeros — where any reassociation shows up immediately.
 
 #include "linalg/score_partials.h"
 
@@ -23,7 +21,6 @@
 #include <vector>
 
 #include "core/scoring.h"
-#include "linalg/error_partials.h"
 
 namespace charles {
 namespace {
@@ -109,33 +106,6 @@ TEST(ScorePartialsTest, SingleChainFoldReplaysSerialRowScanBitwise) {
     ScorePartials fold =
         AccumulateScoreDiffBlocks(y, y_hat, rows, /*block_rows=*/n + 1, tolerance);
     EXPECT_TRUE(fold.BitIdenticalTo(scan)) << "seed " << seed;
-  }
-}
-
-TEST(ScorePartialsTest, SumChainMatchesErrorFoldForEveryBlockSize) {
-  // Σ|y − ŷ| replays AccumulateAbsDiffBlocks' addend chain exactly — the
-  // property that lets one kScorePartials round double as the error round
-  // (ScorePartials::error() is the SnapModel baseline).
-  for (uint64_t seed = 0; seed < 50; ++seed) {
-    std::mt19937_64 rng(seed * 509 + 7);
-    int64_t n = 1 + static_cast<int64_t>(rng() % 400);
-    std::vector<int64_t> rows = MakeRows(n, (rng() % 2) == 0, rng);
-    std::vector<double> y = AdversarialColumn(static_cast<int64_t>(rows.size()), rng);
-    std::vector<double> y_hat =
-        AdversarialColumn(static_cast<int64_t>(rows.size()), rng);
-    for (int64_t block_rows : {1L, 7L, 64L, n + 1}) {
-      ScorePartials fold =
-          AccumulateScoreDiffBlocks(y, y_hat, rows, block_rows, 0.25);
-      ErrorPartials error_fold = AccumulateAbsDiffBlocks(y, y_hat, rows, block_rows);
-      EXPECT_EQ(std::memcmp(&fold.abs_error_sum, &error_fold.abs_error_sum,
-                            sizeof(double)),
-                0)
-          << "seed " << seed << " block " << block_rows;
-      EXPECT_EQ(fold.n, error_fold.n);
-      ErrorPartials projected = fold.error();
-      EXPECT_TRUE(projected.BitIdenticalTo(error_fold))
-          << "seed " << seed << " block " << block_rows;
-    }
   }
 }
 
@@ -235,64 +205,6 @@ TEST(ScorePartialsTest, TailBlockShorterThanBlockSizeFoldsExactly) {
   for (size_t i = 0; i < y.size(); ++i) scan.Accumulate(y[i], y_hat[i], 0.5);
   EXPECT_EQ(fold.exact_count, scan.exact_count);
   EXPECT_EQ(fold.n, scan.n);
-}
-
-// --- Wire format -------------------------------------------------------------
-
-TEST(ScorePartialsWireTest, RoundTripIsBitExact) {
-  std::mt19937_64 rng(7);
-  for (int i = 0; i < 20; ++i) {
-    ScorePartials original;
-    original.abs_error_sum = AdversarialValue(rng);
-    original.n = static_cast<int64_t>(rng() % 10000);
-    original.exact_count = original.n > 0
-                               ? static_cast<int64_t>(rng() % static_cast<uint64_t>(
-                                     original.n + 1))
-                               : 0;
-    std::string wire;
-    original.SerializeTo(&wire);
-    const unsigned char* cursor =
-        reinterpret_cast<const unsigned char*>(wire.data());
-    const unsigned char* end = cursor + wire.size();
-    ScorePartials back = ScorePartials::Deserialize(&cursor, end).ValueOrDie();
-    EXPECT_TRUE(back.BitIdenticalTo(original)) << "case " << i;
-    EXPECT_EQ(cursor, end) << "case " << i;
-  }
-}
-
-TEST(ScorePartialsWireTest, EveryStrictPrefixRejected) {
-  ScorePartials partials;
-  partials.Accumulate(3.0, 4.5, 1.0);
-  std::string wire;
-  partials.SerializeTo(&wire);
-  for (size_t len = 0; len < wire.size(); ++len) {
-    const unsigned char* cursor =
-        reinterpret_cast<const unsigned char*>(wire.data());
-    EXPECT_TRUE(ScorePartials::Deserialize(&cursor, cursor + len)
-                    .status()
-                    .IsIOError())
-        << "prefix " << len;
-  }
-}
-
-TEST(ScorePartialsWireTest, ImpossibleTalliesRejected) {
-  // A count outside [0, n] (or a negative n) cannot come from any fold; a
-  // frame claiming one is hostile or torn and must not merge.
-  ScorePartials partials;
-  partials.Accumulate(1.0, 1.0, 0.5);
-  auto corrupt = [&](int64_t exact_count, int64_t n) {
-    ScorePartials bad = partials;
-    bad.exact_count = exact_count;
-    bad.n = n;
-    std::string wire;
-    bad.SerializeTo(&wire);
-    const unsigned char* cursor =
-        reinterpret_cast<const unsigned char*>(wire.data());
-    return ScorePartials::Deserialize(&cursor, cursor + wire.size()).status();
-  };
-  EXPECT_TRUE(corrupt(/*exact_count=*/2, /*n=*/1).IsIOError());
-  EXPECT_TRUE(corrupt(/*exact_count=*/-1, /*n=*/1).IsIOError());
-  EXPECT_TRUE(corrupt(/*exact_count=*/0, /*n=*/-5).IsIOError());
 }
 
 // --- Scorer integration ------------------------------------------------------

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "linalg/error_partials.h"
 #include "linalg/matrix.h"
+#include "linalg/score_partials.h"
 #include "ml/linear_regression.h"
 #include "workload/employee_gen.h"
 #include "workload/policy.h"
@@ -267,7 +267,7 @@ CharlesOptions EmployeeOptions() {
 
 TEST(SuffStatsEngineTest, ParallelBitIdenticalToSerialAt128Threads) {
   // The fast path's determinism contract: per-leaf moments are canonical
-  // block folds, whatever range count the pre-sweep splits them into, so
+  // block folds, whatever range count the moments round splits them into, so
   // the ranked output at 2 and 8 threads is bit-identical to 1 thread.
   EmployeeWorkload workload = MakeEmployeeWorkload(500);
   CharlesOptions options = EmployeeOptions();
@@ -375,14 +375,16 @@ TEST(SuffStatsBlockFoldTest, FoldOrderRegression) {
       << "fixture failed to distinguish fold orders — strengthen it";
 }
 
+// The canonical L1 error fold — the Σ|a − b| component of
+// AccumulateScoreDiffBlocks, which SnapModel's accuracy guard and every leaf
+// score read — at its edges. The within-band tally is pinned elsewhere
+// (score_partials_test.cc); a zero band keeps it out of the way here.
+
 TEST(ErrorPartialsEdgeTest, EmptyRangeYieldsZeroPartials) {
-  ErrorPartials diff = AccumulateAbsDiffBlocks({}, {}, {}, 64);
+  ScorePartials diff = AccumulateScoreDiffBlocks({}, {}, {}, 64, 0.0);
   EXPECT_EQ(diff.n, 0);
   EXPECT_EQ(diff.abs_error_sum, 0.0);
   EXPECT_EQ(diff.mae(), 0.0);
-  ErrorPartials abs = AccumulateAbsBlocks({}, {}, 64);
-  EXPECT_EQ(abs.n, 0);
-  EXPECT_EQ(abs.abs_error_sum, 0.0);
 }
 
 TEST(ErrorPartialsEdgeTest, RangeEndingExactlyOnBlockBoundary) {
@@ -395,13 +397,13 @@ TEST(ErrorPartialsEdgeTest, RangeEndingExactlyOnBlockBoundary) {
     a.push_back(1.0 + 0.5 * static_cast<double>(r));
     b.push_back(0.25 * static_cast<double>(r % 9));
   }
-  ErrorPartials folded = AccumulateAbsDiffBlocks(a, b, rows, 64);
+  ScorePartials folded = AccumulateScoreDiffBlocks(a, b, rows, 64, 0.0);
   EXPECT_EQ(folded.n, 128);
-  ErrorPartials manual;
+  ScorePartials manual;
   for (int64_t base : {int64_t{0}, int64_t{64}}) {
-    ErrorPartials block;
+    ScorePartials block;
     for (int64_t i = base; i < base + 64; ++i) {
-      block.Accumulate(a[static_cast<size_t>(i)], b[static_cast<size_t>(i)]);
+      block.Accumulate(a[static_cast<size_t>(i)], b[static_cast<size_t>(i)], 0.0);
     }
     manual.Merge(block);
   }
@@ -413,9 +415,10 @@ TEST(ErrorPartialsEdgeTest, SingleRowBlocksMatchSerialSum) {
   // merge then replays the plain serial sum exactly.
   std::vector<int64_t> rows = {0, 1, 2, 3, 4};
   std::vector<double> values = {3.0, -1.5, 0.25, -0.125, 7.0};
-  ErrorPartials folded = AccumulateAbsBlocks(values, rows, 1);
-  ErrorPartials serial;
-  for (double v : values) serial.Accumulate(v, 0.0);
+  std::vector<double> zeros(values.size(), 0.0);
+  ScorePartials folded = AccumulateScoreDiffBlocks(values, zeros, rows, 1, 0.0);
+  ScorePartials serial;
+  for (double v : values) serial.Accumulate(v, 0.0, 0.0);
   EXPECT_TRUE(folded.BitIdenticalTo(serial));
 }
 
@@ -427,13 +430,14 @@ TEST(ErrorPartialsEdgeTest, FoldOrderRegression) {
   const double half_ulp = 1.1102230246251565e-16;  // 2^-53
   std::vector<int64_t> rows = {0, 1, 2};
   std::vector<double> values = {1.0, half_ulp, half_ulp};
-  ErrorPartials canonical = AccumulateAbsBlocks(values, rows, 1);
+  std::vector<double> zeros(values.size(), 0.0);
+  ScorePartials canonical = AccumulateScoreDiffBlocks(values, zeros, rows, 1, 0.0);
   EXPECT_EQ(canonical.abs_error_sum, 1.0);
 
-  ErrorPartials reversed;
+  ScorePartials reversed;
   for (auto it = values.rbegin(); it != values.rend(); ++it) {
-    ErrorPartials block;
-    block.Accumulate(*it, 0.0);
+    ScorePartials block;
+    block.Accumulate(*it, 0.0, 0.0);
     reversed.Merge(block);
   }
   EXPECT_GT(reversed.abs_error_sum, 1.0);

@@ -2,8 +2,8 @@
 /// Negative and fuzz coverage of every remote-path wire format: CTK1 tasks,
 /// CST1 results, CSI1 install bundles and execute requests must reject
 /// malformed, truncated, over-length and wrong-version bytes with a clean
-/// Status — never a crash or an unbounded allocation — for all three task
-/// kinds.
+/// Status — never a crash or an unbounded allocation — for every task shape
+/// of the one task kind, kLeafMoments.
 
 #include <gtest/gtest.h>
 
@@ -61,33 +61,19 @@ SyntheticInput MakeSyntheticInput(int64_t rows) {
   s.leaf_storage.push_back(RowSet(std::move(stride)));
   s.input.shortlist = &s.shortlist;
   s.input.columns = &s.columns;
-  s.input.y_old = &s.y_old;
   s.input.y_new = &s.y_new;
   for (const RowSet& leaf : s.leaf_storage) s.input.leaves.push_back(&leaf);
   return s;
 }
 
-std::vector<ShardTask> AllTaskKinds(const ShardInput& input) {
-  std::vector<ShardTask> tasks;
-  ShardTask moments;
-  moments.kind = ShardTaskKind::kLeafMoments;
+/// The task shapes the wire carries: every leaf, a one-leaf subset, and the
+/// empty sweep of a warm run.
+std::vector<ShardTask> TaskShapes(const ShardInput& input) {
+  std::vector<ShardTask> tasks(3);
   for (size_t l = 0; l < input.leaves.size(); ++l) {
-    moments.leaves.push_back(static_cast<int64_t>(l));
+    tasks[0].leaves.push_back(static_cast<int64_t>(l));
   }
-  tasks.push_back(moments);
-  ShardTask signal;
-  signal.kind = ShardTaskKind::kSignalStats;
-  tasks.push_back(signal);
-  ShardTask scores;
-  scores.kind = ShardTaskKind::kScorePartials;
-  scores.score_tolerance = 0.125;
-  ErrorProbe probe;
-  probe.leaf = 1;
-  probe.features = {0, 1};
-  probe.intercept = -3.0;
-  probe.coefficients = {0.5, 2.0};
-  scores.probes.push_back(probe);
-  tasks.push_back(scores);
+  tasks[1].leaves = {1};
   return tasks;
 }
 
@@ -100,26 +86,26 @@ void PatchInt64(std::string* wire, size_t offset, int64_t value) {
 
 TEST(WireNegativeTest, TaskEveryStrictPrefixRejectedForAllKinds) {
   SyntheticInput s = MakeSyntheticInput(60);
-  for (const ShardTask& task : AllTaskKinds(s.input)) {
+  for (const ShardTask& task : TaskShapes(s.input)) {
     std::string wire;
     task.SerializeTo(&wire);
     ASSERT_TRUE(ShardTask::Deserialize(wire.data(), wire.size()).ok());
     for (size_t len = 0; len < wire.size(); ++len) {
       EXPECT_TRUE(ShardTask::Deserialize(wire.data(), len).status().IsIOError())
-          << ShardTaskKindName(task.kind) << " prefix " << len;
+          << task.leaves.size() << " leaves, prefix " << len;
     }
     // One trailing byte is as malformed as one missing byte.
     std::string trailing = wire + "!";
     EXPECT_TRUE(ShardTask::Deserialize(trailing.data(), trailing.size())
                     .status()
                     .IsIOError())
-        << ShardTaskKindName(task.kind);
+        << task.leaves.size() << " leaves";
   }
 }
 
 TEST(WireNegativeTest, TaskWrongVersionMagicRejected) {
   SyntheticInput s = MakeSyntheticInput(60);
-  for (const ShardTask& task : AllTaskKinds(s.input)) {
+  for (const ShardTask& task : TaskShapes(s.input)) {
     std::string wire;
     task.SerializeTo(&wire);
     // A future "CTK2" (or garbled) magic must fail loudly, not mis-parse.
@@ -129,7 +115,7 @@ TEST(WireNegativeTest, TaskWrongVersionMagicRejected) {
       EXPECT_TRUE(ShardTask::Deserialize(skewed.data(), skewed.size())
                       .status()
                       .IsIOError())
-          << ShardTaskKindName(task.kind) << " magic byte '" << version << "'";
+          << task.leaves.size() << " leaves, magic byte '" << version << "'";
     }
   }
 }
@@ -137,10 +123,11 @@ TEST(WireNegativeTest, TaskWrongVersionMagicRejected) {
 TEST(WireNegativeTest, TaskInvalidKindRejected) {
   SyntheticInput s = MakeSyntheticInput(60);
   std::string wire;
-  AllTaskKinds(s.input)[0].SerializeTo(&wire);
-  // 3 is the retired exact-L1 kind of wire v4 and earlier.
-  for (int64_t kind :
-       {int64_t{0}, int64_t{3}, int64_t{5}, int64_t{-1}, int64_t{1} << 40}) {
+  TaskShapes(s.input)[0].SerializeTo(&wire);
+  // 2 and 4 are the retired signal-stats and score-partials kinds of wire v5
+  // and earlier, 3 the retired exact-L1 kind of wire v4 and earlier.
+  for (int64_t kind : {int64_t{0}, int64_t{2}, int64_t{3}, int64_t{4}, int64_t{5},
+                       int64_t{-1}, int64_t{1} << 40}) {
     std::string skewed = wire;
     PatchInt64(&skewed, kTaskKindOffset, kind);
     EXPECT_TRUE(ShardTask::Deserialize(skewed.data(), skewed.size())
@@ -152,29 +139,18 @@ TEST(WireNegativeTest, TaskInvalidKindRejected) {
 
 TEST(WireNegativeTest, TaskHugeCountsRejectedBeforeAllocation) {
   SyntheticInput s = MakeSyntheticInput(60);
-  std::vector<ShardTask> tasks = AllTaskKinds(s.input);
-  // Moments task: leaf-index vector count.
-  std::string moments;
-  tasks[0].SerializeTo(&moments);
-  for (int64_t count : {int64_t{1} << 60, int64_t{-1}}) {
-    std::string skewed = moments;
-    PatchInt64(&skewed, kTaskLeafCountOffset, count);
-    EXPECT_TRUE(ShardTask::Deserialize(skewed.data(), skewed.size())
-                    .status()
-                    .IsIOError())
-        << "leaf count " << count;
-  }
-  // Score task: its leaf vector is empty, so the probe count sits right
-  // after it (magic 4 | kind 8 | empty vector 8 = offset 20).
-  std::string scores;
-  tasks[2].SerializeTo(&scores);
-  for (int64_t count : {int64_t{1} << 60, int64_t{-1}}) {
-    std::string skewed = scores;
-    PatchInt64(&skewed, kTaskLeafCountOffset + sizeof(int64_t), count);
-    EXPECT_TRUE(ShardTask::Deserialize(skewed.data(), skewed.size())
-                    .status()
-                    .IsIOError())
-        << "probe count " << count;
+  // The leaf-index vector count, on every shape (the empty one included).
+  for (const ShardTask& task : TaskShapes(s.input)) {
+    std::string wire;
+    task.SerializeTo(&wire);
+    for (int64_t count : {int64_t{1} << 60, int64_t{-1}}) {
+      std::string skewed = wire;
+      PatchInt64(&skewed, kTaskLeafCountOffset, count);
+      EXPECT_TRUE(ShardTask::Deserialize(skewed.data(), skewed.size())
+                      .status()
+                      .IsIOError())
+          << task.leaves.size() << " leaves, leaf count " << count;
+    }
   }
 }
 
@@ -183,7 +159,7 @@ TEST(WireNegativeTest, TaskHugeCountsRejectedBeforeAllocation) {
 TEST(WireNegativeTest, ResultEveryStrictPrefixRejectedForAllKinds) {
   SyntheticInput s = MakeSyntheticInput(150);
   ShardPlan plan = PlanShards(150, 64, 2);
-  for (const ShardTask& task : AllTaskKinds(s.input)) {
+  for (const ShardTask& task : TaskShapes(s.input)) {
     ShardTaskResult result =
         ExecuteShardTaskKernel(s.input, plan, 0, task).ValueOrDie();
     std::string wire;
@@ -192,13 +168,13 @@ TEST(WireNegativeTest, ResultEveryStrictPrefixRejectedForAllKinds) {
     for (size_t len = 0; len < wire.size(); ++len) {
       EXPECT_TRUE(
           ShardTaskResult::Deserialize(wire.data(), len).status().IsIOError())
-          << ShardTaskKindName(task.kind) << " prefix " << len;
+          << task.leaves.size() << " leaves, prefix " << len;
     }
     std::string trailing = wire + "!";
     EXPECT_TRUE(ShardTaskResult::Deserialize(trailing.data(), trailing.size())
                     .status()
                     .IsIOError())
-        << ShardTaskKindName(task.kind);
+        << task.leaves.size() << " leaves";
   }
 }
 
@@ -206,7 +182,7 @@ TEST(WireNegativeTest, ResultWrongVersionMagicAndKindRejected) {
   SyntheticInput s = MakeSyntheticInput(150);
   ShardPlan plan = PlanShards(150, 64, 2);
   ShardTaskResult result =
-      ExecuteShardTaskKernel(s.input, plan, 0, AllTaskKinds(s.input)[0])
+      ExecuteShardTaskKernel(s.input, plan, 0, TaskShapes(s.input)[0])
           .ValueOrDie();
   std::string wire;
   result.SerializeTo(&wire);
@@ -218,7 +194,8 @@ TEST(WireNegativeTest, ResultWrongVersionMagicAndKindRejected) {
                     .IsIOError())
         << "magic byte '" << version << "'";
   }
-  for (int64_t kind : {int64_t{0}, int64_t{3}, int64_t{5}, int64_t{-1}}) {
+  for (int64_t kind :
+       {int64_t{0}, int64_t{2}, int64_t{3}, int64_t{4}, int64_t{5}, int64_t{-1}}) {
     std::string skewed = wire;
     PatchInt64(&skewed, kResultKindOffset, kind);
     EXPECT_TRUE(ShardTaskResult::Deserialize(skewed.data(), skewed.size())
@@ -232,7 +209,7 @@ TEST(WireNegativeTest, ResultHugeCountsRejectedBeforeAllocation) {
   SyntheticInput s = MakeSyntheticInput(150);
   ShardPlan plan = PlanShards(150, 64, 2);
   ShardTaskResult result =
-      ExecuteShardTaskKernel(s.input, plan, 0, AllTaskKinds(s.input)[0])
+      ExecuteShardTaskKernel(s.input, plan, 0, TaskShapes(s.input)[0])
           .ValueOrDie();
   std::string wire;
   result.SerializeTo(&wire);
@@ -252,7 +229,7 @@ TEST(WireNegativeTest, ResultAlignedPatchSweepNeverCrashes) {
   // reject, but it must never crash or allocate from an unvalidated count.
   SyntheticInput s = MakeSyntheticInput(150);
   ShardPlan plan = PlanShards(150, 64, 2);
-  for (const ShardTask& task : AllTaskKinds(s.input)) {
+  for (const ShardTask& task : TaskShapes(s.input)) {
     ShardTaskResult result =
         ExecuteShardTaskKernel(s.input, plan, 0, task).ValueOrDie();
     std::string wire;
@@ -326,7 +303,7 @@ TEST(WireNegativeTest, InstallBundleHostilePatchesRejectedOrSurvived) {
 
 TEST(WireNegativeTest, ExecuteRequestTruncationAndGarbageRejected) {
   SyntheticInput s = MakeSyntheticInput(60);
-  for (const ShardTask& task : AllTaskKinds(s.input)) {
+  for (const ShardTask& task : TaskShapes(s.input)) {
     std::string request;
     SerializeExecuteRequest(3, 1, /*run_id=*/0xabcdef0123456789ull,
                             /*parent_span=*/7, /*traced=*/true, task, &request);
@@ -341,7 +318,7 @@ TEST(WireNegativeTest, ExecuteRequestTruncationAndGarbageRejected) {
     for (size_t len = 0; len < request.size(); ++len) {
       EXPECT_TRUE(
           ParseExecuteRequest(request.data(), len).status().IsIOError())
-          << ShardTaskKindName(task.kind) << " prefix " << len;
+          << task.leaves.size() << " leaves, prefix " << len;
     }
     std::string trailing = request + "!";
     EXPECT_TRUE(ParseExecuteRequest(trailing.data(), trailing.size())
@@ -355,7 +332,7 @@ TEST(WireNegativeTest, ExecuteRequestHostileTracedFlagRejected) {
   // | traced i32 @32 | CTK1. The traced flag is a strict 0/1: anything else
   // is a malformed frame, not a "truthy" value.
   SyntheticInput s = MakeSyntheticInput(60);
-  ShardTask task = AllTaskKinds(s.input).front();
+  ShardTask task = TaskShapes(s.input).front();
   std::string request;
   SerializeExecuteRequest(3, 1, /*run_id=*/1, /*parent_span=*/0,
                           /*traced=*/false, task, &request);
@@ -378,7 +355,7 @@ namespace {
 /// (root + child) with annotations — the shape WorkerService ships.
 std::string MakeTracedReply(const SyntheticInput& s) {
   ShardPlan plan = PlanShards(60, 64, 1);
-  ShardTask task = AllTaskKinds(s.input).front();
+  ShardTask task = TaskShapes(s.input).front();
   ShardTaskResult result =
       ExecuteShardTaskKernel(s.input, plan, 0, task).ValueOrDie();
   std::vector<obs::SpanRecord> spans(2);
