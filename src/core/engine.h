@@ -102,8 +102,6 @@ struct SummaryList {
   /// repeat run on a warm context sweeps none
   /// (see docs/distributed.md#warm-cache-elision).
   int64_t shard_moment_leaves_elided = 0;
-  /// Coordinator wall time of the kLeafMoments round (fan-out + merge).
-  double shard_moments_seconds = 0.0;
   /// \name Row-free scoring (PR 10). A run on the partials path scores every
   /// candidate by merging per-leaf ScorePartials in leaf order; the counters
   /// below prove (or disprove) that no run-wide ŷ vector was ever built.

@@ -170,7 +170,6 @@ void FoldRoundDiagnostics(const CoordinatorTaskResult& merged,
   result->shard_rows_scanned = merged.rows_scanned;
   result->shard_blocks_merged = merged.blocks_merged;
   result->shard_seconds = merged.elapsed_seconds;
-  result->shard_moments_seconds = merged.elapsed_seconds;
 }
 
 /// The InvalidArgument for a non-finite cell the run reads: `what` (the
@@ -692,7 +691,6 @@ void ResolveSlots(const RunState& state, FitTable* table) {
 /// a warm repeat run dispatches no task at all.
 Status RunMomentsRound(RunState& state, FitTable* table) {
   ShardTask moments;
-  moments.kind = ShardTaskKind::kLeafMoments;
   for (int64_t leaf = 0; leaf < static_cast<int64_t>(state.leaves.size()); ++leaf) {
     const size_t l = static_cast<size_t>(leaf);
     if (!table->NeedsFit(leaf)) {

@@ -23,9 +23,8 @@ using wire::ReadRaw;
 using wire::ReadScalar;
 using wire::ReadVector;
 
-bool ValidTaskKind(int64_t kind) {
-  return kind == static_cast<int64_t>(ShardTaskKind::kLeafMoments);
-}
+constexpr int64_t kLeafMomentsTag =
+    static_cast<int64_t>(ShardTaskKind::kLeafMoments);
 
 void SerializeLeafShardStats(std::string* out, const LeafShardStats& leaf) {
   AppendScalar(out, leaf.leaf);
@@ -65,17 +64,9 @@ Status ReadLeafShardStats(const unsigned char** at, const unsigned char* end,
 
 }  // namespace
 
-std::string ShardTaskKindName(ShardTaskKind kind) {
-  switch (kind) {
-    case ShardTaskKind::kLeafMoments:
-      return "leaf-moments";
-  }
-  return "unknown";
-}
-
 void ShardTask::SerializeTo(std::string* out) const {
   AppendRaw(out, kTaskMagic, sizeof(kTaskMagic));
-  AppendScalar(out, static_cast<int64_t>(kind));
+  AppendScalar(out, kLeafMomentsTag);
   AppendVector(out, leaves);
 }
 
@@ -89,11 +80,10 @@ Result<ShardTask> ShardTask::Deserialize(const void* data, size_t size) {
   }
   ShardTask task;
   int64_t kind = 0;
-  if (!ReadScalar(&at, end, &kind) || !ValidTaskKind(kind) ||
+  if (!ReadScalar(&at, end, &kind) || kind != kLeafMomentsTag ||
       !ReadVector(&at, end, &task.leaves)) {
     return Status::IOError("ShardTask::Deserialize: truncated header");
   }
-  task.kind = static_cast<ShardTaskKind>(kind);
   if (at != end) {
     return Status::IOError("ShardTask::Deserialize: trailing bytes");
   }
@@ -102,7 +92,7 @@ Result<ShardTask> ShardTask::Deserialize(const void* data, size_t size) {
 
 void ShardTaskResult::SerializeTo(std::string* out) const {
   AppendRaw(out, kTaskResultMagic, sizeof(kTaskResultMagic));
-  AppendScalar(out, static_cast<int64_t>(kind));
+  AppendScalar(out, kLeafMomentsTag);
   AppendScalar(out, shard);
   AppendScalar(out, rows_scanned);
   AppendScalar(out, blocks_emitted);
@@ -124,7 +114,7 @@ Result<ShardTaskResult> ShardTaskResult::Deserialize(const void* data,
   ShardTaskResult result;
   int64_t kind = 0;
   int64_t num_leaves = 0;
-  bool ok = ReadScalar(&at, end, &kind) && ValidTaskKind(kind) &&
+  bool ok = ReadScalar(&at, end, &kind) && kind == kLeafMomentsTag &&
             ReadScalar(&at, end, &result.shard) &&
             ReadScalar(&at, end, &result.rows_scanned) &&
             ReadScalar(&at, end, &result.blocks_emitted) &&
@@ -134,7 +124,6 @@ Result<ShardTaskResult> ShardTaskResult::Deserialize(const void* data,
       num_leaves > (end - at) / kMinLeafBytes) {
     return Status::IOError("ShardTaskResult::Deserialize: truncated header");
   }
-  result.kind = static_cast<ShardTaskKind>(kind);
   result.leaves.reserve(static_cast<size_t>(num_leaves));
   for (int64_t l = 0; l < num_leaves; ++l) {
     LeafShardStats leaf;
@@ -202,7 +191,6 @@ Result<ShardTaskResult> ExecuteShardTaskKernel(const ShardInput& input,
   auto start = std::chrono::steady_clock::now();
   const ShardRange& range = plan.shards[static_cast<size_t>(shard_index)];
   ShardTaskResult result;
-  result.kind = task.kind;
   result.shard = shard_index;
   RunLeafMoments(input, range, plan.block_rows, columns, task, &result);
   result.elapsed_seconds =

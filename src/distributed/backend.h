@@ -48,19 +48,16 @@ struct ShardInput {
   std::vector<const RowSet*> leaves;
 };
 
-/// \brief What a ShardTask asks a shard to compute.
+/// \brief The wire tag of what a ShardTask asks a shard to compute.
 ///
-/// The values are wire tags. Tags 2 (signal stats), 3 (exact L1) and 4
-/// (score partials) belonged to retired kinds and are rejected on
-/// deserialization.
+/// Both wire formats carry the tag; it is not kept in memory, since there is
+/// one kind. Tags 2 (signal stats), 3 (exact L1) and 4 (score partials)
+/// belonged to retired kinds and are rejected on deserialization.
 enum class ShardTaskKind : int64_t {
   /// Per-leaf sufficient statistics over the shard's range — the sweep
   /// behind every transformation fit.
   kLeafMoments = 1,
 };
-
-/// Short lowercase name for diagnostics and bench output.
-std::string ShardTaskKindName(ShardTaskKind kind);
 
 /// \brief A tagged request: what one shard of the plan should compute.
 ///
@@ -68,7 +65,6 @@ std::string ShardTaskKindName(ShardTaskKind kind);
 /// backend passes it by reference; the wire form exists for remote dispatch
 /// and is covered by round-trip tests.
 struct ShardTask {
-  ShardTaskKind kind = ShardTaskKind::kLeafMoments;
   /// Indices into ShardInput::leaves to sweep. A warm coordinator elides
   /// already-cached leaves by simply leaving them out.
   std::vector<int64_t> leaves;
@@ -92,7 +88,6 @@ struct LeafShardStats {
 
 /// \brief Everything a shard sends back for one task.
 struct ShardTaskResult {
-  ShardTaskKind kind = ShardTaskKind::kLeafMoments;
   int64_t shard = 0;
 
   /// Leaves intersecting the shard's range, ascending index.

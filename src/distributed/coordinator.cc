@@ -93,15 +93,13 @@ Result<CoordinatorTaskResult> Coordinator::RunTask(const ShardInput& input,
 
   if (stop != nullptr && stop->stop_requested()) {
     return Status::Cancelled("shard sweep cancelled (" + backend->name() +
-                             " backend, " + ShardTaskKindName(task.kind) +
-                             " task)");
+                             " backend)");
   }
   for (const ShardOutcome& outcome : outcomes) {
     CHARLES_RETURN_NOT_OK(outcome.status);
   }
 
   CoordinatorTaskResult merged;
-  merged.kind = task.kind;
   const int64_t num_features =
       input.shortlist == nullptr ? 0
                                  : static_cast<int64_t>(input.shortlist->size());

@@ -42,7 +42,6 @@ struct LeafRollup {
 
 /// \brief The coordinator's merged view of one completed task sweep.
 struct CoordinatorTaskResult {
-  ShardTaskKind kind = ShardTaskKind::kLeafMoments;
   /// One rollup per *requested* leaf, in ShardTask::leaves order.
   std::vector<LeafRollup> leaves;
 

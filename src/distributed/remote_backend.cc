@@ -195,7 +195,7 @@ Result<ShardTaskResult> RemoteBackend::TryExecuteOn(WorkerSession* session,
     return fail_connection(result.status().WithContext(
         "RemoteBackend: malformed result from " + session->endpoint.ToString()));
   }
-  if (result->shard != shard_index || result->kind != task.kind) {
+  if (result->shard != shard_index) {
     return fail_connection(Status::IOError(
         "RemoteBackend: worker " + session->endpoint.ToString() +
         " answered for shard " + std::to_string(result->shard) +

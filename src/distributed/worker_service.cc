@@ -101,7 +101,6 @@ Status WorkerService::ServeConnection(int fd) {
         // The run id rides every v3 request; the guard macro means a
         // suppressed level formats nothing (per-task hot path).
         CHARLES_VLOG(Debug) << "worker: run " << obs::FormatRunId(request->run_id)
-                            << " task " << ShardTaskKindName(request->task.kind)
                             << " shard " << request->shard << " epoch "
                             << request->epoch;
         // Traced requests record the kernel execution as spans against a
@@ -118,7 +117,6 @@ Status WorkerService::ServeConnection(int fd) {
           obs::Span task_span(recorder, "worker:task");
           if (task_span.active()) {
             task_span.Annotate("shard", std::to_string(request->shard));
-            task_span.Annotate("kind", ShardTaskKindName(request->task.kind));
           }
           return ExecuteShardTaskKernel(view, installed_->plan, request->shard,
                                         request->task);

@@ -47,7 +47,6 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.induction_seconds = summary.induction_seconds;
   d.fitting_seconds = summary.fitting_seconds;
   d.shard_seconds = summary.shard_seconds;
-  d.shard_moments_seconds = summary.shard_moments_seconds;
   return d;
 }
 
@@ -120,7 +119,6 @@ std::string RunDiagnostics::ToJson() const {
   w.Key("induction").Double(induction_seconds);
   w.Key("fitting").Double(fitting_seconds);
   w.Key("shard").Double(shard_seconds);
-  w.Key("shard_moments").Double(shard_moments_seconds);
   w.EndObject();
 
   w.EndObject();

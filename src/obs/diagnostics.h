@@ -83,7 +83,6 @@ struct RunDiagnostics {
   double induction_seconds = 0.0;
   double fitting_seconds = 0.0;
   double shard_seconds = 0.0;
-  double shard_moments_seconds = 0.0;
 
   /// Copies the diagnostic fields out of a finished run's SummaryList.
   static RunDiagnostics FromSummary(const SummaryList& summary);

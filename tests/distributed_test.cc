@@ -117,7 +117,6 @@ SyntheticInput MakeSyntheticInput(int64_t rows) {
 
 ShardTask MakeMomentsTask(const ShardInput& input) {
   ShardTask task;
-  task.kind = ShardTaskKind::kLeafMoments;
   for (size_t l = 0; l < input.leaves.size(); ++l) {
     task.leaves.push_back(static_cast<int64_t>(l));
   }
@@ -126,7 +125,6 @@ ShardTask MakeMomentsTask(const ShardInput& input) {
 
 void ExpectBitIdenticalResults(const ShardTaskResult& a,
                                const ShardTaskResult& b) {
-  EXPECT_EQ(a.kind, b.kind);
   EXPECT_EQ(a.shard, b.shard);
   EXPECT_EQ(a.rows_scanned, b.rows_scanned);
   EXPECT_EQ(a.blocks_emitted, b.blocks_emitted);
@@ -256,7 +254,6 @@ TEST(ShardTaskWireTest, TaskRoundTripIsExactForAllKinds) {
   std::string wire;
   task.SerializeTo(&wire);
   ShardTask back = ShardTask::Deserialize(wire.data(), wire.size()).ValueOrDie();
-  EXPECT_EQ(back.kind, task.kind);
   EXPECT_EQ(back.leaves, task.leaves);
   // Truncation and a foreign magic must fail loudly.
   EXPECT_TRUE(ShardTask::Deserialize(wire.data(), wire.size() / 2)
@@ -295,7 +292,6 @@ TEST(ShardTaskMergeTest, LeafMomentsSubsetSweepsOnlyRequestedLeaves) {
   // Request only leaf 2 — the elision shape: cached leaves are simply left
   // out of the task.
   ShardTask task;
-  task.kind = ShardTaskKind::kLeafMoments;
   task.leaves = {2};
   InProcessBackend backend;
   CoordinatorTaskResult merged =
@@ -312,7 +308,6 @@ TEST(ShardTaskMergeTest, OutOfRangeLeafSurfacesAsInvalidArgument) {
   SyntheticInput s = MakeSyntheticInput(200);
   ShardPlan plan = PlanShards(200, 64, 2);
   ShardTask task;
-  task.kind = ShardTaskKind::kLeafMoments;
   for (int64_t leaf : {int64_t{99}, int64_t{-1}}) {
     task.leaves = {0, leaf};
     EXPECT_TRUE(ExecuteShardTaskKernel(s.input, plan, 0, task)

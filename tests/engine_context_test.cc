@@ -632,7 +632,7 @@ TEST(EngineContextTest, WarmShardedRunElidesEveryLeafMomentsTask) {
   EXPECT_GT(cold.shard_moment_leaves_swept, 0);
   EXPECT_EQ(cold.shard_moment_leaves_elided, 0);
   EXPECT_GT(cold.shard_tasks_executed, 0);
-  EXPECT_GT(cold.shard_moments_seconds, 0.0);
+  EXPECT_GT(cold.shard_seconds, 0.0);
 
   // Warm: every leaf's fits are cached, so every leaf is elided — each one
   // the cold run swept among them — and the round dispatches no task.
@@ -643,7 +643,7 @@ TEST(EngineContextTest, WarmShardedRunElidesEveryLeafMomentsTask) {
   // An elided round reports zero time — a skipped round must never surface
   // a residual or stale timing (SummaryList is per-run, and the round
   // timing is only written by a round that actually executed).
-  EXPECT_EQ(warm.shard_moments_seconds, 0.0);
+  EXPECT_EQ(warm.shard_seconds, 0.0);
   EXPECT_EQ(warm.leaf_fits_computed, 0);
 
   // The run id is fingerprint-derived: surfaced as 16 hex digits and stable

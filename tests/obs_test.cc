@@ -358,12 +358,14 @@ TEST(ObsDiagnosticsTest, RunDiagnosticsJsonHasVersionedSchema) {
   EXPECT_NE(json.find("\"127.0.0.1:9000\""), std::string::npos);
   EXPECT_NE(json.find("\"workers\":["), std::string::npos);
   // Schema v2 removed the batched-fold counters and the exact-L1 round;
-  // v3 the signal-stats and score-partials rounds.
+  // v3 the signal-stats and score-partials rounds, and the moments-round
+  // time, which equals `shard` now that there is one round.
   EXPECT_EQ(json.find("batch"), std::string::npos) << json;
   EXPECT_EQ(json.find("error_probes"), std::string::npos) << json;
   EXPECT_EQ(json.find("score_probes"), std::string::npos) << json;
   EXPECT_EQ(json.find("shard_signal"), std::string::npos) << json;
   EXPECT_EQ(json.find("shard_score"), std::string::npos) << json;
+  EXPECT_EQ(json.find("shard_moments"), std::string::npos) << json;
 }
 
 }  // namespace

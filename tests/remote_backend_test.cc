@@ -72,7 +72,6 @@ SyntheticInput MakeSyntheticInput(int64_t rows) {
 
 ShardTask MakeMomentsTask(const ShardInput& input) {
   ShardTask task;
-  task.kind = ShardTaskKind::kLeafMoments;
   for (size_t l = 0; l < input.leaves.size(); ++l) {
     task.leaves.push_back(static_cast<int64_t>(l));
   }
@@ -82,7 +81,6 @@ ShardTask MakeMomentsTask(const ShardInput& input) {
 /// Bitwise equality of two merged task results (elapsed time excluded).
 void ExpectBitIdenticalMerges(const CoordinatorTaskResult& expected,
                               const CoordinatorTaskResult& actual) {
-  EXPECT_EQ(expected.kind, actual.kind);
   EXPECT_EQ(expected.shards_executed, actual.shards_executed);
   EXPECT_EQ(expected.rows_scanned, actual.rows_scanned);
   EXPECT_EQ(expected.blocks_merged, actual.blocks_merged);
@@ -269,7 +267,6 @@ TEST(RemoteBackendTest, DeterministicTaskErrorPropagatesWithoutRetry) {
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   ShardPlan plan = PlanShards(200, 64, 2);
   ShardTask bad_task;
-  bad_task.kind = ShardTaskKind::kLeafMoments;
   bad_task.leaves = {99};  // out of range: the kernel fails deterministically
   Status status = remote->ExecuteTask(s.input, plan, 0, bad_task).status();
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();

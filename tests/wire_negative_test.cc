@@ -314,7 +314,7 @@ TEST(WireNegativeTest, ExecuteRequestTruncationAndGarbageRejected) {
     EXPECT_EQ(parsed.run_id, 0xabcdef0123456789ull);
     EXPECT_EQ(parsed.parent_span, 7u);
     EXPECT_TRUE(parsed.traced);
-    EXPECT_EQ(parsed.task.kind, task.kind);
+    EXPECT_EQ(parsed.task.leaves, task.leaves);
     for (size_t len = 0; len < request.size(); ++len) {
       EXPECT_TRUE(
           ParseExecuteRequest(request.data(), len).status().IsIOError())

@@ -11,18 +11,20 @@ Each commit is exported with `git archive` into its own tree under
 --scratch (reused when it already exists), so neither run sees the working
 directory. Every tree first builds through one short discarded run. Then,
 per workload and per seed, the base tree and the change tree run
-`benchmark/run.py` back to back, one pair per seed, with the side that runs
-first alternating from pair to pair (base first on the first pair).
+`benchmark/run.py` untraced and back to back, one pair per seed, with the
+side that runs first alternating from pair to pair (base first on the first
+pair).
 
-For each workload and each end-to-end metric of BENCHMARK.json, plus any
---metric given, the report prints both medians, both interquartile ranges,
-the change's win count over the pairs, the relative move of the medians
-(positive = worse, whichever way the metric is better) against the
-metric's bound, each run's `correct` flag and `failed` count, and the
-seeds. It names a gain only with at least 10 pairs of distinct seeds, every
-run correct, wins in at least 9 of 10 pairs, and a median better by more
-than the base's interquartile range; fewer pairs can only show whether a
-metric stayed within its bound.
+For each workload and each end-to-end metric of BENCHMARK.json, the report
+prints both medians, both interquartile ranges, the change's win count over
+the pairs, the relative move of the medians (positive = worse, whichever way
+the metric is better) against the metric's bound, each run's `correct` flag
+and `failed` count, and the seeds. It names a gain only with at least 10
+pairs of distinct seeds, every run correct, no change run failing more
+operations than its paired base run (nor the change side more in total),
+wins in at least 9 of 10 pairs, and a median better by more than the base's
+interquartile range; fewer pairs can only show whether a metric stayed
+within its bound.
 """
 
 import argparse
@@ -69,8 +71,9 @@ def export(sha, scratch):
     return tree
 
 
-def run(tree, workload, seed, seconds, trace):
-    """One benchmark run; its JSON result, or None when it printed none."""
+def run(tree, workload, seed, seconds):
+    """One untraced benchmark run; its JSON result, or None when it printed
+    none."""
     out = subprocess.run(
         [
             sys.executable,
@@ -78,7 +81,7 @@ def run(tree, workload, seed, seconds, trace):
             "--workload", workload,
             "--seed", str(seed),
             "--seconds", repr(seconds),
-            "--trace", str(trace),
+            "--trace", "0",
         ],
         cwd=tree,
         stdout=subprocess.PIPE,
@@ -107,12 +110,20 @@ def metric_value(result, name):
     return None if entry is None else entry.get("value")
 
 
+def failed_count(result):
+    """The run's failed operations; None when it reported no count."""
+    failed = result.get("failed")
+    return failed if isinstance(failed, (int, float)) else None
+
+
 def report(workload, seeds, pairs, metrics):
     print("\n== %s: %d pairs, seeds %s" % (workload, len(pairs), seeds))
     # A repeated seed is a replaced pair, not a new one.
     all_correct = len(set(seeds)) == len(seeds)
+    more_failed = False
+    failed_totals = {"base": 0, "change": 0}
     for seed, (base, change) in zip(seeds, pairs):
-        flags = []
+        flags, failed = [], {}
         for label, result in (("base", base), ("change", change)):
             if result is None:
                 flags.append("%s: no result" % label)
@@ -120,11 +131,27 @@ def report(workload, seeds, pairs, metrics):
                 continue
             correct = bool(result.get("correct"))
             all_correct = all_correct and correct
+            failed[label] = failed_count(result)
+            if failed[label] is None:
+                all_correct = False
+            else:
+                failed_totals[label] += failed[label]
             flags.append(
                 "%s: correct=%s failed=%s"
                 % (label, str(correct).lower(), result.get("failed"))
             )
+        if None not in (failed.get("base"), failed.get("change")) and (
+            failed["change"] > failed["base"]
+        ):
+            more_failed = True
+            flags.append("CHANGE FAILS MORE")
         print("  seed %-6d %s" % (seed, "  ".join(flags)))
+    if failed_totals["change"] > failed_totals["base"]:
+        more_failed = True
+    print(
+        "  failed operations: base %g, change %g"
+        % (failed_totals["base"], failed_totals["change"])
+    )
     print(
         "  %-22s %11s %11s %11s %11s %6s %8s  %s"
         % ("metric", "base med", "change med", "base IQR", "change IQR",
@@ -154,6 +181,7 @@ def report(workload, seeds, pairs, metrics):
         if (
             n >= MIN_GAIN_PAIRS
             and all_correct
+            and not more_failed
             and wins >= MIN_WIN_SHARE * n
             and gain > base_q3 - base_q1
         ):
@@ -166,6 +194,8 @@ def report(workload, seeds, pairs, metrics):
             verdict = "-"
         if not all_correct:
             verdict += ", incorrect or repeated runs"
+        if more_failed:
+            verdict += ", change fails more operations"
         print(
             "  %-22s %11.5g %11.5g %11.5g %11.5g %3d/%-2d %+7.1f%%  %s"
             % (name, base_med, change_med, base_q3 - base_q1,
@@ -180,11 +210,8 @@ def main():
     parser.add_argument("--workloads", required=True, nargs="+")
     parser.add_argument("--seeds", required=True, nargs="+", type=int)
     parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scratch", required=True,
                         help="directory for the exported trees and their builds")
-    parser.add_argument("--metric", action="append", default=[],
-                        help="an extra metric to report (lower is better)")
     args = parser.parse_args()
 
     base_tree = export(resolve(args.base), args.scratch)
@@ -193,22 +220,21 @@ def main():
         declared = json.load(f)
     metrics = [(m["name"], m["better"], m.get("bound"))
                for m in declared.get("end_to_end", [])]
-    metrics += [(name, "lower", None) for name in args.metric]
 
     # One short discarded run per tree builds it, so no timed run pays the
     # build.
     for tree in (base_tree, change_tree):
-        run(tree, args.workloads[0], 0, 1.0, 0)
+        run(tree, args.workloads[0], 0, 1.0)
 
     for workload in args.workloads:
         pairs = []
         for i, seed in enumerate(args.seeds):
             if i % 2 == 0:
-                base = run(base_tree, workload, seed, args.seconds, args.trace)
-                change = run(change_tree, workload, seed, args.seconds, args.trace)
+                base = run(base_tree, workload, seed, args.seconds)
+                change = run(change_tree, workload, seed, args.seconds)
             else:
-                change = run(change_tree, workload, seed, args.seconds, args.trace)
-                base = run(base_tree, workload, seed, args.seconds, args.trace)
+                change = run(change_tree, workload, seed, args.seconds)
+                base = run(base_tree, workload, seed, args.seconds)
             pairs.append((base, change))
             print("  %s seed %d done" % (workload, seed), file=sys.stderr)
         report(workload, args.seeds, pairs, metrics)
