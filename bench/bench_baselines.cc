@@ -19,7 +19,7 @@ void CompareOn(const std::string& title, const Table& source, const Table& targe
                const CharlesOptions& options) {
   std::printf("-- %s --\n", title.c_str());
   CharlesEngine engine(options);
-  SummaryList result = engine.Run(source, target).ValueOrDie();
+  SummaryList result = engine.Find(source, target).ValueOrDie();
   const ChangeSummary& charles_summary = result.summaries[0];
 
   DiffOptions diff_options;

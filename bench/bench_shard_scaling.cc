@@ -14,14 +14,12 @@
 /// trips — against loopback charles_worker services in this process.
 ///
 /// Results are recorded in BENCH_shards.json (working directory), including
-/// the round's coordinator timing, the row-free scoring counters
-/// (candidates scored from partials vs central ŷ materializations), the
+/// the round's coordinator timing, the candidates each run evaluated, the
 /// warm-context cells' elision counters, and the remote cells'
 /// dispatch/install/retry counters. `--smoke` runs a reduced grid and exits
 /// non-zero if any sharded ranking diverges from the baseline (top
 /// signature + bit-equal score — the score-parity tripwire), any engine run
-/// materialized a central ŷ vector (row-free scoring must fully cover
-/// Phase3Fits: zero y_hat bytes), the sharded end-to-end time blows past a
+/// evaluated no candidate, the sharded end-to-end time blows past a
 /// generous overhead ceiling, a warm-context repeat run fails to elide every
 /// kLeafMoments task, or a remote cell needed a retry or installed its
 /// input more than once per worker (loopback workers never legitimately
@@ -57,8 +55,7 @@ struct GridRow {
   double total_s = 0.0;
   double shard_s = 0.0;   ///< coordinator fan-out + merge of the round
   int64_t rows_scanned = 0;
-  int64_t score_candidates = 0;  ///< candidates scored row-free (partials)
-  int64_t yhat_mats = 0;         ///< central ŷ materializations (must be 0)
+  int64_t candidates = 0;  ///< candidates evaluated (must be > 0)
   int64_t leaves_swept = 0;   ///< kLeafMoments leaves actually requested
   int64_t leaves_elided = 0;  ///< leaves skipped via the warm fit cache
   int64_t remote_tasks = 0;     ///< kRemote: tasks dispatched to the fleet
@@ -104,8 +101,7 @@ GridRow RunCell(const Table& source, const Table& target, int shards,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   row.shard_s = result.shard_seconds;
   row.rows_scanned = result.shard_rows_scanned;
-  row.score_candidates = result.score_partials_candidates;
-  row.yhat_mats = result.score_yhat_materializations;
+  row.candidates = result.candidates_evaluated;
   row.leaves_swept = result.shard_moment_leaves_swept;
   row.leaves_elided = result.shard_moment_leaves_elided;
   row.remote_tasks = result.remote_tasks_dispatched;
@@ -205,7 +201,7 @@ void PrintGrid(const std::vector<GridRow>& grid) {
   PrintRule(widths);
   PrintTableRow(widths,
                 {"backend", "mode", "shards", "threads", "total s", "shard s",
-                 "rows scanned", "elided", "scored", "r tasks", "installs",
+                 "rows scanned", "elided", "cands", "r tasks", "installs",
                  "retries", "identical"});
   PrintRule(widths);
   for (const GridRow& r : grid) {
@@ -214,7 +210,7 @@ void PrintGrid(const std::vector<GridRow>& grid) {
                    std::to_string(r.threads), Fmt(r.total_s, 3),
                    Fmt(r.shard_s, 4), std::to_string(r.rows_scanned),
                    std::to_string(r.leaves_elided),
-                   std::to_string(r.score_candidates),
+                   std::to_string(r.candidates),
                    std::to_string(r.remote_tasks),
                    std::to_string(r.remote_installs),
                    std::to_string(r.remote_retries),
@@ -237,7 +233,7 @@ void WriteJson(const std::string& path, const std::vector<GridRow>& grid) {
                  "\"threads\": %d, \"total_s\": %.5f, \"shard_s\": %.5f, "
                  "\"rows_scanned\": %lld, \"leaves_swept\": %lld, "
                  "\"leaves_elided\": %lld, "
-                 "\"score_candidates\": %lld, \"yhat_materializations\": %lld, "
+                 "\"candidates_evaluated\": %lld, "
                  "\"remote_tasks\": %lld, "
                  "\"remote_installs\": %lld, \"remote_retries\": %lld, "
                  "\"identical\": %s}%s\n",
@@ -246,8 +242,7 @@ void WriteJson(const std::string& path, const std::vector<GridRow>& grid) {
                  static_cast<long long>(r.rows_scanned),
                  static_cast<long long>(r.leaves_swept),
                  static_cast<long long>(r.leaves_elided),
-                 static_cast<long long>(r.score_candidates),
-                 static_cast<long long>(r.yhat_mats),
+                 static_cast<long long>(r.candidates),
                  static_cast<long long>(r.remote_tasks),
                  static_cast<long long>(r.remote_installs),
                  static_cast<long long>(r.remote_retries),
@@ -314,20 +309,13 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    // Row-free scoring tripwire: every engine run — sharded or not — must
-    // score all its candidates from merged ScorePartials without ever
-    // materializing a run-wide ŷ vector. A single materialization means a
-    // candidate fell off the partials path (a per-candidate O(rows)
-    // allocation snuck back into the hot loop).
+    // Candidate tripwire: every engine run — sharded or not, cold or warm —
+    // must build and score candidates; zero means phase 3 produced nothing.
     for (const charles::bench::GridRow& row : grid) {
-      if (row.yhat_mats != 0 || row.score_candidates == 0) {
+      if (row.candidates == 0) {
         std::fprintf(stderr,
-                     "FAIL: %s backend at %d shards scored %lld candidates "
-                     "from partials with %lld central y_hat "
-                     "materializations; expected >0 and exactly 0\n",
-                     row.backend.c_str(), row.shards,
-                     static_cast<long long>(row.score_candidates),
-                     static_cast<long long>(row.yhat_mats));
+                     "FAIL: %s backend at %d shards evaluated no candidates\n",
+                     row.backend.c_str(), row.shards);
         return 1;
       }
     }
@@ -378,8 +366,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("smoke OK: every sharded cell (including remote loopback) "
-                "bit-identical, all candidates scored row-free (zero central "
-                "y_hat bytes), overhead within bounds, warm run elided every "
+                "bit-identical, every run evaluated candidates, overhead "
+                "within bounds, warm run elided every "
                 "leaf-moments task, zero remote retries, at most one install "
                 "per worker\n");
     return 0;

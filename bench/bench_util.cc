@@ -1,8 +1,10 @@
 #include "bench_util.h"
 
+#include "core/normality.h"
 #include "core/scoring.h"
-#include "ml/decision_tree.h"
+#include "linalg/stats.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
@@ -32,15 +34,34 @@ Result<ChangeSummary> BuildGlobalRegressionBaseline(const CharlesEngine& engine,
                                                     const std::vector<double>& y_old,
                                                     const std::vector<double>& y_new) {
   // A single TRUE-conditioned partition over every row, transformed by a
-  // regression on the target's old value.
-  PartitionCandidate universal;
-  DecisionTree::Leaf leaf;
-  leaf.condition = MakeTrue();
-  leaf.rows = RowSet::All(source.num_rows());
-  universal.leaves.push_back(std::move(leaf));
-  universal.k = 1;
-  return engine.BuildSummary(source, y_old, y_new, universal,
-                             {engine.options().target_attribute}, {});
+  // snapped regression of the new target on its old value.
+  const CharlesOptions& options = engine.options();
+  const std::string& target = options.target_attribute;
+  CHARLES_ASSIGN_OR_RETURN(const Column* column, source.ColumnByName(target));
+  CHARLES_ASSIGN_OR_RETURN(std::vector<double> old_values, column->ToDoubles());
+  Matrix x(source.num_rows(), 1);
+  for (int64_t row = 0; row < source.num_rows(); ++row) {
+    x.At(row, 0) = old_values[static_cast<size_t>(row)];
+  }
+  CHARLES_ASSIGN_OR_RETURN(LinearModel model, LinearRegression::Fit(x, y_new, {target}));
+  NormalityOptions normality = options.normality;
+  normality.exactness_tolerance =
+      std::max(normality.exactness_tolerance, options.numeric_tolerance);
+  std::vector<double> y_hat;
+  model = SnapModel(model, x, y_new, normality, /*error_spec=*/nullptr, &y_hat);
+  model.mae = MeanAbsoluteError(y_hat, y_new);
+  ConditionalTransform ct;
+  ct.condition = MakeTrue();
+  ct.rows = RowSet::All(source.num_rows());
+  ct.coverage = ct.rows.Coverage(source.num_rows());
+  ct.transform = LinearTransform::Linear(target, model);
+  ct.partition_mae = model.mae;
+  ChangeSummary summary({std::move(ct)}, target);
+  summary.set_attributes({}, {target});
+  Scorer scorer(options, y_old, y_new);
+  CHARLES_ASSIGN_OR_RETURN(ScoreBreakdown scores, scorer.ApplyAndScore(summary, source));
+  summary.set_scores(scores);
+  return summary;
 }
 
 Result<ChangeSummary> BuildCellDiffBaseline(const CharlesOptions& options,

@@ -102,17 +102,9 @@ struct SummaryList {
   /// repeat run on a warm context sweeps none
   /// (see docs/distributed.md#warm-cache-elision).
   int64_t shard_moment_leaves_elided = 0;
-  /// \name Row-free scoring (PR 10). A run on the partials path scores every
-  /// candidate by merging per-leaf ScorePartials in leaf order; the counters
-  /// below prove (or disprove) that no run-wide ŷ vector was ever built.
+  /// \name Row-free scoring: every candidate is scored by merging per-leaf
+  /// ScorePartials in leaf order; no run-wide ŷ vector is ever built.
   /// @{
-  /// Candidates scored row-free from merged per-leaf score partials.
-  int64_t score_partials_candidates = 0;
-  /// Candidates scored by materializing a run-wide ŷ. Always zero: engine
-  /// runs score every candidate row-free (only the public BuildSummary
-  /// builds ŷ, and it reports no SummaryList). Kept because the
-  /// bench_shard_scaling tripwire reads it.
-  int64_t score_yhat_materializations = 0;
   /// Per-leaf score folds performed; fits served by a warm cache don't
   /// count. Deterministic: at most one per computed fit.
   int64_t score_leaf_folds = 0;
@@ -342,25 +334,6 @@ class CharlesEngine {
                                              const StopToken* stop = nullptr) const =
       delete;
 
-  /// Legacy name for Find() without streaming.
-  Result<SummaryList> Run(const Table& source, const Table& target) const {
-    return Find(source, target);
-  }
-
-  /// \brief Builds and scores one summary for a fixed partitioning.
-  ///
-  /// Exposed for tests, baselines, and ablations: fits a transformation on
-  /// every leaf by row-level QR (detecting no-change partitions), snaps
-  /// constants, assembles predictions, and scores them with a Scorer built
-  /// for this call. `y_old`/`y_new` align with source rows. Engine runs do
-  /// not use this entry: phase 3 fits each distinct (leaf, T) once into the
-  /// run's fit table and scores row-free (see RunPipeline::Phase3Fits).
-  Result<ChangeSummary> BuildSummary(
-      const Table& source, const std::vector<double>& y_old,
-      const std::vector<double>& y_new, const PartitionCandidate& candidate,
-      const std::vector<std::string>& transform_attrs,
-      const std::vector<std::string>& condition_attrs) const;
-
  private:
   /// The staged pipeline Find() delegates to; stages call FitLeaf and the
   /// fit-table BuildSummary and read the engine's options/context (see
@@ -376,8 +349,8 @@ class CharlesEngine {
   struct LeafStatsWorkspace {
     /// The run's transformation columns (shortlist order = moments order).
     const ColumnCache* columns = nullptr;
-    /// The leaf's moments over the full shortlist; null for an unchanged
-    /// leaf, whose fit never reads them.
+    /// The leaf's moments over the full shortlist. Required for a changed
+    /// leaf; null for an unchanged one, whose fit never reads them.
     const SufficientStats* moments = nullptr;
     /// The current T's indices into the shortlist.
     const std::vector<int>* t_subset = nullptr;
@@ -393,17 +366,15 @@ class CharlesEngine {
 
   /// \brief Fits one leaf's transformation.
   ///
-  /// With a workspace (engine runs): no-change from `max_abs_delta`, OLS
-  /// solved from the leaf moments (row-level QR when the system is
-  /// ill-conditioned), normality snapping against the exact canonical L1
-  /// baseline, and the leaf's canonical ScorePartials. Without one (the
-  /// public BuildSummary): a serial no-change scan, row-level QR, and a
-  /// serial MAE. `predictions` (optional) receives ŷ over the leaf's rows.
-  Result<SharedLeafFit> FitLeaf(const Table& source, const std::vector<double>& y_old,
+  /// No-change from `ws.max_abs_delta`; otherwise OLS solved from the leaf
+  /// moments (row-level QR when the system is ill-conditioned or
+  /// underdetermined), normality snapping against the exact canonical L1
+  /// baseline, and the leaf's canonical ScorePartials. A changed leaf must
+  /// come with moments.
+  Result<SharedLeafFit> FitLeaf(const std::vector<double>& y_old,
                                 const std::vector<double>& y_new, const RowSet& rows,
                                 const std::vector<std::string>& transform_attrs,
-                                const LeafStatsWorkspace* ws,
-                                std::vector<double>* predictions) const;
+                                const LeafStatsWorkspace& ws) const;
 
   /// \brief Assembles and scores one summary from fit-table slots, one per
   /// candidate leaf in leaf order: the per-leaf ScorePartials merge in leaf

@@ -13,61 +13,34 @@ namespace charles {
 
 namespace {
 
-Result<Matrix> GatherTransformFeatures(const Table& source,
-                                       const std::vector<std::string>& transform_attrs,
-                                       const ColumnCache* cache = nullptr) {
-  Matrix x(source.num_rows(), static_cast<int64_t>(transform_attrs.size()));
-  for (size_t f = 0; f < transform_attrs.size(); ++f) {
-    const std::vector<double>* values =
-        cache != nullptr ? cache->Find(transform_attrs[f]) : nullptr;
-    std::vector<double> converted;
-    if (values == nullptr) {
-      CHARLES_ASSIGN_OR_RETURN(const Column* col,
-                               source.ColumnByName(transform_attrs[f]));
-      CHARLES_ASSIGN_OR_RETURN(converted, col->ToDoubles());
-      values = &converted;
-    }
-    for (int64_t r = 0; r < source.num_rows(); ++r) {
-      x.At(r, static_cast<int64_t>(f)) = (*values)[static_cast<size_t>(r)];
+/// The T-subset's feature matrix over every source row, from the resolved
+/// column cache entries.
+Matrix GatherTransformFeatures(const std::vector<const std::vector<double>*>& columns,
+                               int64_t num_rows) {
+  Matrix x(num_rows, static_cast<int64_t>(columns.size()));
+  for (size_t f = 0; f < columns.size(); ++f) {
+    for (int64_t r = 0; r < num_rows; ++r) {
+      x.At(r, static_cast<int64_t>(f)) = (*columns[f])[static_cast<size_t>(r)];
     }
   }
   return x;
 }
 
-/// Global-model fast path for ClusterResiduals: solve the T-subset's normal
-/// equations from the run's pre-accumulated shortlist moments. Returns false
-/// (leaving `model` untouched) when the fast path is unavailable — no stats
-/// attached, a malformed subset mapping, or an ill-conditioned system — so
-/// the caller falls back to the QR path.
-bool FitGlobalFromStats(const PartitionFinder::Input& input, LinearModel* model) {
-  if (input.shortlist_stats == nullptr ||
-      input.shortlist_subset.size() != input.transform_attrs.size()) {
-    return false;
-  }
-  Result<LinearModel> fit = LinearRegression::FitFromStats(
-      *input.shortlist_stats, input.shortlist_subset, input.transform_attrs);
-  if (!fit.ok()) return false;
-  *model = std::move(*fit);
-  return true;
-}
-
-/// Predictions of `model` over every source row, reading feature columns
-/// straight from the column cache (no matrix materialization). Returns false
-/// when a feature column is missing from the cache.
-bool PredictFromCache(const LinearModel& model, const ColumnCache* cache,
-                      int64_t num_rows, std::vector<double>* out) {
-  if (cache == nullptr) return false;
-  std::vector<const std::vector<double>*> columns;
-  if (!cache->ResolveColumns(model.feature_names, &columns)) return false;
-  out->resize(static_cast<size_t>(num_rows));
+/// Predictions of `model` over every source row, reading the feature
+/// columns straight from the column cache (no matrix materialization).
+/// Every row goes through LinearModel::PredictRow.
+std::vector<double> PredictFromCache(const LinearModel& model,
+                                     const std::vector<const std::vector<double>*>& columns,
+                                     int64_t num_rows) {
+  std::vector<double> out(static_cast<size_t>(num_rows));
   std::vector<double> row(columns.size());
   for (int64_t r = 0; r < num_rows; ++r) {
     for (size_t f = 0; f < columns.size(); ++f) {
       row[f] = (*columns[f])[static_cast<size_t>(r)];
     }
-    (*out)[static_cast<size_t>(r)] = model.PredictRow(row.data());
+    out[static_cast<size_t>(r)] = model.PredictRow(row.data());
   }
-  return true;
+  return out;
 }
 
 std::string PartitionSignature(const std::vector<DecisionTree::Leaf>& leaves) {
@@ -114,18 +87,19 @@ std::vector<int> PartitionFinder::CanonicalizeLabels(const std::vector<int>& lab
   return canonical;
 }
 
-Result<LinearModel> PartitionFinder::FitGlobalModel(const Input& input) {
-  const Table& source = *input.source;
-  CHARLES_ASSIGN_OR_RETURN(
-      Matrix x,
-      GatherTransformFeatures(source, input.transform_attrs, input.column_cache));
-  return LinearRegression::Fit(x, *input.y_new, input.transform_attrs);
-}
-
 Result<PartitionFinder::ResidualClusterings> PartitionFinder::ClusterResiduals(
     const Input& input, const CharlesOptions& options, bool include_delta_signals) {
-  const Table& source = *input.source;
-  int64_t n = source.num_rows();
+  if (input.column_cache == nullptr) {
+    return Status::InvalidArgument("PartitionFinder: Input::column_cache is required");
+  }
+  if (input.shortlist_stats == nullptr) {
+    return Status::InvalidArgument("PartitionFinder: Input::shortlist_stats is required");
+  }
+  if (input.shortlist_subset.size() != input.transform_attrs.size()) {
+    return Status::InvalidArgument(
+        "PartitionFinder: Input::shortlist_subset must map every transform attribute");
+  }
+  int64_t n = input.source->num_rows();
   if (n == 0) return Status::InvalidArgument("PartitionFinder: empty source");
   if (static_cast<int64_t>(input.y_new->size()) != n) {
     return Status::InvalidArgument("PartitionFinder: y_new size mismatch");
@@ -133,23 +107,24 @@ Result<PartitionFinder::ResidualClusterings> PartitionFinder::ClusterResiduals(
   if (input.y_old != nullptr && static_cast<int64_t>(input.y_old->size()) != n) {
     return Status::InvalidArgument("PartitionFinder: y_old size mismatch");
   }
-
-  // Global fit on T: sub-solve of the run's shortlist moments when
-  // available, else gather + QR. Either way `predicted` is evaluated row by
-  // row through LinearModel::PredictRow, so the residual signal is identical
-  // for a given model regardless of which path produced the predictions.
-  LinearModel global;
-  std::vector<double> predicted;
-  bool from_stats = FitGlobalFromStats(input, &global) &&
-                    PredictFromCache(global, input.column_cache, n, &predicted);
-  if (!from_stats) {
-    CHARLES_ASSIGN_OR_RETURN(
-        Matrix x,
-        GatherTransformFeatures(source, input.transform_attrs, input.column_cache));
-    CHARLES_ASSIGN_OR_RETURN(
-        global, LinearRegression::Fit(x, *input.y_new, input.transform_attrs));
-    predicted = global.PredictBatch(x);
+  std::vector<const std::vector<double>*> columns;
+  if (!input.column_cache->ResolveColumns(input.transform_attrs, &columns)) {
+    return Status::InvalidArgument(
+        "PartitionFinder: Input::column_cache misses a transform attribute");
   }
+
+  // Global fit on T: a p×p sub-solve of the run's shortlist moments; an
+  // ill-conditioned or underdetermined system drops to QR over the gathered
+  // rows. Either way `predicted` is evaluated row by row through
+  // LinearModel::PredictRow.
+  Result<LinearModel> global = LinearRegression::FitFromStats(
+      *input.shortlist_stats, input.shortlist_subset, input.transform_attrs);
+  if (!global.ok()) {
+    global = LinearRegression::Fit(GatherTransformFeatures(columns, n), *input.y_new,
+                                   input.transform_attrs);
+    CHARLES_RETURN_NOT_OK(global.status());
+  }
+  std::vector<double> predicted = PredictFromCache(*global, columns, n);
 
   // Change signals to cluster on: the paper's distance-from-the-regression-
   // line, plus raw and relative deltas when requested and available.
@@ -175,7 +150,7 @@ Result<PartitionFinder::ResidualClusterings> PartitionFinder::ClusterResiduals(
   }
 
   ResidualClusterings out;
-  out.global_model = std::move(global);
+  out.global_model = std::move(*global);
   std::set<std::vector<int>> seen_labelings;
   for (const std::vector<double>& signal : signals) {
     CHARLES_ASSIGN_OR_RETURN(KMeans1DResult clusterings,
@@ -233,15 +208,6 @@ Result<std::vector<PartitionCandidate>> PartitionFinder::InduceCandidates(
     candidates.push_back(std::move(tree.candidate));
   }
   return candidates;
-}
-
-Result<std::vector<PartitionCandidate>> PartitionFinder::Find(
-    const Input& input, const std::vector<int>& condition_attr_indices,
-    const CharlesOptions& options, ThreadPool* pool) {
-  CHARLES_ASSIGN_OR_RETURN(ResidualClusterings clusterings,
-                           ClusterResiduals(input, options));
-  return InduceCandidates(*input.source, clusterings.labelings, condition_attr_indices,
-                          options, /*cache=*/nullptr, pool);
 }
 
 }  // namespace charles

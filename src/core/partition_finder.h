@@ -41,10 +41,9 @@ class ColumnCache {
   }
 
   /// Resolves every name to its cached column, in order. Returns false —
-  /// leaving `out` unspecified — if any column is missing; callers treat
-  /// that as "this cache cannot serve the request" and fall back to their
-  /// slow path. The shared front half of every gather/accumulate loop over
-  /// cached columns.
+  /// leaving `out` unspecified — if any column is missing, which callers
+  /// treat as an error. The shared front half of every gather/accumulate
+  /// loop over cached columns.
   bool ResolveColumns(const std::vector<std::string>& names,
                       std::vector<const std::vector<double>*>* out) const {
     out->clear();
@@ -90,7 +89,7 @@ struct PartitionCandidate {
 ///
 /// For a fixed pair (C, T) of condition/transformation attribute subsets:
 ///  1. fit one global linear regression of the new target values on T over
-///     the source snapshot;
+///     the source snapshot, from the run's shortlist moments;
 ///  2. cluster the *signed residuals* (each row's distance from the
 ///     regression line) by exact 1-D k-means (KMeans1D) for
 ///     k = 1..max_clusters: one sorted DP per signal yields every k;
@@ -124,18 +123,18 @@ class PartitionFinder {
     /// Names of the transformation attributes T (numeric source columns);
     /// empty means intercept-only transformations.
     std::vector<std::string> transform_attrs;
-    /// Optional column-gather cache covering (at least) `transform_attrs`;
-    /// when set, feature matrices are filled from it instead of re-converting
-    /// columns per T-subset. Must stay valid for the duration of the call.
+    /// Required: the run's converted columns, covering (at least)
+    /// `transform_attrs`. Predictions (and the QR fallback's feature matrix)
+    /// read from it. Must stay valid for the duration of the call.
     const ColumnCache* column_cache = nullptr;
-    /// Optional pre-accumulated OLS moments over the run's full
-    /// transformation shortlist and y_new, covering every source row. When
-    /// set, each T-subset's global model is a p×p sub-solve of these moments
-    /// instead of an O(n·p²) QR — the engine accumulates them once per run and
-    /// shares them across all T-subset workers. `shortlist_subset` maps
-    /// `transform_attrs` (in order) to the stats' feature indices; both
-    /// fields must be set together and the stats must stay valid for the
-    /// duration of the call.
+    /// Required: OLS moments over the run's full transformation shortlist
+    /// and y_new, covering every source row. Each T-subset's global model
+    /// is a p×p sub-solve of these moments instead of an O(n·p²) QR; only an
+    /// ill-conditioned or underdetermined sub-solve drops to QR. The engine
+    /// accumulates them once per run and shares them across all T-subset
+    /// workers. `shortlist_subset` maps `transform_attrs` (in order) to the
+    /// stats' feature indices. The stats must stay valid for the duration of
+    /// the call.
     const SufficientStats* shortlist_stats = nullptr;
     std::vector<int> shortlist_subset;
   };
@@ -152,7 +151,9 @@ class PartitionFinder {
   /// Steps 1–2: global fit on T, exact 1-D k-means of each change signal. The
   /// delta/relative-delta signals are T-independent; pass
   /// include_delta_signals = false on all but the first call of a T sweep to
-  /// avoid recomputing them.
+  /// avoid recomputing them. A null `column_cache` or `shortlist_stats`, or
+  /// a `shortlist_subset` that does not match `transform_attrs`, fails with
+  /// InvalidArgument naming the field.
   static Result<ResidualClusterings> ClusterResiduals(const Input& input,
                                                       const CharlesOptions& options,
                                                       bool include_delta_signals = true);
@@ -173,14 +174,6 @@ class PartitionFinder {
   /// Renumbers labels in first-appearance order so structurally identical
   /// clusterings compare equal.
   static std::vector<int> CanonicalizeLabels(const std::vector<int>& labels);
-
-  /// Convenience composition of the two phases for a single (C, T).
-  static Result<std::vector<PartitionCandidate>> Find(
-      const Input& input, const std::vector<int>& condition_attr_indices,
-      const CharlesOptions& options, ThreadPool* pool = nullptr);
-
-  /// The global model of step 1, exposed for diagnostics and benchmarks.
-  static Result<LinearModel> FitGlobalModel(const Input& input);
 };
 
 }  // namespace charles

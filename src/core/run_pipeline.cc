@@ -809,9 +809,8 @@ Status RunPipeline::Phase3Fits(RunState& state) {
     workspace.score_tolerance = state.scorer->exact_tolerance();
     workspace.score_folds = score_folds;
     const RowSet& rows = *state.leaves[l];
-    Result<SharedLeafFit> fit =
-        engine.FitLeaf(*state.analysis, state.y_old, state.y_new, rows,
-                       state.t_attr_names[ti], &workspace, /*predictions=*/nullptr);
+    Result<SharedLeafFit> fit = engine.FitLeaf(state.y_old, state.y_new, rows,
+                                               state.t_attr_names[ti], workspace);
     if (!fit.ok()) {
       slot.status = fit.status();
       return;
@@ -835,7 +834,6 @@ Status RunPipeline::Phase3Fits(RunState& state) {
     int64_t fits_computed = 0;
     int64_t fits_reused = 0;
     int64_t score_folds = 0;
-    int64_t candidates_scored = 0;
   };
   std::vector<Phase3Worker> workers;
   state.outputs = ParallelMapWithState<RunState::WorkItemOutput, Phase3Worker>(
@@ -871,7 +869,6 @@ Status RunPipeline::Phase3Fits(RunState& state) {
                                             entry.condition_attrs, *state.scorer);
           out.signature = out.summary.Signature();
           out.ok = true;
-          ++worker.candidates_scored;
         }
         // Completed-item count is tracked stream or no stream (the
         // cancellation diagnostic reports it), but only streamed runs pay
@@ -917,7 +914,6 @@ Status RunPipeline::Phase3Fits(RunState& state) {
   for (const Phase3Worker& worker : workers) {
     state.result.leaf_fits_computed += worker.fits_computed;
     state.result.leaf_fits_reused += worker.fits_reused;
-    state.result.score_partials_candidates += worker.candidates_scored;
     state.result.score_leaf_folds += worker.score_folds;
   }
   return Status::OK();
@@ -1088,16 +1084,6 @@ Result<SummaryList> RunPipeline::Run(const CharlesEngine& engine,
         obs::MetricsRegistry::Global().histogram("engine.run_seconds");
     runs->Increment();
     latency->Observe(state.result.elapsed_seconds);
-    // Row-free scoring health: candidates scored from merged partials vs.
-    // ones that materialized a run-wide ŷ (engine runs must report zero).
-    static obs::Counter* const partials_scored =
-        obs::MetricsRegistry::Global().counter(
-            "score_partials.candidates_scored");
-    static obs::Counter* const yhat_scored =
-        obs::MetricsRegistry::Global().counter(
-            "score_partials.yhat_materializations");
-    partials_scored->Add(state.result.score_partials_candidates);
-    yhat_scored->Add(state.result.score_yhat_materializations);
     if (state.context != nullptr) {
       // Cross-run cache health, refreshed once per run (the counters live in
       // the sharded cache; gauges mirror them into the registry snapshot).

@@ -47,9 +47,10 @@ class Scorer {
          std::vector<double> y_new);
 
   /// Scores a summary given the predictions it makes on the source rows
-  /// (`y_hat`, aligned with y_old/y_new). The row-scan path: kept for
-  /// external callers and baselines; the engine's hot loop scores from
-  /// partials instead (ScoreFromPartials).
+  /// (`y_hat`, aligned with y_old/y_new). The row-scan path, behind
+  /// ApplyAndScore: for summaries built outside an engine run (baselines,
+  /// hand-written rules). Engine runs score every candidate from merged
+  /// leaf partials instead (ScoreFromPartials).
   ScoreBreakdown Score(const ChangeSummary& summary,
                        const std::vector<double>& y_hat) const;
 
@@ -59,7 +60,8 @@ class Scorer {
   ScoreBreakdown ScoreFromPartials(const ChangeSummary& summary,
                                    const ScorePartials& partials) const;
 
-  /// Convenience: applies the summary to `source` and scores the result.
+  /// Applies the summary to `source` and scores the result: how a summary
+  /// built outside an engine run is scored.
   Result<ScoreBreakdown> ApplyAndScore(const ChangeSummary& summary,
                                        const Table& source) const;
 

@@ -139,12 +139,8 @@ class DecisionTree {
   /// path conditions.
   ///
   /// Collected once at Fit() time (the same traversal also scores training
-  /// accuracy), so this accessor is free — callers that previously cached
-  /// the result of Leaves() can read it per use instead.
+  /// accuracy), so this accessor is free.
   const std::vector<Leaf>& leaves() const { return leaves_; }
-
-  /// Copying alias of leaves(), kept for callers that need ownership.
-  std::vector<Leaf> Leaves() const { return leaves_; }
 
   /// Label of the leaf a row falls into.
   Result<int> PredictRow(const Table& table, int64_t row) const;

@@ -33,8 +33,6 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.shard_moment_leaves_swept = summary.shard_moment_leaves_swept;
   d.shard_moment_leaves_elided = summary.shard_moment_leaves_elided;
 
-  d.score_partials_candidates = summary.score_partials_candidates;
-  d.score_yhat_materializations = summary.score_yhat_materializations;
   d.score_leaf_folds = summary.score_leaf_folds;
 
   d.remote_tasks_dispatched = summary.remote_tasks_dispatched;
@@ -88,8 +86,6 @@ std::string RunDiagnostics::ToJson() const {
   w.EndObject();
 
   w.Key("scoring").BeginObject();
-  w.Key("partials_candidates").Int(score_partials_candidates);
-  w.Key("yhat_materializations").Int(score_yhat_materializations);
   w.Key("leaf_folds").Int(score_leaf_folds);
   w.EndObject();
 

@@ -32,9 +32,11 @@ struct RunDiagnostics {
   /// retired exact-L1 round's probe count (`shards`) and wall time
   /// (`timings_seconds`). Version 3 removed the retired signal-stats and
   /// score-partials rounds' keys: `shards.score_probes` and
-  /// `timings_seconds.shard_signal` / `shard_score`. docs/observability.md
-  /// lists the keys.
-  static constexpr int kSchemaVersion = 3;
+  /// `timings_seconds.shard_signal` / `shard_score`. Version 4 removed
+  /// `scoring.partials_candidates` (always equal to
+  /// `search.candidates_evaluated`) and `scoring.yhat_materializations`
+  /// (always 0). docs/observability.md lists the keys.
+  static constexpr int kSchemaVersion = 4;
 
   std::string run_id;        ///< 16-hex run fingerprint
   int64_t summaries = 0;     ///< ranked summaries returned
@@ -67,8 +69,6 @@ struct RunDiagnostics {
   int64_t shard_moment_leaves_elided = 0;
 
   // Row-free scoring.
-  int64_t score_partials_candidates = 0;
-  int64_t score_yhat_materializations = 0;
   int64_t score_leaf_folds = 0;
 
   // Remote fleet.

@@ -34,7 +34,7 @@ TEST(DecisionTreeTest, PureLabelsYieldSingleLeaf) {
   DecisionTree tree = DecisionTree::Fit(t, RowSet::All(9), {0, 1}, labels).ValueOrDie();
   EXPECT_EQ(tree.num_leaves(), 1);
   EXPECT_EQ(tree.depth(), 0);
-  auto leaves = tree.Leaves();
+  const auto& leaves = tree.leaves();
   ASSERT_EQ(leaves.size(), 1u);
   EXPECT_TRUE(leaves[0].condition->Equals(*MakeTrue()));
   EXPECT_EQ(leaves[0].rows.size(), 9);
@@ -48,7 +48,7 @@ TEST(DecisionTreeTest, SeparatesByCategoricalAttribute) {
   DecisionTree tree = DecisionTree::Fit(t, RowSet::All(9), {0}, labels).ValueOrDie();
   EXPECT_EQ(tree.num_leaves(), 2);
   EXPECT_DOUBLE_EQ(tree.training_accuracy(), 1.0);
-  auto leaves = tree.Leaves();
+  const auto& leaves = tree.leaves();
   // One leaf must be exactly the PhD rows.
   bool found = false;
   for (const auto& leaf : leaves) {
@@ -67,7 +67,7 @@ TEST(DecisionTreeTest, NumericThresholdSplit) {
   std::vector<int> labels = {0, 0, 1, 0, 0, 1, 0, 1, 0};
   DecisionTree tree = DecisionTree::Fit(t, RowSet::All(9), {1}, labels).ValueOrDie();
   EXPECT_DOUBLE_EQ(tree.training_accuracy(), 1.0);
-  auto leaves = tree.Leaves();
+  const auto& leaves = tree.leaves();
   ASSERT_EQ(leaves.size(), 2u);
   // The threshold must cleanly separate exp<=3 from exp>=4: any t in (3,4].
   for (const auto& leaf : leaves) {
@@ -88,7 +88,7 @@ TEST(DecisionTreeTest, Example1StructureRecovered) {
   // Partition row sets must match the planted groups exactly.
   std::vector<RowSet> expected = {RowSet({0, 1, 8}), RowSet({2, 5, 7}), RowSet({3}),
                                   RowSet({4, 6})};
-  auto leaves = tree.Leaves();
+  const auto& leaves = tree.leaves();
   for (const RowSet& group : expected) {
     bool found = false;
     for (const auto& leaf : leaves) {
@@ -107,7 +107,7 @@ TEST(DecisionTreeTest, PathConditionsAreSimplified) {
   options.max_depth = 3;
   DecisionTree tree = DecisionTree::Fit(t, RowSet::All(9), {1}, labels, options).ValueOrDie();
   EXPECT_DOUBLE_EQ(tree.training_accuracy(), 1.0);
-  for (const auto& leaf : tree.Leaves()) {
+  for (const auto& leaf : tree.leaves()) {
     // A simplified band condition never repeats a bound direction: at most
     // one `<` and one `>=` per column, so at most 2 descriptors here.
     EXPECT_LE(leaf.condition->NumDescriptors(), 2) << leaf.condition->ToString();
@@ -131,7 +131,7 @@ TEST(DecisionTreeTest, RespectsMinLeafSize) {
   DecisionTreeOptions options;
   options.min_leaf_size = 3;
   DecisionTree tree = DecisionTree::Fit(t, RowSet::All(9), {0, 1}, labels, options).ValueOrDie();
-  for (const auto& leaf : tree.Leaves()) {
+  for (const auto& leaf : tree.leaves()) {
     EXPECT_GE(leaf.rows.size(), 3);
   }
 }
@@ -152,7 +152,7 @@ TEST(DecisionTreeTest, LeavesPartitionTrainingRows) {
       DecisionTree::Fit(t, RowSet::All(9), {0, 1, 2}, labels).ValueOrDie();
   RowSet all_leaf_rows;
   int64_t total = 0;
-  for (const auto& leaf : tree.Leaves()) {
+  for (const auto& leaf : tree.leaves()) {
     all_leaf_rows = all_leaf_rows.Union(leaf.rows);
     total += leaf.rows.size();
   }
@@ -178,7 +178,7 @@ TEST(DecisionTreeTest, ConditionsEvaluateToTheirPartitions) {
   Table t = EmployeeTable();
   std::vector<int> labels = {0, 0, 1, 2, 3, 1, 3, 1, 0};
   DecisionTree tree = DecisionTree::Fit(t, RowSet::All(9), {0, 1}, labels).ValueOrDie();
-  for (const auto& leaf : tree.Leaves()) {
+  for (const auto& leaf : tree.leaves()) {
     RowSet filtered = FilterRows(t, *leaf.condition).ValueOrDie();
     EXPECT_EQ(filtered, leaf.rows) << leaf.condition->ToString();
   }

@@ -6,17 +6,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "distributed/coordinator.h"
-#include "table/table_builder.h"
 #include "distributed/in_process_backend.h"
 #include "distributed/shard_planner.h"
 #include "workload/billionaires_gen.h"
 #include "workload/employee_gen.h"
+#include "test_fixtures.h"
 
 namespace charles {
 namespace {
@@ -64,64 +63,6 @@ TEST(ShardPlannerTest, PlansAreDeterministic) {
 }
 
 // --- Wire round trips -------------------------------------------------------
-
-/// Deterministic synthetic shard input: two feature columns, y vectors, and
-/// a few leaves with distinct shapes (all rows, a stride, a prefix).
-struct SyntheticInput {
-  std::vector<std::string> shortlist;
-  ColumnCache columns;
-  std::vector<double> y_old;
-  std::vector<double> y_new;
-  std::vector<RowSet> leaf_storage;
-  ShardInput input;
-};
-
-SyntheticInput MakeSyntheticInput(int64_t rows) {
-  SyntheticInput s;
-  s.shortlist = {"a", "b"};
-  std::vector<double> a(static_cast<size_t>(rows)), b(static_cast<size_t>(rows));
-  s.y_old.resize(static_cast<size_t>(rows));
-  s.y_new.resize(static_cast<size_t>(rows));
-  for (int64_t r = 0; r < rows; ++r) {
-    size_t i = static_cast<size_t>(r);
-    a[i] = 1000.0 + 3.0 * static_cast<double>(r);
-    b[i] = 50.0 - 0.25 * static_cast<double>(r % 97);
-    s.y_old[i] = 10.0 + 0.5 * a[i];
-    s.y_new[i] = (r % 3 == 0) ? s.y_old[i] : 1.05 * s.y_old[i] + 2.0 * b[i];
-  }
-  // ColumnCache has no public inserter; build it from a throwaway table.
-  Schema schema = Schema::Make({Field{"a", TypeKind::kDouble, false},
-                                Field{"b", TypeKind::kDouble, false}})
-                      .ValueOrDie();
-  TableBuilder builder(schema);
-  for (int64_t r = 0; r < rows; ++r) {
-    size_t i = static_cast<size_t>(r);
-    builder.AppendRow({Value(a[i]), Value(b[i])}).AbortIfNotOk();
-  }
-  Table table = builder.Finish().ValueOrDie();
-  s.columns = ColumnCache::Build(table, s.shortlist).ValueOrDie();
-
-  std::vector<int64_t> stride, prefix;
-  for (int64_t r = 0; r < rows; r += 3) stride.push_back(r);
-  for (int64_t r = 0; r < rows / 2; ++r) prefix.push_back(r);
-  s.leaf_storage.push_back(RowSet::All(rows));
-  s.leaf_storage.push_back(RowSet(std::move(stride)));
-  s.leaf_storage.push_back(RowSet(std::move(prefix)));
-
-  s.input.shortlist = &s.shortlist;
-  s.input.columns = &s.columns;
-  s.input.y_new = &s.y_new;
-  for (const RowSet& leaf : s.leaf_storage) s.input.leaves.push_back(&leaf);
-  return s;
-}
-
-ShardTask MakeMomentsTask(const ShardInput& input) {
-  ShardTask task;
-  for (size_t l = 0; l < input.leaves.size(); ++l) {
-    task.leaves.push_back(static_cast<int64_t>(l));
-  }
-  return task;
-}
 
 void ExpectBitIdenticalResults(const ShardTaskResult& a,
                                const ShardTaskResult& b) {
@@ -318,26 +259,6 @@ TEST(ShardTaskMergeTest, OutOfRangeLeafSurfacesAsInvalidArgument) {
 }
 
 // --- The headline contract: shard parity on real workloads ------------------
-
-/// Byte- and bit-level equality of two ranked runs (the parallel-engine
-/// test's comparator, plus score bits via memcmp).
-void ExpectIdenticalRuns(const SummaryList& expected, const SummaryList& actual) {
-  ASSERT_EQ(expected.summaries.size(), actual.summaries.size());
-  for (size_t i = 0; i < expected.summaries.size(); ++i) {
-    const ChangeSummary& a = expected.summaries[i];
-    const ChangeSummary& b = actual.summaries[i];
-    EXPECT_EQ(a.Signature(), b.Signature()) << "rank " << i;
-    double sa = a.scores().score, sb = b.scores().score;
-    double aa = a.scores().accuracy, ab = b.scores().accuracy;
-    EXPECT_EQ(std::memcmp(&sa, &sb, sizeof(double)), 0) << "rank " << i;
-    EXPECT_EQ(std::memcmp(&aa, &ab, sizeof(double)), 0) << "rank " << i;
-    EXPECT_EQ(a.ToString(), b.ToString()) << "rank " << i;
-  }
-  EXPECT_EQ(expected.labelings, actual.labelings);
-  EXPECT_EQ(expected.partitions, actual.partitions);
-  EXPECT_EQ(expected.candidates_evaluated, actual.candidates_evaluated);
-  EXPECT_EQ(expected.candidates_deduped, actual.candidates_deduped);
-}
 
 struct Workload {
   Table source;

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <future>
 #include <string>
@@ -14,28 +13,10 @@
 #include "workload/employee_gen.h"
 #include "workload/example1.h"
 #include "workload/montgomery_gen.h"
+#include "test_fixtures.h"
 
 namespace charles {
 namespace {
-
-/// Bit-identical ranked output: same summaries in the same order with
-/// byte-equal renderings, bit-equal scores, and the same search trajectory.
-void ExpectIdenticalRuns(const SummaryList& expected, const SummaryList& actual) {
-  ASSERT_EQ(expected.summaries.size(), actual.summaries.size());
-  for (size_t i = 0; i < expected.summaries.size(); ++i) {
-    const ChangeSummary& a = expected.summaries[i];
-    const ChangeSummary& b = actual.summaries[i];
-    EXPECT_EQ(a.Signature(), b.Signature()) << "rank " << i;
-    const double sa = a.scores().score, sb = b.scores().score;
-    EXPECT_EQ(std::memcmp(&sa, &sb, sizeof(double)), 0) << "rank " << i;
-    EXPECT_EQ(a.scores().accuracy, b.scores().accuracy) << "rank " << i;
-    EXPECT_EQ(a.ToString(), b.ToString()) << "rank " << i;
-  }
-  EXPECT_EQ(expected.labelings, actual.labelings);
-  EXPECT_EQ(expected.partitions, actual.partitions);
-  EXPECT_EQ(expected.candidates_evaluated, actual.candidates_evaluated);
-  EXPECT_EQ(expected.candidates_deduped, actual.candidates_deduped);
-}
 
 CharlesOptions Example1Options() {
   CharlesOptions options;

@@ -46,7 +46,7 @@ TEST(InSplitTest, GroupedSplitSeparatesValueSet) {
       DecisionTree::Fit(t, RowSet::All(t.num_rows()), {0}, labels, options).ValueOrDie();
   EXPECT_DOUBLE_EQ(tree.training_accuracy(), 1.0);
   EXPECT_EQ(tree.num_leaves(), 2);
-  auto leaves = tree.Leaves();
+  const auto& leaves = tree.leaves();
   bool found_in = false;
   for (const auto& leaf : leaves) {
     std::string text = leaf.condition->ToString();
@@ -73,7 +73,7 @@ TEST(InSplitTest, DisabledInSplitsFallBackToEquality) {
       DecisionTree::Fit(t, RowSet::All(t.num_rows()), {0}, labels, options).ValueOrDie();
   // A single equality split cannot reach 100% on a 3-of-8 grouping.
   EXPECT_LT(tree.training_accuracy(), 1.0);
-  for (const auto& leaf : tree.Leaves()) {
+  for (const auto& leaf : tree.leaves()) {
     EXPECT_EQ(leaf.condition->ToString().find(" IN ("), std::string::npos);
   }
 }
@@ -85,7 +85,7 @@ TEST(InSplitTest, ConditionsEvaluateToTheirPartitions) {
   options.max_depth = 2;
   DecisionTree tree =
       DecisionTree::Fit(t, RowSet::All(t.num_rows()), {0, 1}, labels, options).ValueOrDie();
-  for (const auto& leaf : tree.Leaves()) {
+  for (const auto& leaf : tree.leaves()) {
     RowSet filtered = FilterRows(t, *leaf.condition).ValueOrDie();
     EXPECT_EQ(filtered, leaf.rows) << leaf.condition->ToString();
   }
@@ -121,7 +121,7 @@ TEST(InSplitTest, NegatedInConditionRendersAsNotIn) {
   DecisionTree tree =
       DecisionTree::Fit(t, RowSet::All(t.num_rows()), {0}, labels, options).ValueOrDie();
   bool found_not_in = false;
-  for (const auto& leaf : tree.Leaves()) {
+  for (const auto& leaf : tree.leaves()) {
     if (leaf.condition->ToString().find("NOT (") != std::string::npos) {
       found_not_in = true;
       EXPECT_EQ(leaf.majority_label, 0);

@@ -351,7 +351,7 @@ TEST(ObsDiagnosticsTest, RunDiagnosticsJsonHasVersionedSchema) {
   obs::RunDiagnostics diagnostics = obs::RunDiagnostics::FromSummary(summary);
   std::string json = diagnostics.ToJson();
   EXPECT_EQ(json, summary.ToJson());  // SummaryList::ToJson delegates
-  EXPECT_NE(json.find("\"schema_version\":3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema_version\":4"), std::string::npos) << json;
   EXPECT_NE(json.find("\"run_id\":\"00000000deadbeef\""), std::string::npos);
   EXPECT_NE(json.find("\"candidates_evaluated\":42"), std::string::npos);
   EXPECT_NE(json.find("\"shards_used\":4"), std::string::npos);
@@ -359,13 +359,16 @@ TEST(ObsDiagnosticsTest, RunDiagnosticsJsonHasVersionedSchema) {
   EXPECT_NE(json.find("\"workers\":["), std::string::npos);
   // Schema v2 removed the batched-fold counters and the exact-L1 round;
   // v3 the signal-stats and score-partials rounds, and the moments-round
-  // time, which equals `shard` now that there is one round.
+  // time, which equals `shard` now that there is one round; v4 the two
+  // scoring counters that duplicated candidates_evaluated or read 0.
   EXPECT_EQ(json.find("batch"), std::string::npos) << json;
   EXPECT_EQ(json.find("error_probes"), std::string::npos) << json;
   EXPECT_EQ(json.find("score_probes"), std::string::npos) << json;
   EXPECT_EQ(json.find("shard_signal"), std::string::npos) << json;
   EXPECT_EQ(json.find("shard_score"), std::string::npos) << json;
   EXPECT_EQ(json.find("shard_moments"), std::string::npos) << json;
+  EXPECT_EQ(json.find("partials_candidates"), std::string::npos) << json;
+  EXPECT_EQ(json.find("yhat_materializations"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -7,29 +7,10 @@
 #include "core/run_pipeline.h"
 #include "workload/employee_gen.h"
 #include "workload/example1.h"
+#include "test_fixtures.h"
 
 namespace charles {
 namespace {
-
-/// Asserts that two engine runs produced bit-identical ranked output:
-/// same summaries in the same order, with byte-equal renderings and
-/// bit-equal scores, and the same search-space trajectory.
-void ExpectIdenticalRuns(const SummaryList& serial, const SummaryList& parallel) {
-  ASSERT_EQ(serial.summaries.size(), parallel.summaries.size());
-  for (size_t i = 0; i < serial.summaries.size(); ++i) {
-    const ChangeSummary& a = serial.summaries[i];
-    const ChangeSummary& b = parallel.summaries[i];
-    EXPECT_EQ(a.Signature(), b.Signature()) << "rank " << i;
-    EXPECT_EQ(a.scores().score, b.scores().score) << "rank " << i;
-    EXPECT_EQ(a.scores().accuracy, b.scores().accuracy) << "rank " << i;
-    EXPECT_EQ(a.ToString(), b.ToString()) << "rank " << i;
-  }
-  // The search itself must have walked the same space, not just converged.
-  EXPECT_EQ(serial.labelings, parallel.labelings);
-  EXPECT_EQ(serial.partitions, parallel.partitions);
-  EXPECT_EQ(serial.candidates_evaluated, parallel.candidates_evaluated);
-  EXPECT_EQ(serial.candidates_deduped, parallel.candidates_deduped);
-}
 
 SummaryList RunWithThreads(const Table& source, const Table& target,
                            CharlesOptions options, int num_threads) {

@@ -2,17 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "parallel/thread_pool.h"
 #include "workload/example1.h"
 
 namespace charles {
 namespace {
 
+/// Example 1 with the phase-1 inputs built the way the engine's Phase1Signals
+/// builds them: the transformation shortlist converted once into a column
+/// cache, and its moments folded over every row with AccumulateRangeBlocks.
 struct Example1Fixture {
   Table source;
   std::vector<double> y_old;
   std::vector<double> y_new;
   CharlesOptions options;
+  std::vector<std::string> shortlist = {"bonus", "exp"};
+  ColumnCache columns;
+  SufficientStats shortlist_stats;
 
   Example1Fixture()
       : source(MakeExample1Source().ValueOrDie()),
@@ -20,6 +28,18 @@ struct Example1Fixture {
         y_new(*MakeExample1Target().ValueOrDie().ColumnAsDoubles("bonus")) {
     options.target_attribute = "bonus";
     options.key_columns = {"name"};
+    for (const std::string& name : shortlist) {
+      columns.Insert(name, *source.ColumnAsDoubles(name));
+    }
+    FoldShortlistStats();
+  }
+
+  /// (Re)folds the shortlist moments from the column cache.
+  void FoldShortlistStats() {
+    std::vector<const std::vector<double>*> resolved;
+    EXPECT_TRUE(columns.ResolveColumns(shortlist, &resolved));
+    shortlist_stats = AccumulateRangeBlocks(resolved, y_new, source.num_rows(),
+                                            options.stats_block_rows);
   }
 
   PartitionFinder::Input MakeInput(std::vector<std::string> transform_attrs) {
@@ -27,15 +47,36 @@ struct Example1Fixture {
     input.source = &source;
     input.y_old = &y_old;
     input.y_new = &y_new;
+    input.column_cache = &columns;
+    input.shortlist_stats = &shortlist_stats;
+    for (const std::string& name : transform_attrs) {
+      auto it = std::find(shortlist.begin(), shortlist.end(), name);
+      EXPECT_NE(it, shortlist.end()) << name;
+      input.shortlist_subset.push_back(static_cast<int>(it - shortlist.begin()));
+    }
     input.transform_attrs = std::move(transform_attrs);
     return input;
+  }
+
+  /// Steps 1–3 for one (C, T), as the engine composes them.
+  std::vector<PartitionCandidate> Find(const PartitionFinder::Input& input,
+                                       const std::vector<int>& condition_attrs,
+                                       ThreadPool* pool = nullptr) {
+    PartitionFinder::ResidualClusterings clusterings =
+        PartitionFinder::ClusterResiduals(input, options).ValueOrDie();
+    return PartitionFinder::InduceCandidates(source, clusterings.labelings,
+                                             condition_attrs, options,
+                                             /*cache=*/nullptr, pool)
+        .ValueOrDie();
   }
 };
 
 TEST(PartitionFinderTest, GlobalModelFitsBonusTrend) {
   Example1Fixture fx;
-  auto input = fx.MakeInput({"bonus"});
-  LinearModel global = PartitionFinder::FitGlobalModel(input).ValueOrDie();
+  LinearModel global =
+      PartitionFinder::ClusterResiduals(fx.MakeInput({"bonus"}), fx.options)
+          .ValueOrDie()
+          .global_model;
   // One global line cannot explain the four groups exactly.
   EXPECT_GT(global.mae, 0.0);
   EXPECT_GT(global.r2, 0.9);  // but the trend is strongly linear
@@ -58,9 +99,7 @@ TEST(PartitionFinderTest, FindsFigure2Partitioning) {
   Example1Fixture fx;
   int edu = *fx.source.schema().FieldIndex("edu");
   int exp = *fx.source.schema().FieldIndex("exp");
-  auto candidates =
-      PartitionFinder::Find(fx.MakeInput({"bonus"}), {edu, exp}, fx.options)
-          .ValueOrDie();
+  auto candidates = fx.Find(fx.MakeInput({"bonus"}), {edu, exp});
   // One candidate must carve out exactly the paper's four groups:
   // {PhD}, {MS, exp>=3}, {MS, exp<3}, {BS}.
   std::vector<RowSet> expected = {RowSet({0, 1, 8}), RowSet({2, 5, 7}), RowSet({3}),
@@ -86,8 +125,7 @@ TEST(PartitionFinderTest, FindsFigure2Partitioning) {
 TEST(PartitionFinderTest, KEqualsOneYieldsUniversalPartition) {
   Example1Fixture fx;
   int edu = *fx.source.schema().FieldIndex("edu");
-  auto candidates =
-      PartitionFinder::Find(fx.MakeInput({"bonus"}), {edu}, fx.options).ValueOrDie();
+  auto candidates = fx.Find(fx.MakeInput({"bonus"}), {edu});
   bool found_universal = false;
   for (const auto& candidate : candidates) {
     if (candidate.leaves.size() == 1 &&
@@ -102,8 +140,7 @@ TEST(PartitionFinderTest, KEqualsOneYieldsUniversalPartition) {
 TEST(PartitionFinderTest, EmptyTransformSetUsesInterceptOnlyModel) {
   Example1Fixture fx;
   int edu = *fx.source.schema().FieldIndex("edu");
-  auto candidates =
-      PartitionFinder::Find(fx.MakeInput({}), {edu}, fx.options).ValueOrDie();
+  auto candidates = fx.Find(fx.MakeInput({}), {edu});
   EXPECT_FALSE(candidates.empty());
 }
 
@@ -111,9 +148,7 @@ TEST(PartitionFinderTest, CandidatesAreStructurallyDeduplicated) {
   Example1Fixture fx;
   int edu = *fx.source.schema().FieldIndex("edu");
   int exp = *fx.source.schema().FieldIndex("exp");
-  auto candidates =
-      PartitionFinder::Find(fx.MakeInput({"bonus"}), {edu, exp}, fx.options)
-          .ValueOrDie();
+  auto candidates = fx.Find(fx.MakeInput({"bonus"}), {edu, exp});
   std::set<std::string> signatures;
   for (const auto& candidate : candidates) {
     std::set<std::string> conditions;
@@ -130,9 +165,7 @@ TEST(PartitionFinderTest, LeavesPartitionAllRows) {
   Example1Fixture fx;
   int edu = *fx.source.schema().FieldIndex("edu");
   int exp = *fx.source.schema().FieldIndex("exp");
-  auto candidates =
-      PartitionFinder::Find(fx.MakeInput({"bonus"}), {edu, exp}, fx.options)
-          .ValueOrDie();
+  auto candidates = fx.Find(fx.MakeInput({"bonus"}), {edu, exp});
   for (const auto& candidate : candidates) {
     RowSet all;
     int64_t total = 0;
@@ -150,11 +183,9 @@ TEST(PartitionFinderTest, PooledFindMatchesSerial) {
   int edu = *fx.source.schema().FieldIndex("edu");
   int exp = *fx.source.schema().FieldIndex("exp");
   auto input = fx.MakeInput({"bonus"});
-  std::vector<PartitionCandidate> serial =
-      PartitionFinder::Find(input, {edu, exp}, fx.options).ValueOrDie();
+  std::vector<PartitionCandidate> serial = fx.Find(input, {edu, exp});
   ThreadPool pool(4);
-  std::vector<PartitionCandidate> pooled =
-      PartitionFinder::Find(input, {edu, exp}, fx.options, &pool).ValueOrDie();
+  std::vector<PartitionCandidate> pooled = fx.Find(input, {edu, exp}, &pool);
   ASSERT_EQ(serial.size(), pooled.size());
   ASSERT_FALSE(serial.empty());
   for (size_t i = 0; i < serial.size(); ++i) {
@@ -177,6 +208,44 @@ TEST(PartitionFinderTest, InputValidation) {
   EXPECT_TRUE(PartitionFinder::ClusterResiduals(input, fx.options)
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(PartitionFinderTest, ClusterResidualsRequiresColumnCache) {
+  Example1Fixture fx;
+  PartitionFinder::Input input = fx.MakeInput({"bonus"});
+  input.column_cache = nullptr;
+  Status status = PartitionFinder::ClusterResiduals(input, fx.options).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("column_cache"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(PartitionFinderTest, ClusterResidualsRequiresShortlistStats) {
+  Example1Fixture fx;
+  PartitionFinder::Input input = fx.MakeInput({"bonus"});
+  input.shortlist_stats = nullptr;
+  Status status = PartitionFinder::ClusterResiduals(input, fx.options).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("shortlist_stats"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(PartitionFinderTest, IllConditionedGlobalSolveFallsBackToQr) {
+  // Two identical shortlist columns make the moments' normal equations
+  // singular: the sub-solve fails and the global fit drops to the QR ladder,
+  // which still explains the trend.
+  Example1Fixture fx;
+  fx.columns.Insert("bonus_copy", *fx.columns.Find("bonus"));
+  fx.shortlist.push_back("bonus_copy");
+  fx.FoldShortlistStats();
+  PartitionFinder::Input input = fx.MakeInput({"bonus", "bonus_copy"});
+  ASSERT_FALSE(LinearRegression::FitFromStats(fx.shortlist_stats, input.shortlist_subset,
+                                              input.transform_attrs)
+                   .ok());
+  PartitionFinder::ResidualClusterings clusterings =
+      PartitionFinder::ClusterResiduals(input, fx.options).ValueOrDie();
+  EXPECT_GT(clusterings.global_model.r2, 0.9);
+  EXPECT_GT(clusterings.labelings.size(), 3u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "ml/linear_regression.h"
 #include "workload/employee_gen.h"
 #include "workload/policy.h"
+#include "test_fixtures.h"
 
 namespace charles {
 namespace {
@@ -230,18 +231,6 @@ TEST(SuffStatsParityTest, ConstantResponseShortCircuits) {
 // ---------------------------------------------------------------------------
 // Engine-level parity and determinism.
 // ---------------------------------------------------------------------------
-
-void ExpectIdenticalRuns(const SummaryList& expected, const SummaryList& actual) {
-  ASSERT_EQ(expected.summaries.size(), actual.summaries.size());
-  for (size_t i = 0; i < expected.summaries.size(); ++i) {
-    EXPECT_EQ(expected.summaries[i].Signature(), actual.summaries[i].Signature());
-    EXPECT_EQ(expected.summaries[i].scores().score, actual.summaries[i].scores().score);
-    EXPECT_EQ(expected.summaries[i].ToString(), actual.summaries[i].ToString());
-  }
-  EXPECT_EQ(expected.labelings, actual.labelings);
-  EXPECT_EQ(expected.partitions, actual.partitions);
-  EXPECT_EQ(expected.candidates_evaluated, actual.candidates_evaluated);
-}
 
 struct EmployeeWorkload {
   Table source;

@@ -15,6 +15,7 @@
 #include "distributed/remote_protocol.h"
 #include "distributed/shard_planner.h"
 #include "table/row_set.h"
+#include "test_fixtures.h"
 
 namespace charles {
 namespace {
@@ -30,41 +31,6 @@ constexpr size_t kTaskLeafCountOffset = 12;
 constexpr size_t kResultKindOffset = 4;
 constexpr size_t kResultLeafCountOffset = 44;
 constexpr size_t kInstallShardCountOffset = 28;
-
-struct SyntheticInput {
-  std::vector<std::string> shortlist;
-  ColumnCache columns;
-  std::vector<double> y_old;
-  std::vector<double> y_new;
-  std::vector<RowSet> leaf_storage;
-  ShardInput input;
-};
-
-SyntheticInput MakeSyntheticInput(int64_t rows) {
-  SyntheticInput s;
-  s.shortlist = {"a", "b"};
-  std::vector<double> a(static_cast<size_t>(rows)), b(static_cast<size_t>(rows));
-  s.y_old.resize(static_cast<size_t>(rows));
-  s.y_new.resize(static_cast<size_t>(rows));
-  for (int64_t r = 0; r < rows; ++r) {
-    size_t i = static_cast<size_t>(r);
-    a[i] = 1000.0 + 3.0 * static_cast<double>(r);
-    b[i] = 50.0 - 0.25 * static_cast<double>(r % 97);
-    s.y_old[i] = 10.0 + 0.5 * a[i];
-    s.y_new[i] = (r % 3 == 0) ? s.y_old[i] : 1.05 * s.y_old[i] + 2.0 * b[i];
-  }
-  s.columns.Insert("a", std::move(a));
-  s.columns.Insert("b", std::move(b));
-  std::vector<int64_t> stride;
-  for (int64_t r = 0; r < rows; r += 3) stride.push_back(r);
-  s.leaf_storage.push_back(RowSet::All(rows));
-  s.leaf_storage.push_back(RowSet(std::move(stride)));
-  s.input.shortlist = &s.shortlist;
-  s.input.columns = &s.columns;
-  s.input.y_new = &s.y_new;
-  for (const RowSet& leaf : s.leaf_storage) s.input.leaves.push_back(&leaf);
-  return s;
-}
 
 /// The task shapes the wire carries: every leaf, a one-leaf subset, and the
 /// empty sweep of a warm run.
