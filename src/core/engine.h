@@ -61,6 +61,13 @@ struct SummaryList {
   int64_t partitions = 0;           ///< distinct induced partitionings
   int64_t candidates_evaluated = 0; ///< summaries built and scored
   int64_t candidates_deduped = 0;   ///< dropped as structural duplicates
+  /// Phase-2 condition trees fitted: (C-subset, labeling) pairs whose fit
+  /// succeeded. Deterministic; 0 on a phase-cache hit.
+  int64_t trees_induced = 0;
+  /// Phase-2 (node, attribute) best-split computations run over the shared
+  /// per-labeling split search (DecisionTree::FitSubsets). Deterministic; 0
+  /// on a phase-cache hit.
+  int64_t split_scorings = 0;
   int threads_used = 1;             ///< worker threads the run executed on
   /// Always "scalar": the block folds have one implementation. Kept because
   /// the repo benchmark reads it.

@@ -43,19 +43,6 @@ std::vector<double> PredictFromCache(const LinearModel& model,
   return out;
 }
 
-std::string PartitionSignature(const std::vector<DecisionTree::Leaf>& leaves) {
-  std::set<std::string> conditions;
-  for (const DecisionTree::Leaf& leaf : leaves) {
-    conditions.insert(leaf.condition->ToString());
-  }
-  std::string out;
-  for (const std::string& c : conditions) {
-    out += c;
-    out += ";;";
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<ColumnCache> ColumnCache::Build(const Table& source,
@@ -169,45 +156,97 @@ Result<std::vector<PartitionCandidate>> PartitionFinder::InduceCandidates(
     const Table& source, const std::vector<std::vector<int>>& labelings,
     const std::vector<int>& condition_attr_indices, const CharlesOptions& options,
     const TreeAttributeCache* cache, ThreadPool* pool) {
+  CHARLES_ASSIGN_OR_RETURN(
+      SubsetCandidates induced,
+      InduceSubsetCandidates(source, labelings, {condition_attr_indices}, options, cache,
+                             pool));
+  return std::move(induced.candidates.front());
+}
+
+Result<PartitionFinder::SubsetCandidates> PartitionFinder::InduceSubsetCandidates(
+    const Table& source, const std::vector<std::vector<int>>& labelings,
+    const std::vector<std::vector<int>>& condition_subsets, const CharlesOptions& options,
+    const TreeAttributeCache* cache, ThreadPool* pool) {
   DecisionTreeOptions tree_options;
   tree_options.max_depth =
       options.tree_max_depth > 0 ? options.tree_max_depth : options.max_condition_attrs;
   tree_options.min_leaf_size = options.min_partition_size;
 
+  TreeAttributeCache local_cache;
+  if (cache == nullptr) {
+    std::vector<int> all_attrs;
+    for (const std::vector<int>& subset : condition_subsets) {
+      all_attrs.insert(all_attrs.end(), subset.begin(), subset.end());
+    }
+    CHARLES_ASSIGN_OR_RETURN(local_cache, TreeAttributeCache::Build(source, all_attrs));
+    cache = &local_cache;
+  }
   RowSet all_rows = RowSet::All(source.num_rows());
 
-  // Tree fits are independent per labeling; the dedup below walks them in
-  // labeling order, so the reduction is scheduling-independent.
+  // One task per labeling fits every C-subset's tree over one shared trie;
+  // the reduction below walks subsets, then labelings, in order, so it is
+  // scheduling-independent.
   struct InducedTree {
     PartitionCandidate candidate;
-    std::string signature;
-    bool ok = false;
+    std::string set_signature;    ///< sorted distinct leaf conditions
+    std::string order_signature;  ///< leaf conditions in leaf order
   };
-  std::vector<InducedTree> induced = ParallelMap<InducedTree>(
+  struct LabelingTrees {
+    std::vector<InducedTree> per_subset;  ///< empty when the fit failed
+    int64_t split_scorings = 0;
+  };
+  std::vector<LabelingTrees> induced = ParallelMap<LabelingTrees>(
       pool, static_cast<int64_t>(labelings.size()), [&](int64_t li) {
         const std::vector<int>& labels = labelings[static_cast<size_t>(li)];
-        InducedTree out;
-        Result<DecisionTree> tree_result = DecisionTree::Fit(
-            source, all_rows, condition_attr_indices, labels, tree_options, cache);
-        if (!tree_result.ok()) return out;
-        auto tree = std::make_shared<DecisionTree>(std::move(*tree_result));
-        out.candidate.leaves = tree->leaves();
-        out.signature = PartitionSignature(out.candidate.leaves);
-        out.candidate.k = 1 + *std::max_element(labels.begin(), labels.end());
-        out.candidate.label_agreement = tree->training_accuracy();
-        out.candidate.tree = std::move(tree);
-        out.ok = true;
+        LabelingTrees out;
+        Result<std::vector<DecisionTree>> trees =
+            DecisionTree::FitSubsets(source, all_rows, condition_subsets, labels,
+                                     tree_options, cache, &out.split_scorings);
+        if (!trees.ok()) return out;
+        int k = 1 + *std::max_element(labels.begin(), labels.end());
+        out.per_subset.reserve(trees->size());
+        for (DecisionTree& fitted : *trees) {
+          auto tree = std::make_shared<DecisionTree>(std::move(fitted));
+          InducedTree induced_tree;
+          // Each leaf condition is rendered once, for both signatures.
+          std::set<std::string> conditions;
+          for (const DecisionTree::Leaf& leaf : tree->leaves()) {
+            std::string condition = leaf.condition->ToString();
+            induced_tree.order_signature += condition;
+            induced_tree.order_signature += ";;";
+            conditions.insert(std::move(condition));
+          }
+          for (const std::string& condition : conditions) {
+            induced_tree.set_signature += condition;
+            induced_tree.set_signature += ";;";
+          }
+          induced_tree.candidate.leaves = tree->leaves();
+          induced_tree.candidate.k = k;
+          induced_tree.candidate.label_agreement = tree->training_accuracy();
+          induced_tree.candidate.tree = std::move(tree);
+          out.per_subset.push_back(std::move(induced_tree));
+        }
         return out;
       });
 
-  std::vector<PartitionCandidate> candidates;
-  std::set<std::string> seen_signatures;
-  for (InducedTree& tree : induced) {
-    if (!tree.ok) continue;
-    if (!seen_signatures.insert(tree.signature).second) continue;
-    candidates.push_back(std::move(tree.candidate));
+  SubsetCandidates result;
+  result.candidates.resize(condition_subsets.size());
+  result.signatures.resize(condition_subsets.size());
+  for (const LabelingTrees& labeling : induced) {
+    result.trees_induced += static_cast<int64_t>(labeling.per_subset.size());
+    result.split_scorings += labeling.split_scorings;
   }
-  return candidates;
+  for (size_t ci = 0; ci < condition_subsets.size(); ++ci) {
+    std::set<std::string> seen_signatures;
+    for (LabelingTrees& labeling : induced) {
+      if (labeling.per_subset.empty()) continue;
+      InducedTree& tree = labeling.per_subset[ci];
+      if (!seen_signatures.insert(std::move(tree.set_signature)).second) continue;
+      result.candidates[ci].push_back(std::move(tree.candidate));
+      result.signatures[ci].push_back(std::move(tree.order_signature));
+    }
+  }
+  return result;
 }
 
 }  // namespace charles

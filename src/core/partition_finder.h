@@ -109,8 +109,10 @@ struct PartitionCandidate {
 /// recover policies whose groups are separated by absolute or proportional
 /// change but overlap in residual space. Ranking remains the sole arbiter.
 ///
-/// Steps 1–2 depend only on T, step 3 only on C; the engine therefore calls
-/// ClusterResiduals once per T and InduceCandidates once per (T, C).
+/// Steps 1–2 depend only on T, step 3 only on C and the labeling; the engine
+/// therefore calls ClusterResiduals once per T and InduceSubsetCandidates
+/// once over the pooled labelings, fitting every C-subset of a labeling in
+/// one task.
 class PartitionFinder {
  public:
   struct Input {
@@ -158,17 +160,40 @@ class PartitionFinder {
                                                       const CharlesOptions& options,
                                                       bool include_delta_signals = true);
 
-  /// Step 3: induce condition trees over `condition_attr_indices` for every
-  /// row labeling; structurally identical partitionings are deduplicated
-  /// within the call. `cache` (optional) must cover the attributes; the
-  /// engine shares one across every (C, labeling) combination. `pool`
-  /// (optional) fits the per-labeling trees in parallel; the dedup still
-  /// walks labelings in order, so the result is identical to the serial one.
-  /// Callers already running inside a pool task should pass nullptr and
-  /// parallelize at their own level instead.
+  /// Step 3 for one C-subset: induce condition trees over
+  /// `condition_attr_indices` for every row labeling; structurally identical
+  /// partitionings are deduplicated within the call. The one-subset case of
+  /// InduceSubsetCandidates (same `cache` and `pool` contract).
   static Result<std::vector<PartitionCandidate>> InduceCandidates(
       const Table& source, const std::vector<std::vector<int>>& labelings,
       const std::vector<int>& condition_attr_indices, const CharlesOptions& options,
+      const TreeAttributeCache* cache = nullptr, ThreadPool* pool = nullptr);
+
+  /// Step 3 over every C-subset at once.
+  struct SubsetCandidates {
+    /// Per C-subset, in the given order: its candidates in labeling order,
+    /// deduplicated within the subset by their set of leaf conditions.
+    std::vector<std::vector<PartitionCandidate>> candidates;
+    /// Per candidate: its leaf conditions joined in leaf order (parallel to
+    /// `candidates`), the engine's cross-subset dedup key.
+    std::vector<std::vector<std::string>> signatures;
+    /// Trees fitted: subsets × labelings whose fit succeeded.
+    int64_t trees_induced = 0;
+    /// (node, attribute) best-split computations run (DecisionTree::FitSubsets).
+    int64_t split_scorings = 0;
+  };
+
+  /// Fits every C-subset's tree of one labeling in one DecisionTree::FitSubsets
+  /// call, one labeling per task. `cache` (optional) must cover every
+  /// subset's attributes; the engine shares one across the run. `pool`
+  /// (optional) fits labelings in parallel; the per-subset dedup walks
+  /// labelings in order, so the result is identical to the serial one.
+  /// Callers already running inside a pool task should pass nullptr. A
+  /// labeling whose fit fails (e.g. a negative label) contributes no
+  /// candidates.
+  static Result<SubsetCandidates> InduceSubsetCandidates(
+      const Table& source, const std::vector<std::vector<int>>& labelings,
+      const std::vector<std::vector<int>>& condition_subsets, const CharlesOptions& options,
       const TreeAttributeCache* cache = nullptr, ThreadPool* pool = nullptr);
 
   /// Renumbers labels in first-appearance order so structurally identical

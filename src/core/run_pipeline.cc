@@ -531,49 +531,36 @@ Status RunPipeline::Phase2Trees(RunState& state) {
   }
 
   // One tree per (C, labeling), partitions deduplicated globally by their
-  // condition signature. Workers fan out over C-subsets against the shared
+  // leaf-order condition signature. Workers fan out over labelings, each
+  // fitting every C-subset over one shared split search against the shared
   // read-only TreeAttributeCache; the global dedup walks C-subsets in
-  // enumeration order.
+  // enumeration order, then labelings.
   CHARLES_ASSIGN_OR_RETURN(
       TreeAttributeCache attr_cache,
       TreeAttributeCache::Build(*state.analysis, state.cond_indices));
-  struct CSubsetCandidates {
-    std::vector<PartitionCandidate> candidates;
-    std::vector<std::string> signatures;
-    std::vector<std::string> attr_names;
-  };
-  std::vector<CSubsetCandidates> per_c = ParallelMap<CSubsetCandidates>(
-      state.pool, static_cast<int64_t>(state.c_subsets.size()), [&](int64_t ci) {
-        CSubsetCandidates out;
-        std::vector<int> attr_indices;
-        for (int c : state.c_subsets[static_cast<size_t>(ci)]) {
-          attr_indices.push_back(state.cond_indices[static_cast<size_t>(c)]);
-          out.attr_names.push_back(state.cond_names[static_cast<size_t>(c)]);
-        }
-        Result<std::vector<PartitionCandidate>> candidates =
-            PartitionFinder::InduceCandidates(*state.analysis, state.labelings,
-                                              attr_indices, state.options,
-                                              &attr_cache);
-        if (!candidates.ok()) return out;
-        out.candidates = std::move(*candidates);
-        out.signatures.reserve(out.candidates.size());
-        for (const PartitionCandidate& candidate : out.candidates) {
-          std::string signature;
-          for (const auto& leaf : candidate.leaves) {
-            signature += leaf.condition->ToString();
-            signature += ";;";
-          }
-          out.signatures.push_back(std::move(signature));
-        }
-        return out;
-      });
+  std::vector<std::vector<int>> subset_indices(state.c_subsets.size());
+  std::vector<std::vector<std::string>> subset_names(state.c_subsets.size());
+  for (size_t ci = 0; ci < state.c_subsets.size(); ++ci) {
+    for (int c : state.c_subsets[ci]) {
+      subset_indices[ci].push_back(state.cond_indices[static_cast<size_t>(c)]);
+      subset_names[ci].push_back(state.cond_names[static_cast<size_t>(c)]);
+    }
+  }
+  CHARLES_ASSIGN_OR_RETURN(
+      PartitionFinder::SubsetCandidates induced,
+      PartitionFinder::InduceSubsetCandidates(*state.analysis, state.labelings,
+                                              subset_indices, state.options,
+                                              &attr_cache, state.pool));
+  state.result.trees_induced = induced.trees_induced;
+  state.result.split_scorings = induced.split_scorings;
 
   std::set<std::string> seen_partitions;
-  for (CSubsetCandidates& c_result : per_c) {
-    for (size_t i = 0; i < c_result.candidates.size(); ++i) {
-      if (!seen_partitions.insert(c_result.signatures[i]).second) continue;
-      state.partitions.push_back(RunState::PartitionEntry{
-          std::move(c_result.candidates[i]), c_result.attr_names, {}});
+  for (size_t ci = 0; ci < induced.candidates.size(); ++ci) {
+    std::vector<PartitionCandidate>& candidates = induced.candidates[ci];
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (!seen_partitions.insert(std::move(induced.signatures[ci][i])).second) continue;
+      state.partitions.push_back(RunState::PartitionEntry{std::move(candidates[i]),
+                                                          subset_names[ci], {}});
     }
   }
 

@@ -47,8 +47,9 @@ double NiceThreshold(double lo, double hi) {
   return (lo + hi) / 2.0;
 }
 
-/// One fully-described split choice; rows are materialized only for the
-/// winner, after scoring every candidate from histograms/sweeps.
+/// One attribute's best split at a node; rows are materialized only for the
+/// splits some subset takes, after scoring every candidate from
+/// histograms/sweeps.
 struct SplitChoice {
   double impurity_decrease = -1.0;
   int attr_position = -1;  ///< Index into the builder's cached attributes.
@@ -58,60 +59,78 @@ struct SplitChoice {
   std::vector<int> codes;   ///< kCategoricalIn.
 };
 
+/// The rows reaching one trie node: in table-row order, and per numeric
+/// attribute the non-NULL ones in the attribute's presorted order.
+struct NodeRows {
+  std::vector<int64_t> rows;
+  std::vector<int64_t> counts;  ///< rows per label
+  /// Indexed by builder attribute position; filled only when the node can
+  /// split, and then for the numeric attributes of the subsets that reached
+  /// it.
+  std::vector<std::vector<int64_t>> sorted;
+};
+
+/// Grows one tree per attribute subset over a shared trie (see
+/// DecisionTree::FitSubsets). Single-threaded; one builder per labeling.
 class TreeBuilder {
  public:
   TreeBuilder(const std::vector<int>& labels, int num_labels,
               const DecisionTreeOptions& options, const TreeAttributeCache& cache,
-              const std::vector<int>& attr_indices)
+              const std::vector<std::vector<int>>& attr_subsets)
       : labels_(labels), num_labels_(num_labels), options_(options) {
-    for (int col : attr_indices) {
-      if (const auto* numeric = cache.Numeric(col)) {
-        attrs_.push_back(AttrRef{true, numeric, nullptr});
-      } else if (const auto* categorical = cache.Categorical(col)) {
-        attrs_.push_back(AttrRef{false, nullptr, categorical});
+    // The union of the subsets' attributes, in first-appearance order; each
+    // subset keeps its own order as positions into the union.
+    std::unordered_map<int, int> position_of;
+    for (const std::vector<int>& subset : attr_subsets) {
+      std::vector<int> positions;
+      for (int col : subset) {
+        auto [it, inserted] = position_of.emplace(col, static_cast<int>(attrs_.size()));
+        if (inserted) {
+          const auto* numeric = cache.Numeric(col);
+          attrs_.push_back(AttrRef{numeric != nullptr, numeric,
+                                   numeric != nullptr ? nullptr : cache.Categorical(col)});
+        }
+        positions.push_back(it->second);
       }
+      subset_attrs_.push_back(std::move(positions));
     }
-    node_stamp_.assign(labels.size(), 0);
+    leaf_rows_.resize(attr_subsets.size());
+    correct_.resize(attr_subsets.size(), 0);
+    side_.resize(labels.size());
+    no_counts_.resize(static_cast<size_t>(num_labels_));
+    yes_counts_.resize(static_cast<size_t>(num_labels_));
   }
 
-  std::unique_ptr<DecisionTreeNode> Build(const std::vector<int64_t>& rows, int depth) {
-    auto node = std::make_unique<DecisionTreeNode>();
-    std::vector<int64_t> counts(static_cast<size_t>(num_labels_), 0);
-    for (int64_t row : rows) ++counts[static_cast<size_t>(labels_[static_cast<size_t>(row)])];
-    int64_t best_count = -1;
-    int distinct = 0;
-    for (int label = 0; label < num_labels_; ++label) {
-      int64_t c = counts[static_cast<size_t>(label)];
-      if (c > 0) ++distinct;
-      if (c > best_count) {
-        best_count = c;
-        node->majority_label = label;
+  /// Grows every subset's tree from `rows` (sorted table rows); roots in
+  /// subset order.
+  std::vector<std::unique_ptr<DecisionTreeNode>> BuildAll(const std::vector<int64_t>& rows) {
+    NodeRows root;
+    root.rows = rows;
+    root.counts.assign(static_cast<size_t>(num_labels_), 0);
+    for (int64_t row : rows) {
+      ++root.counts[static_cast<size_t>(labels_[static_cast<size_t>(row)])];
+    }
+    if (CanSplit(root, 0)) {
+      root.sorted.resize(attrs_.size());
+      for (int64_t row : rows) side_[static_cast<size_t>(row)] = 1;
+      for (size_t position = 0; position < attrs_.size(); ++position) {
+        if (attrs_[position].numeric) {
+          Filter(attrs_[position].num->sorted_rows, 1, &root.sorted[position]);
+        }
       }
     }
-    node->count = static_cast<int64_t>(rows.size());
-    node->purity = rows.empty() ? 1.0
-                                : static_cast<double>(best_count) /
-                                      static_cast<double>(rows.size());
-
-    bool can_split = depth < options_.max_depth && distinct > 1 &&
-                     static_cast<int64_t>(rows.size()) >= 2 * options_.min_leaf_size;
-    if (can_split) {
-      SplitChoice best = FindBestSplit(rows, counts);
-      if (best.impurity_decrease >= options_.min_impurity_decrease) {
-        ApplySplit(best, rows, node.get());
-        std::vector<int64_t> yes_rows;
-        std::vector<int64_t> no_rows;
-        PartitionRows(best, rows, &yes_rows, &no_rows);
-        node->is_leaf = false;
-        node->yes = Build(yes_rows, depth + 1);
-        node->no = Build(no_rows, depth + 1);
-        return node;
-      }
-    }
-    node->is_leaf = true;
-    node->rows = RowSet(rows);
-    return node;
+    std::vector<int> group(subset_attrs_.size());
+    for (size_t s = 0; s < group.size(); ++s) group[s] = static_cast<int>(s);
+    return Build(root, 0, group);
   }
+
+  /// Leaf rows of subset `s`'s tree in YES-first depth-first order.
+  std::vector<RowSet>& leaf_rows(size_t s) { return leaf_rows_[s]; }
+
+  /// Training rows of subset `s`'s tree whose label is their leaf's majority.
+  int64_t correct(size_t s) const { return correct_[s]; }
+
+  int64_t split_scorings() const { return split_scorings_; }
 
  private:
   using NumericAttr = TreeAttributeCache::NumericAttr;
@@ -122,25 +141,111 @@ class TreeBuilder {
     const CategoricalAttr* cat;
   };
 
-  SplitChoice FindBestSplit(const std::vector<int64_t>& rows,
-                            const std::vector<int64_t>& node_counts) {
-    SplitChoice best;
-    // Stamp the node's rows so numeric sweeps can filter the cache's
-    // presorted global order in O(total rows) without clearing a bitmap.
-    ++current_stamp_;
-    for (int64_t row : rows) node_stamp_[static_cast<size_t>(row)] = current_stamp_;
-    double parent_gini = Gini(node_counts, static_cast<int64_t>(rows.size()));
-    for (size_t position = 0; position < attrs_.size(); ++position) {
-      const AttrRef& ref = attrs_[position];
-      if (ref.numeric) {
-        ScoreNumericSplits(rows, node_counts, parent_gini, static_cast<int>(position),
-                           *ref.num, &best);
-      } else {
-        ScoreCategoricalSplits(rows, node_counts, parent_gini, static_cast<int>(position),
-                               *ref.cat, &best);
+  /// The nodes of the subsets in `group` (subset indices) at one trie node,
+  /// parallel to `group`.
+  std::vector<std::unique_ptr<DecisionTreeNode>> Build(const NodeRows& node, int depth,
+                                                       const std::vector<int>& group) {
+    const std::vector<int64_t>& rows = node.rows;
+    const std::vector<int64_t>& counts = node.counts;
+    int64_t best_count = -1;
+    int majority_label = 0;
+    for (int label = 0; label < num_labels_; ++label) {
+      int64_t c = counts[static_cast<size_t>(label)];
+      if (c > best_count) {
+        best_count = c;
+        majority_label = label;
       }
     }
-    return best;
+    std::vector<std::unique_ptr<DecisionTreeNode>> nodes(group.size());
+    for (auto& out : nodes) {
+      out = std::make_unique<DecisionTreeNode>();
+      out->majority_label = majority_label;
+      out->count = static_cast<int64_t>(rows.size());
+      out->purity = rows.empty() ? 1.0
+                                 : static_cast<double>(best_count) /
+                                       static_cast<double>(rows.size());
+    }
+
+    std::vector<int> chosen(group.size(), -1);  // attribute position, -1 = leaf
+    std::vector<SplitChoice> attr_best;
+    if (CanSplit(node, depth)) {
+      // Each attribute any subset here can split on is scored once.
+      attr_best.resize(attrs_.size());
+      std::vector<char> scored(attrs_.size(), 0);
+      double parent_gini = Gini(counts, static_cast<int64_t>(rows.size()));
+      for (int s : group) {
+        for (int position : subset_attrs_[static_cast<size_t>(s)]) {
+          if (scored[static_cast<size_t>(position)]) continue;
+          scored[static_cast<size_t>(position)] = 1;
+          ++split_scorings_;
+          SplitChoice& best = attr_best[static_cast<size_t>(position)];
+          const AttrRef& ref = attrs_[static_cast<size_t>(position)];
+          if (ref.numeric) {
+            ScoreNumericSplits(node, counts, parent_gini, position, *ref.num, &best);
+          } else {
+            ScoreCategoricalSplits(rows, counts, parent_gini, position, *ref.cat, &best);
+          }
+        }
+      }
+      // Each subset takes the first strict maximum over its own attributes,
+      // in its own order: the split one sweep over them in that order keeps.
+      for (size_t i = 0; i < group.size(); ++i) {
+        double best_decrease = -1.0;
+        for (int position : subset_attrs_[static_cast<size_t>(group[i])]) {
+          double decrease = attr_best[static_cast<size_t>(position)].impurity_decrease;
+          if (decrease > best_decrease) {
+            best_decrease = decrease;
+            chosen[i] = position;
+          }
+        }
+        if (best_decrease < options_.min_impurity_decrease) chosen[i] = -1;
+      }
+    }
+
+    // One recursion per distinct split taken, shared by the subsets taking it.
+    std::vector<char> done(group.size(), 0);
+    for (size_t i = 0; i < group.size(); ++i) {
+      if (chosen[i] < 0) {
+        nodes[i]->is_leaf = true;
+        leaf_rows_[static_cast<size_t>(group[i])].push_back(RowSet(rows));
+        correct_[static_cast<size_t>(group[i])] += best_count;
+        continue;
+      }
+      if (done[i]) continue;
+      const SplitChoice& choice = attr_best[static_cast<size_t>(chosen[i])];
+      std::vector<size_t> members;
+      std::vector<int> subgroup;
+      std::vector<char> needed(attrs_.size(), 0);
+      for (size_t j = i; j < group.size(); ++j) {
+        if (chosen[j] != chosen[i]) continue;
+        done[j] = 1;
+        members.push_back(j);
+        subgroup.push_back(group[j]);
+        for (int position : subset_attrs_[static_cast<size_t>(group[j])]) {
+          needed[static_cast<size_t>(position)] = 1;
+        }
+      }
+      for (size_t j : members) {
+        nodes[j]->is_leaf = false;
+        ApplySplit(choice, nodes[j].get());
+      }
+      // Both children are cut together and each is freed once its subtree
+      // is built, so only the sibling pairs along one root-to-node path hold
+      // row lists at a time.
+      NodeRows yes;
+      NodeRows no;
+      Partition(node, choice, needed, depth + 1, &yes, &no);
+      std::vector<std::unique_ptr<DecisionTreeNode>> yes_children =
+          Build(yes, depth + 1, subgroup);
+      yes = NodeRows();
+      std::vector<std::unique_ptr<DecisionTreeNode>> no_children =
+          Build(no, depth + 1, subgroup);
+      for (size_t m = 0; m < members.size(); ++m) {
+        nodes[members[m]]->yes = std::move(yes_children[m]);
+        nodes[members[m]]->no = std::move(no_children[m]);
+      }
+    }
+    return nodes;
   }
 
   void ScoreCategoricalSplits(const std::vector<int64_t>& rows,
@@ -164,28 +269,18 @@ class TreeBuilder {
       if (total > 0) ++present_codes;
     }
     if (present_codes < 2) return;
-    auto code_counts = [&](int code) {
-      std::vector<int64_t> counts(static_cast<size_t>(num_labels_));
-      for (int l = 0; l < num_labels_; ++l) {
-        counts[static_cast<size_t>(l)] =
-            histogram[static_cast<size_t>(code) * static_cast<size_t>(num_labels_) +
-                      static_cast<size_t>(l)];
-      }
-      return counts;
-    };
     int64_t node_total = static_cast<int64_t>(rows.size());
 
     auto consider = [&](const std::vector<int64_t>& yes_counts, int64_t yes_total,
                         auto&& record) {
       int64_t no_total = node_total - yes_total;
       if (yes_total < options_.min_leaf_size || no_total < options_.min_leaf_size) return;
-      std::vector<int64_t> no_counts(static_cast<size_t>(num_labels_));
       for (int label = 0; label < num_labels_; ++label) {
-        no_counts[static_cast<size_t>(label)] =
+        no_counts_[static_cast<size_t>(label)] =
             node_counts[static_cast<size_t>(label)] - yes_counts[static_cast<size_t>(label)];
       }
       double decrease =
-          parent_gini - WeightedChildGini(yes_counts, yes_total, no_counts, no_total);
+          parent_gini - WeightedChildGini(yes_counts, yes_total, no_counts_, no_total);
       if (decrease > best->impurity_decrease) {
         best->impurity_decrease = decrease;
         best->attr_position = attr_position;
@@ -208,7 +303,12 @@ class TreeBuilder {
                                static_cast<size_t>(options_.max_categorical_values));
     for (size_t i = 0; i < eq_limit; ++i) {
       int code = by_frequency[i].second;
-      consider(code_counts(code), by_frequency[i].first, [&] {
+      for (int l = 0; l < num_labels_; ++l) {
+        yes_counts_[static_cast<size_t>(l)] =
+            histogram[static_cast<size_t>(code) * static_cast<size_t>(num_labels_) +
+                      static_cast<size_t>(l)];
+      }
+      consider(yes_counts_, by_frequency[i].first, [&] {
         best->kind = DecisionTreeNode::SplitKind::kCategoricalEq;
         best->code = code;
         best->codes.clear();
@@ -247,59 +347,53 @@ class TreeBuilder {
             codes.size() > static_cast<size_t>(options_.max_categorical_values)) {
           continue;
         }
-        std::vector<int64_t> yes_counts(static_cast<size_t>(num_labels_), 0);
+        std::fill(yes_counts_.begin(), yes_counts_.end(), 0);
         int64_t yes_total = 0;
         for (int code : codes) {
           for (int l = 0; l < num_labels_; ++l) {
-            yes_counts[static_cast<size_t>(l)] +=
+            yes_counts_[static_cast<size_t>(l)] +=
                 histogram[static_cast<size_t>(code) * static_cast<size_t>(num_labels_) +
                           static_cast<size_t>(l)];
           }
           yes_total += code_totals[static_cast<size_t>(code)];
         }
-        std::vector<int> codes_copy = codes;
-        consider(yes_counts, yes_total, [&] {
+        consider(yes_counts_, yes_total, [&] {
           best->kind = DecisionTreeNode::SplitKind::kCategoricalIn;
-          best->codes = codes_copy;
+          best->codes = codes;
           best->code = -1;
         });
       }
     }
   }
 
-  void ScoreNumericSplits(const std::vector<int64_t>& rows,
-                          const std::vector<int64_t>& node_counts, double parent_gini,
-                          int attr_position, const NumericAttr& attr, SplitChoice* best) {
-    // Stream the node's (value, label) pairs in presorted order (the cache
-    // keeps a per-attribute global sort; node membership is a stamp check).
-    std::vector<std::pair<double, int>> pairs;
-    pairs.reserve(rows.size());
-    for (int64_t row : attr.sorted_rows) {
-      if (node_stamp_[static_cast<size_t>(row)] != current_stamp_) continue;
-      pairs.emplace_back(attr.values[static_cast<size_t>(row)],
-                         labels_[static_cast<size_t>(row)]);
-    }
-    if (pairs.size() < 2) return;
+  void ScoreNumericSplits(const NodeRows& node, const std::vector<int64_t>& node_counts,
+                          double parent_gini, int attr_position, const NumericAttr& attr,
+                          SplitChoice* best) {
+    // The node's non-NULL rows in presorted order: the (value, label)
+    // sequence of the attribute's global sort restricted to the node.
+    const std::vector<int64_t>& sorted = node.sorted[static_cast<size_t>(attr_position)];
+    if (sorted.size() < 2) return;
+    auto value = [&](size_t i) { return attr.values[static_cast<size_t>(sorted[i])]; };
 
     // Boundaries between adjacent distinct values.
-    std::vector<size_t> boundaries;  // index i: split between pairs[i-1], pairs[i]
-    for (size_t i = 1; i < pairs.size(); ++i) {
-      if (pairs[i - 1].first < pairs[i].first) boundaries.push_back(i);
+    boundaries_.clear();  // index i: split between sorted[i-1], sorted[i]
+    for (size_t i = 1; i < sorted.size(); ++i) {
+      if (value(i - 1) < value(i)) boundaries_.push_back(i);
     }
-    if (boundaries.empty()) return;
+    if (boundaries_.empty()) return;
     size_t stride = 1;
-    if (static_cast<int>(boundaries.size()) > options_.max_numeric_thresholds) {
-      stride = (boundaries.size() + static_cast<size_t>(options_.max_numeric_thresholds) - 1) /
+    if (static_cast<int>(boundaries_.size()) > options_.max_numeric_thresholds) {
+      stride = (boundaries_.size() + static_cast<size_t>(options_.max_numeric_thresholds) - 1) /
                static_cast<size_t>(options_.max_numeric_thresholds);
     }
 
-    int64_t node_total = static_cast<int64_t>(rows.size());
-    std::vector<int64_t> left_counts(static_cast<size_t>(num_labels_), 0);
+    int64_t node_total = static_cast<int64_t>(node.rows.size());
+    std::fill(yes_counts_.begin(), yes_counts_.end(), 0);
     size_t consumed = 0;
-    for (size_t b = 0; b < boundaries.size(); b += stride) {
-      size_t boundary = boundaries[b];
+    for (size_t b = 0; b < boundaries_.size(); b += stride) {
+      size_t boundary = boundaries_[b];
       while (consumed < boundary) {
-        ++left_counts[static_cast<size_t>(pairs[consumed].second)];
+        ++yes_counts_[static_cast<size_t>(labels_[static_cast<size_t>(sorted[consumed])])];
         ++consumed;
       }
       int64_t yes_total = static_cast<int64_t>(boundary);
@@ -307,16 +401,15 @@ class TreeBuilder {
       if (yes_total < options_.min_leaf_size || no_total < options_.min_leaf_size) {
         continue;
       }
-      std::vector<int64_t> no_counts(static_cast<size_t>(num_labels_));
       for (int label = 0; label < num_labels_; ++label) {
-        no_counts[static_cast<size_t>(label)] =
-            node_counts[static_cast<size_t>(label)] - left_counts[static_cast<size_t>(label)];
+        no_counts_[static_cast<size_t>(label)] =
+            node_counts[static_cast<size_t>(label)] - yes_counts_[static_cast<size_t>(label)];
       }
       double decrease =
-          parent_gini - WeightedChildGini(left_counts, yes_total, no_counts, no_total);
+          parent_gini - WeightedChildGini(yes_counts_, yes_total, no_counts_, no_total);
       if (decrease > best->impurity_decrease) {
-        double lo = pairs[boundary - 1].first;
-        double hi = pairs[boundary].first;
+        double lo = value(boundary - 1);
+        double hi = value(boundary);
         best->impurity_decrease = decrease;
         best->attr_position = attr_position;
         best->kind = DecisionTreeNode::SplitKind::kNumericLess;
@@ -329,9 +422,7 @@ class TreeBuilder {
   }
 
   /// Fills the node's condition/negation expressions and split metadata.
-  void ApplySplit(const SplitChoice& choice, const std::vector<int64_t>& rows,
-                  DecisionTreeNode* node) {
-    (void)rows;
+  void ApplySplit(const SplitChoice& choice, DecisionTreeNode* node) {
     const AttrRef& ref = attrs_[static_cast<size_t>(choice.attr_position)];
     node->split_kind = choice.kind;
     if (choice.kind == DecisionTreeNode::SplitKind::kNumericLess) {
@@ -361,39 +452,92 @@ class TreeBuilder {
     }
   }
 
-  void PartitionRows(const SplitChoice& choice, const std::vector<int64_t>& rows,
-                     std::vector<int64_t>* yes_rows, std::vector<int64_t>* no_rows) {
+  /// Whether a node at `depth` is scored for a split.
+  bool CanSplit(const NodeRows& node, int depth) const {
+    int distinct = 0;
+    for (int64_t c : node.counts) distinct += c > 0;
+    return depth < options_.max_depth && distinct > 1 &&
+           static_cast<int64_t>(node.rows.size()) >= 2 * options_.min_leaf_size;
+  }
+
+  /// Cuts `node` by `choice` into children at `child_depth`: each side's
+  /// rows and label counts and, for a side that can split, the presorted
+  /// lists of the `needed` numeric attributes, each filtered from the
+  /// parent's so the presorted order carries over.
+  void Partition(const NodeRows& node, const SplitChoice& choice,
+                 const std::vector<char>& needed, int child_depth, NodeRows* yes,
+                 NodeRows* no) {
     const AttrRef& ref = attrs_[static_cast<size_t>(choice.attr_position)];
     if (choice.kind == DecisionTreeNode::SplitKind::kNumericLess) {
-      const NumericAttr& attr = *ref.num;
-      for (int64_t row : rows) {
-        bool yes = attr.valid[static_cast<size_t>(row)] &&
-                   attr.values[static_cast<size_t>(row)] < choice.threshold;
-        (yes ? yes_rows : no_rows)->push_back(row);
-      }
+      const double* values = ref.num->values.data();
+      const char* valid = ref.num->valid.data();
+      const double threshold = choice.threshold;
+      MarkSides(node.rows, [&](size_t row) { return valid[row] && values[row] < threshold; });
     } else if (choice.kind == DecisionTreeNode::SplitKind::kCategoricalEq) {
-      const CategoricalAttr& attr = *ref.cat;
-      for (int64_t row : rows) {
-        bool yes = attr.codes[static_cast<size_t>(row)] == choice.code;
-        (yes ? yes_rows : no_rows)->push_back(row);
-      }
+      const int* codes = ref.cat->codes.data();
+      const int code = choice.code;
+      MarkSides(node.rows, [&](size_t row) { return codes[row] == code; });
     } else {
-      const CategoricalAttr& attr = *ref.cat;
-      for (int64_t row : rows) {
-        int code = attr.codes[static_cast<size_t>(row)];
-        bool yes = code >= 0 && std::binary_search(choice.codes.begin(),
-                                                   choice.codes.end(), code);
-        (yes ? yes_rows : no_rows)->push_back(row);
+      const int* codes = ref.cat->codes.data();
+      std::vector<char> in_set(ref.cat->dict.size(), 0);
+      for (int code : choice.codes) in_set[static_cast<size_t>(code)] = 1;
+      MarkSides(node.rows, [&](size_t row) {
+        return codes[row] >= 0 && in_set[static_cast<size_t>(codes[row])];
+      });
+    }
+    for (NodeRows* child : {yes, no}) {
+      const char side = child == yes ? 1 : 0;
+      Filter(node.rows, side, &child->rows);
+      child->counts.assign(static_cast<size_t>(num_labels_), 0);
+      for (int64_t row : child->rows) {
+        ++child->counts[static_cast<size_t>(labels_[static_cast<size_t>(row)])];
+      }
+      if (!CanSplit(*child, child_depth)) continue;
+      child->sorted.resize(attrs_.size());
+      for (size_t position = 0; position < attrs_.size(); ++position) {
+        if (needed[position] && attrs_[position].numeric) {
+          Filter(node.sorted[position], side, &child->sorted[position]);
+        }
       }
     }
+  }
+
+  /// Records in side_ whether each of `rows` takes the YES branch.
+  template <typename GoesYes>
+  void MarkSides(const std::vector<int64_t>& rows, GoesYes goes_yes) {
+    for (int64_t row : rows) {
+      side_[static_cast<size_t>(row)] = goes_yes(static_cast<size_t>(row));
+    }
+  }
+
+  /// The rows of `rows` whose side_ is `side`, in order. Branch-free: every
+  /// row is written and the cursor advances only past the kept ones.
+  void Filter(const std::vector<int64_t>& rows, char side, std::vector<int64_t>* out) const {
+    out->resize(rows.size());
+    int64_t* cursor = out->data();
+    for (int64_t row : rows) {
+      *cursor = row;
+      cursor += side_[static_cast<size_t>(row)] == side;
+    }
+    out->resize(static_cast<size_t>(cursor - out->data()));
   }
 
   const std::vector<int>& labels_;
   int num_labels_;
   const DecisionTreeOptions& options_;
-  std::vector<AttrRef> attrs_;
-  std::vector<int> node_stamp_;  ///< Stamp per table row; see FindBestSplit.
-  int current_stamp_ = 0;
+  std::vector<AttrRef> attrs_;                  ///< union of the subsets' attributes
+  std::vector<std::vector<int>> subset_attrs_;  ///< per subset: positions, its order
+  std::vector<std::vector<RowSet>> leaf_rows_;  ///< per subset, depth-first
+  std::vector<int64_t> correct_;                ///< per subset
+  int64_t split_scorings_ = 0;
+  /// Per table row: 1 when the row takes the YES branch of the cut being
+  /// made (Partition), written for the node's rows only; at the root, 1 for
+  /// the training rows.
+  std::vector<char> side_;
+  /// Scratch of the split sweeps, reused across candidates.
+  std::vector<size_t> boundaries_;
+  std::vector<int64_t> yes_counts_;
+  std::vector<int64_t> no_counts_;
 };
 
 /// Accumulated constraints on one column along a root-to-leaf path. Merging
@@ -474,9 +618,11 @@ class PathState {
   std::vector<ExprPtr> extra_conjuncts_;
 };
 
+/// Appends the leaves under `node` in YES-first order, taking each leaf's
+/// rows from `leaf_rows` (the builder's rows of this tree, same order).
 void CollectLeaves(const DecisionTreeNode& node,
                    std::vector<std::pair<const DecisionTreeNode*, bool>>* path,
-                   std::vector<DecisionTree::Leaf>* out) {
+                   std::vector<RowSet>* leaf_rows, std::vector<DecisionTree::Leaf>* out) {
   if (node.is_leaf) {
     // Rebuild the simplified condition from the branch decisions on the path.
     PathState state;
@@ -485,16 +631,16 @@ void CollectLeaves(const DecisionTreeNode& node,
     }
     DecisionTree::Leaf leaf;
     leaf.condition = state.BuildCondition();
-    leaf.rows = node.rows;
+    leaf.rows = std::move((*leaf_rows)[out->size()]);
     leaf.majority_label = node.majority_label;
     leaf.purity = node.purity;
     out->push_back(std::move(leaf));
     return;
   }
   path->emplace_back(&node, true);
-  CollectLeaves(*node.yes, path, out);
+  CollectLeaves(*node.yes, path, leaf_rows, out);
   path->back().second = false;
-  CollectLeaves(*node.no, path, out);
+  CollectLeaves(*node.no, path, leaf_rows, out);
   path->pop_back();
 }
 
@@ -580,13 +726,27 @@ Result<DecisionTree> DecisionTree::Fit(const Table& table, const RowSet& rows,
                                        const std::vector<int>& labels,
                                        const DecisionTreeOptions& options,
                                        const TreeAttributeCache* cache) {
+  CHARLES_ASSIGN_OR_RETURN(std::vector<DecisionTree> trees,
+                           FitSubsets(table, rows, {attr_indices}, labels, options, cache));
+  return std::move(trees.front());
+}
+
+Result<std::vector<DecisionTree>> DecisionTree::FitSubsets(
+    const Table& table, const RowSet& rows,
+    const std::vector<std::vector<int>>& attr_subsets, const std::vector<int>& labels,
+    const DecisionTreeOptions& options, const TreeAttributeCache* cache,
+    int64_t* split_scorings) {
   if (rows.empty()) return Status::InvalidArgument("DecisionTree: no training rows");
   if (static_cast<int64_t>(labels.size()) != table.num_rows()) {
     return Status::InvalidArgument("DecisionTree: labels must cover every table row");
   }
-  for (int attr : attr_indices) {
-    if (attr < 0 || attr >= table.num_columns()) {
-      return Status::OutOfRange("DecisionTree: attribute index " + std::to_string(attr));
+  std::vector<int> all_attrs;
+  for (const std::vector<int>& subset : attr_subsets) {
+    for (int attr : subset) {
+      if (attr < 0 || attr >= table.num_columns()) {
+        return Status::OutOfRange("DecisionTree: attribute index " + std::to_string(attr));
+      }
+      all_attrs.push_back(attr);
     }
   }
   int num_labels = 0;
@@ -602,38 +762,32 @@ Result<DecisionTree> DecisionTree::Fit(const Table& table, const RowSet& rows,
 
   TreeAttributeCache local_cache;
   if (cache == nullptr) {
-    CHARLES_ASSIGN_OR_RETURN(local_cache, TreeAttributeCache::Build(table, attr_indices));
+    CHARLES_ASSIGN_OR_RETURN(local_cache, TreeAttributeCache::Build(table, all_attrs));
     cache = &local_cache;
   }
-  for (int attr : attr_indices) {
+  for (int attr : all_attrs) {
     if (cache->Numeric(attr) == nullptr && cache->Categorical(attr) == nullptr) {
       return Status::InvalidArgument("DecisionTree: attribute " + std::to_string(attr) +
                                      " missing from the attribute cache");
     }
   }
 
-  DecisionTree tree;
-  TreeBuilder builder(labels, num_labels, options, *cache, attr_indices);
-  tree.root_ = builder.Build(rows.indices(), 0);
+  TreeBuilder builder(labels, num_labels, options, *cache, attr_subsets);
+  std::vector<std::unique_ptr<DecisionTreeNode>> roots = builder.BuildAll(rows.indices());
+  if (split_scorings != nullptr) *split_scorings += builder.split_scorings();
 
-  // Single post-build traversal: collect the leaves (with simplified path
-  // conditions) and score training accuracy off them. leaves() then serves
-  // every later consumer — the engine's partition candidates used to walk
-  // the tree a second time for the same list.
-  {
+  std::vector<DecisionTree> trees(attr_subsets.size());
+  for (size_t s = 0; s < trees.size(); ++s) {
+    DecisionTree& tree = trees[s];
+    tree.root_ = std::move(roots[s]);
+    // One post-build traversal collects the leaves with their simplified
+    // path conditions; leaves() then serves every later consumer.
     std::vector<std::pair<const DecisionTreeNode*, bool>> path;
-    CollectLeaves(*tree.root_, &path, &tree.leaves_);
+    CollectLeaves(*tree.root_, &path, &builder.leaf_rows(s), &tree.leaves_);
+    tree.training_accuracy_ =
+        static_cast<double>(builder.correct(s)) / static_cast<double>(rows.size());
   }
-  int64_t correct = 0;
-  for (const Leaf& leaf : tree.leaves_) {
-    for (int64_t row : leaf.rows) {
-      if (labels[static_cast<size_t>(row)] == leaf.majority_label) ++correct;
-    }
-  }
-  tree.training_accuracy_ =
-      rows.size() > 0 ? static_cast<double>(correct) / static_cast<double>(rows.size())
-                      : 0.0;
-  return tree;
+  return trees;
 }
 
 Result<int> DecisionTree::PredictRow(const Table& table, int64_t row) const {

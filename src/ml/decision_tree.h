@@ -12,7 +12,7 @@
 
 namespace charles {
 
-/// \brief Options for DecisionTree::Fit.
+/// \brief Options for DecisionTree::Fit and DecisionTree::FitSubsets.
 struct DecisionTreeOptions {
   /// Maximum tree depth. Depth bounds the number of descriptors per
   /// condition, so this is effectively the paper's condition-complexity cap
@@ -49,8 +49,6 @@ struct DecisionTreeNode {
   /// Fraction of in-node rows carrying the majority label.
   double purity = 1.0;
   int64_t count = 0;
-  /// Rows of the training table reaching this node (populated on leaves).
-  RowSet rows;
 
   ExprPtr condition;  ///< YES-branch predicate (internal nodes only).
   ExprPtr negation;   ///< NO-branch predicate, exact complement.
@@ -74,7 +72,7 @@ struct DecisionTreeNode {
 /// attributes, dictionary codes for categoricals) costs O(n) per attribute;
 /// the ChARLES engine fits thousands of trees over the same handful of
 /// attributes, so it decodes each attribute once and passes the cache to
-/// every DecisionTree::Fit.
+/// every DecisionTree::FitSubsets.
 class TreeAttributeCache {
  public:
   struct NumericAttr {
@@ -126,12 +124,34 @@ class DecisionTree {
   /// split candidates and `labels` (one per *table* row; only entries for
   /// `rows` are read) as classes. When `cache` is non-null it must have been
   /// built over this table and cover every attribute in `attr_indices`; the
-  /// fit then skips column decoding entirely.
+  /// fit then skips column decoding entirely. The one-subset case of
+  /// FitSubsets.
   static Result<DecisionTree> Fit(const Table& table, const RowSet& rows,
                                   const std::vector<int>& attr_indices,
                                   const std::vector<int>& labels,
                                   const DecisionTreeOptions& options = {},
                                   const TreeAttributeCache* cache = nullptr);
+
+  /// \brief Fits one tree per attribute subset, all on the same `rows` and
+  /// `labels`; trees[s] is exactly the tree Fit would return for
+  /// `attr_subsets[s]`.
+  ///
+  /// The trees grow together over one trie of nodes named by split path:
+  /// every subset starts at the root, and subsets that pick the same split
+  /// share the children. A node scores each attribute's best split once for
+  /// all the subsets that reached it; each subset then takes the first
+  /// strict maximum over its own attributes in its own order, which is
+  /// the split a lone fit over that subset picks. Numeric sweeps walk the node's own
+  /// presorted attribute lists, stably partitioned from the parent's (the
+  /// attribute lists of SLIQ, Mehta, Agrawal and Rissanen, EDBT 1996), so a
+  /// sweep costs the node's size, not the table's. When `split_scorings` is
+  /// non-null, the number of (node, attribute) best-split computations run is
+  /// added to it. Fails if any subset names an invalid attribute.
+  static Result<std::vector<DecisionTree>> FitSubsets(
+      const Table& table, const RowSet& rows,
+      const std::vector<std::vector<int>>& attr_subsets, const std::vector<int>& labels,
+      const DecisionTreeOptions& options = {}, const TreeAttributeCache* cache = nullptr,
+      int64_t* split_scorings = nullptr);
 
   const DecisionTreeNode& root() const { return *root_; }
 

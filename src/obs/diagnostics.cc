@@ -18,6 +18,9 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.candidates_evaluated = summary.candidates_evaluated;
   d.candidates_deduped = summary.candidates_deduped;
 
+  d.trees_induced = summary.trees_induced;
+  d.split_scorings = summary.split_scorings;
+
   d.threads_used = summary.threads_used;
   d.kernel_used = summary.kernel_used;
 
@@ -62,6 +65,11 @@ std::string RunDiagnostics::ToJson() const {
   w.Key("partitions").Int(partitions);
   w.Key("candidates_evaluated").Int(candidates_evaluated);
   w.Key("candidates_deduped").Int(candidates_deduped);
+  w.EndObject();
+
+  w.Key("work").BeginObject();
+  w.Key("trees_induced").Int(trees_induced);
+  w.Key("split_scorings").Int(split_scorings);
   w.EndObject();
 
   w.Key("execution").BeginObject();

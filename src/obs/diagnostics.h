@@ -35,8 +35,10 @@ struct RunDiagnostics {
   /// `timings_seconds.shard_signal` / `shard_score`. Version 4 removed
   /// `scoring.partials_candidates` (always equal to
   /// `search.candidates_evaluated`) and `scoring.yhat_materializations`
-  /// (always 0). docs/observability.md lists the keys.
-  static constexpr int kSchemaVersion = 4;
+  /// (always 0). Version 5 added the `work` section (phase-2
+  /// `trees_induced` and `split_scorings`). docs/observability.md lists the
+  /// keys.
+  static constexpr int kSchemaVersion = 5;
 
   std::string run_id;        ///< 16-hex run fingerprint
   int64_t summaries = 0;     ///< ranked summaries returned
@@ -48,6 +50,10 @@ struct RunDiagnostics {
   int64_t partitions = 0;
   int64_t candidates_evaluated = 0;
   int64_t candidates_deduped = 0;
+
+  // Deterministic work counts.
+  int64_t trees_induced = 0;
+  int64_t split_scorings = 0;
 
   // Execution shape.
   int threads_used = 1;

@@ -1,12 +1,18 @@
 #include "table/row_set.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.h"
 
 namespace charles {
 
 RowSet::RowSet(std::vector<int64_t> indices) : indices_(std::move(indices)) {
+  // Most callers pass rows already in order; one scan then replaces the sort.
+  if (std::adjacent_find(indices_.begin(), indices_.end(), std::greater_equal<int64_t>()) ==
+      indices_.end()) {
+    return;
+  }
   std::sort(indices_.begin(), indices_.end());
   indices_.erase(std::unique(indices_.begin(), indices_.end()), indices_.end());
 }

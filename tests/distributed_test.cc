@@ -82,7 +82,7 @@ void ExpectBitIdenticalResults(const ShardTaskResult& a,
 }
 
 TEST(ShardWireTest, SufficientStatsRoundTripIsExact) {
-  SyntheticInput s = MakeSyntheticInput(257);
+  SyntheticInput s(257);
   std::vector<const std::vector<double>*> cols;
   ASSERT_TRUE(s.columns.ResolveColumns(s.shortlist, &cols));
   SufficientStats stats =
@@ -98,7 +98,7 @@ TEST(ShardWireTest, SufficientStatsRoundTripIsExact) {
 }
 
 TEST(ShardWireTest, ShardResultRoundTripIsExact) {
-  SyntheticInput s = MakeSyntheticInput(500);
+  SyntheticInput s(500);
   ShardPlan plan = PlanShards(500, 64, 3);
   for (int64_t shard = 0; shard < plan.num_shards(); ++shard) {
     ShardTaskResult result =
@@ -113,7 +113,7 @@ TEST(ShardWireTest, ShardResultRoundTripIsExact) {
 }
 
 TEST(ShardWireTest, TruncatedAndCorruptedBytesAreRejected) {
-  SyntheticInput s = MakeSyntheticInput(200);
+  SyntheticInput s(200);
   ShardPlan plan = PlanShards(200, 64, 2);
   ShardTaskResult result =
       ExecuteShardTaskKernel(s.input, plan, 0, MakeMomentsTask(s.input))
@@ -143,7 +143,7 @@ TEST(ShardWireTest, TruncatedAndCorruptedBytesAreRejected) {
 // --- Coordinator merge exactness -------------------------------------------
 
 TEST(CoordinatorTest, MergedMomentsMatchUnshardedAccumulationBitForBit) {
-  SyntheticInput s = MakeSyntheticInput(777);
+  SyntheticInput s(777);
   std::vector<const std::vector<double>*> cols;
   ASSERT_TRUE(s.columns.ResolveColumns(s.shortlist, &cols));
   InProcessBackend backend;
@@ -164,7 +164,7 @@ TEST(CoordinatorTest, MergedMomentsMatchUnshardedAccumulationBitForBit) {
 }
 
 TEST(CoordinatorTest, RangeAccumulationMatchesIndexedAccumulationBitForBit) {
-  SyntheticInput s = MakeSyntheticInput(333);
+  SyntheticInput s(333);
   std::vector<const std::vector<double>*> cols;
   ASSERT_TRUE(s.columns.ResolveColumns(s.shortlist, &cols));
   // The engine's all-rows fast path (no index vector) must replay exactly
@@ -176,7 +176,7 @@ TEST(CoordinatorTest, RangeAccumulationMatchesIndexedAccumulationBitForBit) {
 }
 
 TEST(CoordinatorTest, StopTokenCancelsBetweenShards) {
-  SyntheticInput s = MakeSyntheticInput(600);
+  SyntheticInput s(600);
   ShardPlan plan = PlanShards(600, 64, 8);
   InProcessBackend backend;
   StopToken stop;
@@ -190,7 +190,7 @@ TEST(CoordinatorTest, StopTokenCancelsBetweenShards) {
 // --- ShardTask protocol: tagged tasks, wire, exact merges -------------------
 
 TEST(ShardTaskWireTest, TaskRoundTripIsExactForAllKinds) {
-  SyntheticInput s = MakeSyntheticInput(100);
+  SyntheticInput s(100);
   ShardTask task = MakeMomentsTask(s.input);
   std::string wire;
   task.SerializeTo(&wire);
@@ -208,7 +208,7 @@ TEST(ShardTaskWireTest, TaskRoundTripIsExactForAllKinds) {
 }
 
 TEST(ShardTaskWireTest, TaskResultRoundTripIsExactForAllKinds) {
-  SyntheticInput s = MakeSyntheticInput(500);
+  SyntheticInput s(500);
   ShardPlan plan = PlanShards(500, 64, 3);
   for (int64_t shard = 0; shard < plan.num_shards(); ++shard) {
     ShardTaskResult result =
@@ -226,7 +226,7 @@ TEST(ShardTaskWireTest, TaskResultRoundTripIsExactForAllKinds) {
 }
 
 TEST(ShardTaskMergeTest, LeafMomentsSubsetSweepsOnlyRequestedLeaves) {
-  SyntheticInput s = MakeSyntheticInput(400);
+  SyntheticInput s(400);
   ShardPlan plan = PlanShards(400, 64, 4);
   std::vector<const std::vector<double>*> cols;
   ASSERT_TRUE(s.columns.ResolveColumns(s.shortlist, &cols));
@@ -246,7 +246,7 @@ TEST(ShardTaskMergeTest, LeafMomentsSubsetSweepsOnlyRequestedLeaves) {
 }
 
 TEST(ShardTaskMergeTest, OutOfRangeLeafSurfacesAsInvalidArgument) {
-  SyntheticInput s = MakeSyntheticInput(200);
+  SyntheticInput s(200);
   ShardPlan plan = PlanShards(200, 64, 2);
   ShardTask task;
   for (int64_t leaf : {int64_t{99}, int64_t{-1}}) {

@@ -339,6 +339,8 @@ TEST(ObsDiagnosticsTest, RunDiagnosticsJsonHasVersionedSchema) {
   SummaryList summary;
   summary.run_id = "00000000deadbeef";
   summary.candidates_evaluated = 42;
+  summary.trees_induced = 434;
+  summary.split_scorings = 9001;
   summary.shards_used = 4;
   summary.remote_tasks_dispatched = 12;
   summary.elapsed_seconds = 1.5;
@@ -351,9 +353,13 @@ TEST(ObsDiagnosticsTest, RunDiagnosticsJsonHasVersionedSchema) {
   obs::RunDiagnostics diagnostics = obs::RunDiagnostics::FromSummary(summary);
   std::string json = diagnostics.ToJson();
   EXPECT_EQ(json, summary.ToJson());  // SummaryList::ToJson delegates
-  EXPECT_NE(json.find("\"schema_version\":4"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"run_id\":\"00000000deadbeef\""), std::string::npos);
   EXPECT_NE(json.find("\"candidates_evaluated\":42"), std::string::npos);
+  // Schema v5 added the phase-2 work counts.
+  EXPECT_NE(json.find("\"work\":{\"trees_induced\":434,\"split_scorings\":9001}"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"shards_used\":4"), std::string::npos);
   EXPECT_NE(json.find("\"127.0.0.1:9000\""), std::string::npos);
   EXPECT_NE(json.find("\"workers\":["), std::string::npos);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/engine_context.h"
 #include "core/run_pipeline.h"
 #include "workload/employee_gen.h"
 #include "workload/example1.h"
@@ -128,6 +129,53 @@ TEST(ParallelEngineTest, FitCountersAreDeterministic) {
       EXPECT_EQ(run.score_leaf_folds, serial.score_leaf_folds);
     }
   }
+}
+
+TEST(ParallelEngineTest, PhaseTwoWorkCountersAreDeterministic) {
+  // Phase 2 fits one labeling's C-subsets per task over one shared split
+  // search, so its work counts depend on the labelings and subsets alone:
+  // equal at every thread and shard count, and 0 when the phase cache
+  // serves phase 2.
+  EmployeeGenOptions gen;
+  gen.num_rows = 1500;
+  gen.num_decoy_numeric = 1;
+  gen.num_decoy_categorical = 1;
+  Table source = GenerateEmployees(gen).ValueOrDie();
+  Table target = MakeEmployeeBonusPolicy().Apply(source).ValueOrDie();
+  CharlesOptions options;
+  options.target_attribute = "bonus";
+  options.key_columns = {"emp_id"};
+  options.stats_block_rows = 256;  // enough blocks for 4 shards
+
+  SummaryList serial = RunWithThreads(source, target, options, 1);
+  EXPECT_EQ(serial.trees_induced, serial.condition_subsets * serial.labelings);
+  EXPECT_GT(serial.split_scorings, 0);
+  for (int threads : {1, 4, 8}) {
+    for (int shards : {0, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, " + std::to_string(shards) +
+                   " shards");
+      CharlesOptions run_options = options;
+      run_options.num_shards = shards;
+      SummaryList run = RunWithThreads(source, target, run_options, threads);
+      EXPECT_EQ(run.trees_induced, serial.trees_induced);
+      EXPECT_EQ(run.split_scorings, serial.split_scorings);
+      EXPECT_NE(run.ToJson().find("\"work\":{\"trees_induced\":" +
+                                  std::to_string(serial.trees_induced) +
+                                  ",\"split_scorings\":" +
+                                  std::to_string(serial.split_scorings) + "}"),
+                std::string::npos);
+    }
+  }
+
+  EngineContext context;
+  CharlesEngine engine(options, &context);
+  SummaryList cold = engine.Find(source, target).ValueOrDie();
+  SummaryList warm = engine.Find(source, target).ValueOrDie();
+  ASSERT_TRUE(warm.phase_cache_hit);
+  EXPECT_EQ(cold.trees_induced, serial.trees_induced);
+  EXPECT_EQ(cold.split_scorings, serial.split_scorings);
+  EXPECT_EQ(warm.trees_induced, 0);
+  EXPECT_EQ(warm.split_scorings, 0);
 }
 
 TEST(ParallelEngineTest, NegativeThreadCountRejected) {

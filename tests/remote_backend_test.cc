@@ -53,7 +53,7 @@ TEST(RemoteProtocolTest, StatusPayloadPreservesCategoryAndMessage) {
 }
 
 TEST(RemoteProtocolTest, InstallBundleRoundTripIsExact) {
-  SyntheticInput s = MakeSyntheticInput(500);
+  SyntheticInput s(500);
   ShardPlan plan = PlanShards(500, 64, 3);
   std::string bundle;
   ASSERT_TRUE(SerializeInstallInput(17, s.input, plan, &bundle).ok());
@@ -106,7 +106,7 @@ TEST(RemoteProtocolTest, InstallBundleRoundTripIsExact) {
 }
 
 TEST(RemoteProtocolTest, MalformedInstallBundleRejected) {
-  SyntheticInput s = MakeSyntheticInput(120);
+  SyntheticInput s(120);
   ShardPlan plan = PlanShards(120, 64, 2);
   std::string bundle;
   ASSERT_TRUE(SerializeInstallInput(1, s.input, plan, &bundle).ok());
@@ -148,7 +148,7 @@ TEST(RemoteBackendTest, CreateValidatesEndpoints) {
 }
 
 TEST(RemoteBackendTest, CoordinatorParityAllKindsAllShardCounts) {
-  SyntheticInput s = MakeSyntheticInput(777);
+  SyntheticInput s(777);
   std::unique_ptr<LoopbackWorker> worker = StartWorker();
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   InProcessBackend in_process;
@@ -171,7 +171,7 @@ TEST(RemoteBackendTest, CoordinatorParityAllKindsAllShardCounts) {
 }
 
 TEST(RemoteBackendTest, InputShipsOncePerEpochAndPlanChangeRolls) {
-  SyntheticInput s = MakeSyntheticInput(400);
+  SyntheticInput s(400);
   std::unique_ptr<LoopbackWorker> worker = StartWorker();
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   ShardPlan plan = PlanShards(400, 64, 4);
@@ -200,7 +200,7 @@ TEST(RemoteBackendTest, InputShipsOncePerEpochAndPlanChangeRolls) {
 }
 
 TEST(RemoteBackendTest, DeterministicTaskErrorPropagatesWithoutRetry) {
-  SyntheticInput s = MakeSyntheticInput(200);
+  SyntheticInput s(200);
   std::unique_ptr<LoopbackWorker> worker = StartWorker();
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   ShardPlan plan = PlanShards(200, 64, 2);
@@ -220,7 +220,7 @@ TEST(RemoteBackendTest, DeterministicTaskErrorPropagatesWithoutRetry) {
 }
 
 TEST(RemoteBackendTest, VersionSkewedWorkerIsExcludedAtHandshake) {
-  SyntheticInput s = MakeSyntheticInput(300);
+  SyntheticInput s(300);
   WorkerServiceOptions skewed;
   skewed.version_min = 99;  // disjoint from [kRemoteWireVersionMin, Max]
   skewed.version_max = 99;
@@ -262,7 +262,7 @@ TEST(RemoteBackendTest, PreviousWireVersionWorkerIsRejectedAtHandshake) {
   // with signal and score-probe sections this build no longer parses — the
   // reject is what keeps the skew a clean handshake error instead of a
   // mid-run parse failure.
-  SyntheticInput s = MakeSyntheticInput(200);
+  SyntheticInput s(200);
   WorkerServiceOptions v5;
   v5.version_min = 5;
   v5.version_max = 5;
@@ -279,7 +279,7 @@ TEST(RemoteBackendTest, PreviousWireVersionWorkerIsRejectedAtHandshake) {
 }
 
 TEST(RemoteBackendTest, AllWorkersVersionSkewedFailsWithCleanDiagnostic) {
-  SyntheticInput s = MakeSyntheticInput(200);
+  SyntheticInput s(200);
   WorkerServiceOptions skewed;
   skewed.version_min = 99;
   skewed.version_max = 99;

@@ -82,7 +82,7 @@ KillerWorker SpawnKillerWorker() {
 }
 
 TEST(RemoteFaultTest, WorkerKilledMidShardIsReassignedBitIdentically) {
-  SyntheticInput s = MakeSyntheticInput(500);
+  SyntheticInput s(500);
   KillerWorker killer = SpawnKillerWorker();
   ASSERT_GT(killer.port, 0);
   std::unique_ptr<LoopbackWorker> survivor = LoopbackWorker::Start().ValueOrDie();
@@ -120,7 +120,7 @@ TEST(RemoteFaultTest, WorkerKilledMidShardIsReassignedBitIdentically) {
 }
 
 TEST(RemoteFaultTest, AllWorkersLostSurfacesABoundedError) {
-  SyntheticInput s = MakeSyntheticInput(300);
+  SyntheticInput s(300);
   KillerWorker killer = SpawnKillerWorker();
   ASSERT_GT(killer.port, 0);
   RemoteBackendOptions options;

@@ -21,8 +21,39 @@ namespace charles {
 
 /// Deterministic synthetic shard input: two feature columns, y vectors, and
 /// three leaves with distinct shapes (all rows, a stride, a prefix). `input`
-/// points into the other members.
+/// points into the other members, so the fixture is built in place and can
+/// be neither copied nor moved.
 struct SyntheticInput {
+  explicit SyntheticInput(int64_t rows) {
+    shortlist = {"a", "b"};
+    std::vector<double> a(static_cast<size_t>(rows)), b(static_cast<size_t>(rows));
+    y_old.resize(static_cast<size_t>(rows));
+    y_new.resize(static_cast<size_t>(rows));
+    for (int64_t r = 0; r < rows; ++r) {
+      size_t i = static_cast<size_t>(r);
+      a[i] = 1000.0 + 3.0 * static_cast<double>(r);
+      b[i] = 50.0 - 0.25 * static_cast<double>(r % 97);
+      y_old[i] = 10.0 + 0.5 * a[i];
+      y_new[i] = (r % 3 == 0) ? y_old[i] : 1.05 * y_old[i] + 2.0 * b[i];
+    }
+    columns.Insert("a", std::move(a));
+    columns.Insert("b", std::move(b));
+
+    std::vector<int64_t> stride, prefix;
+    for (int64_t r = 0; r < rows; r += 3) stride.push_back(r);
+    for (int64_t r = 0; r < rows / 2; ++r) prefix.push_back(r);
+    leaf_storage.push_back(RowSet::All(rows));
+    leaf_storage.push_back(RowSet(std::move(stride)));
+    leaf_storage.push_back(RowSet(std::move(prefix)));
+
+    input.shortlist = &shortlist;
+    input.columns = &columns;
+    input.y_new = &y_new;
+    for (const RowSet& leaf : leaf_storage) input.leaves.push_back(&leaf);
+  }
+  SyntheticInput(const SyntheticInput&) = delete;
+  SyntheticInput& operator=(const SyntheticInput&) = delete;
+
   std::vector<std::string> shortlist;
   ColumnCache columns;
   std::vector<double> y_old;
@@ -30,36 +61,6 @@ struct SyntheticInput {
   std::vector<RowSet> leaf_storage;
   ShardInput input;
 };
-
-inline SyntheticInput MakeSyntheticInput(int64_t rows) {
-  SyntheticInput s;
-  s.shortlist = {"a", "b"};
-  std::vector<double> a(static_cast<size_t>(rows)), b(static_cast<size_t>(rows));
-  s.y_old.resize(static_cast<size_t>(rows));
-  s.y_new.resize(static_cast<size_t>(rows));
-  for (int64_t r = 0; r < rows; ++r) {
-    size_t i = static_cast<size_t>(r);
-    a[i] = 1000.0 + 3.0 * static_cast<double>(r);
-    b[i] = 50.0 - 0.25 * static_cast<double>(r % 97);
-    s.y_old[i] = 10.0 + 0.5 * a[i];
-    s.y_new[i] = (r % 3 == 0) ? s.y_old[i] : 1.05 * s.y_old[i] + 2.0 * b[i];
-  }
-  s.columns.Insert("a", std::move(a));
-  s.columns.Insert("b", std::move(b));
-
-  std::vector<int64_t> stride, prefix;
-  for (int64_t r = 0; r < rows; r += 3) stride.push_back(r);
-  for (int64_t r = 0; r < rows / 2; ++r) prefix.push_back(r);
-  s.leaf_storage.push_back(RowSet::All(rows));
-  s.leaf_storage.push_back(RowSet(std::move(stride)));
-  s.leaf_storage.push_back(RowSet(std::move(prefix)));
-
-  s.input.shortlist = &s.shortlist;
-  s.input.columns = &s.columns;
-  s.input.y_new = &s.y_new;
-  for (const RowSet& leaf : s.leaf_storage) s.input.leaves.push_back(&leaf);
-  return s;
-}
 
 /// A kLeafMoments task over every leaf of `input`.
 inline ShardTask MakeMomentsTask(const ShardInput& input) {

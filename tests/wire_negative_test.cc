@@ -51,7 +51,7 @@ void PatchInt64(std::string* wire, size_t offset, int64_t value) {
 // --- CTK1 tasks -------------------------------------------------------------
 
 TEST(WireNegativeTest, TaskEveryStrictPrefixRejectedForAllKinds) {
-  SyntheticInput s = MakeSyntheticInput(60);
+  SyntheticInput s(60);
   for (const ShardTask& task : TaskShapes(s.input)) {
     std::string wire;
     task.SerializeTo(&wire);
@@ -70,7 +70,7 @@ TEST(WireNegativeTest, TaskEveryStrictPrefixRejectedForAllKinds) {
 }
 
 TEST(WireNegativeTest, TaskWrongVersionMagicRejected) {
-  SyntheticInput s = MakeSyntheticInput(60);
+  SyntheticInput s(60);
   for (const ShardTask& task : TaskShapes(s.input)) {
     std::string wire;
     task.SerializeTo(&wire);
@@ -87,7 +87,7 @@ TEST(WireNegativeTest, TaskWrongVersionMagicRejected) {
 }
 
 TEST(WireNegativeTest, TaskInvalidKindRejected) {
-  SyntheticInput s = MakeSyntheticInput(60);
+  SyntheticInput s(60);
   std::string wire;
   TaskShapes(s.input)[0].SerializeTo(&wire);
   // 2 and 4 are the retired signal-stats and score-partials kinds of wire v5
@@ -104,7 +104,7 @@ TEST(WireNegativeTest, TaskInvalidKindRejected) {
 }
 
 TEST(WireNegativeTest, TaskHugeCountsRejectedBeforeAllocation) {
-  SyntheticInput s = MakeSyntheticInput(60);
+  SyntheticInput s(60);
   // The leaf-index vector count, on every shape (the empty one included).
   for (const ShardTask& task : TaskShapes(s.input)) {
     std::string wire;
@@ -123,7 +123,7 @@ TEST(WireNegativeTest, TaskHugeCountsRejectedBeforeAllocation) {
 // --- CST1 results -----------------------------------------------------------
 
 TEST(WireNegativeTest, ResultEveryStrictPrefixRejectedForAllKinds) {
-  SyntheticInput s = MakeSyntheticInput(150);
+  SyntheticInput s(150);
   ShardPlan plan = PlanShards(150, 64, 2);
   for (const ShardTask& task : TaskShapes(s.input)) {
     ShardTaskResult result =
@@ -145,7 +145,7 @@ TEST(WireNegativeTest, ResultEveryStrictPrefixRejectedForAllKinds) {
 }
 
 TEST(WireNegativeTest, ResultWrongVersionMagicAndKindRejected) {
-  SyntheticInput s = MakeSyntheticInput(150);
+  SyntheticInput s(150);
   ShardPlan plan = PlanShards(150, 64, 2);
   ShardTaskResult result =
       ExecuteShardTaskKernel(s.input, plan, 0, TaskShapes(s.input)[0])
@@ -172,7 +172,7 @@ TEST(WireNegativeTest, ResultWrongVersionMagicAndKindRejected) {
 }
 
 TEST(WireNegativeTest, ResultHugeCountsRejectedBeforeAllocation) {
-  SyntheticInput s = MakeSyntheticInput(150);
+  SyntheticInput s(150);
   ShardPlan plan = PlanShards(150, 64, 2);
   ShardTaskResult result =
       ExecuteShardTaskKernel(s.input, plan, 0, TaskShapes(s.input)[0])
@@ -193,7 +193,7 @@ TEST(WireNegativeTest, ResultAlignedPatchSweepNeverCrashes) {
   // Stamp a hostile value over every 8-aligned field position, one at a
   // time: the deserializer may accept (the patch landed inside a double) or
   // reject, but it must never crash or allocate from an unvalidated count.
-  SyntheticInput s = MakeSyntheticInput(150);
+  SyntheticInput s(150);
   ShardPlan plan = PlanShards(150, 64, 2);
   for (const ShardTask& task : TaskShapes(s.input)) {
     ShardTaskResult result =
@@ -215,7 +215,7 @@ TEST(WireNegativeTest, ResultAlignedPatchSweepNeverCrashes) {
 // --- CSI1 install bundles ---------------------------------------------------
 
 TEST(WireNegativeTest, InstallBundleEveryStrictPrefixRejected) {
-  SyntheticInput s = MakeSyntheticInput(80);
+  SyntheticInput s(80);
   ShardPlan plan = PlanShards(80, 64, 2);
   std::string bundle;
   ASSERT_TRUE(SerializeInstallInput(1, s.input, plan, &bundle).ok());
@@ -228,7 +228,7 @@ TEST(WireNegativeTest, InstallBundleEveryStrictPrefixRejected) {
 }
 
 TEST(WireNegativeTest, InstallBundleHostilePatchesRejectedOrSurvived) {
-  SyntheticInput s = MakeSyntheticInput(80);
+  SyntheticInput s(80);
   ShardPlan plan = PlanShards(80, 64, 2);
   std::string bundle;
   ASSERT_TRUE(SerializeInstallInput(1, s.input, plan, &bundle).ok());
@@ -268,7 +268,7 @@ TEST(WireNegativeTest, InstallBundleHostilePatchesRejectedOrSurvived) {
 // --- Execute requests -------------------------------------------------------
 
 TEST(WireNegativeTest, ExecuteRequestTruncationAndGarbageRejected) {
-  SyntheticInput s = MakeSyntheticInput(60);
+  SyntheticInput s(60);
   for (const ShardTask& task : TaskShapes(s.input)) {
     std::string request;
     SerializeExecuteRequest(3, 1, /*run_id=*/0xabcdef0123456789ull,
@@ -297,7 +297,7 @@ TEST(WireNegativeTest, ExecuteRequestHostileTracedFlagRejected) {
   // v3 layout: epoch i64 @0 | shard i64 @8 | run_id u64 @16 | parent u64 @24
   // | traced i32 @32 | CTK1. The traced flag is a strict 0/1: anything else
   // is a malformed frame, not a "truthy" value.
-  SyntheticInput s = MakeSyntheticInput(60);
+  SyntheticInput s(60);
   ShardTask task = TaskShapes(s.input).front();
   std::string request;
   SerializeExecuteRequest(3, 1, /*run_id=*/1, /*parent_span=*/0,
@@ -344,7 +344,7 @@ std::string MakeTracedReply(const SyntheticInput& s) {
 }  // namespace
 
 TEST(WireNegativeTest, TracedReplyRoundTripAndTruncationRejected) {
-  SyntheticInput s = MakeSyntheticInput(60);
+  SyntheticInput s(60);
   std::string reply = MakeTracedReply(s);
   TracedTaskReply parsed =
       ParseTracedTaskReply(reply.data(), reply.size()).ValueOrDie();
@@ -365,7 +365,7 @@ TEST(WireNegativeTest, TracedReplyRoundTripAndTruncationRejected) {
 }
 
 TEST(WireNegativeTest, TracedReplyHostileCountsRejectedOrSurvived) {
-  SyntheticInput s = MakeSyntheticInput(60);
+  SyntheticInput s(60);
   std::string reply = MakeTracedReply(s);
   // Hostile values in every aligned i64 slot: the parser must reject or
   // survive (bounded allocation), never crash or over-allocate. The span

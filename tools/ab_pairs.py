@@ -25,6 +25,12 @@ operations than its paired base run (nor the change side more in total),
 wins in at least 9 of 10 pairs, and a median better by more than the base's
 interquartile range; fewer pairs can only show whether a metric stayed
 within its bound.
+
+With --trace-pairs N, each workload then runs N more alternating pairs
+traced (`--trace 1`, seeds taken from --seeds in order, cycling), and the
+report prints the base and change medians of every `stage.*` and `work.*`
+per-layer metric those runs report, with each run's `correct` flag: where
+a saving appeared, and that the work counts did not move.
 """
 
 import argparse
@@ -71,9 +77,9 @@ def export(sha, scratch):
     return tree
 
 
-def run(tree, workload, seed, seconds):
-    """One untraced benchmark run; its JSON result, or None when it printed
-    none."""
+def run(tree, workload, seed, seconds, trace=0):
+    """One benchmark run (untraced unless `trace`); its JSON result, or None
+    when it printed none."""
     out = subprocess.run(
         [
             sys.executable,
@@ -81,7 +87,7 @@ def run(tree, workload, seed, seconds):
             "--workload", workload,
             "--seed", str(seed),
             "--seconds", repr(seconds),
-            "--trace", "0",
+            "--trace", str(trace),
         ],
         cwd=tree,
         stdout=subprocess.PIPE,
@@ -203,6 +209,49 @@ def report(workload, seeds, pairs, metrics):
         )
 
 
+def alternate(base_tree, change_tree, workload, seeds, seconds, trace):
+    """One pair per seed, the side that runs first alternating (base first on
+    the first pair); the (base, change) results."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        if i % 2 == 0:
+            base = run(base_tree, workload, seed, seconds, trace)
+            change = run(change_tree, workload, seed, seconds, trace)
+        else:
+            change = run(change_tree, workload, seed, seconds, trace)
+            base = run(base_tree, workload, seed, seconds, trace)
+        pairs.append((base, change))
+        print("  %s seed %d%s done" % (workload, seed, " traced" if trace else ""),
+              file=sys.stderr)
+    return pairs
+
+
+def report_layers(workload, seeds, pairs):
+    """Base and change medians of the traced runs' stage.* and work.*
+    metrics."""
+    print("\n== %s: %d traced pairs, seeds %s" % (workload, len(pairs), seeds))
+    names = []
+    for seed, (base, change) in zip(seeds, pairs):
+        flags = []
+        for label, result in (("base", base), ("change", change)):
+            if result is None:
+                flags.append("%s: no result" % label)
+                continue
+            flags.append("%s: correct=%s" % (label, str(bool(result.get("correct"))).lower()))
+            for name in result.get("metrics", {}):
+                if name.startswith(("stage.", "work.")) and name not in names:
+                    names.append(name)
+        print("  seed %-6d %s" % (seed, "  ".join(flags)))
+    print("  %-32s %12s %12s" % ("metric", "base med", "change med"))
+    for name in names:
+        medians = []
+        for side in (0, 1):
+            values = [metric_value(pair[side], name) for pair in pairs]
+            values = [v for v in values if v is not None]
+            medians.append("%12.6g" % statistics.median(values) if values else "%12s" % "-")
+        print("  %-32s %s %s" % (name, medians[0], medians[1]))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the parent commit")
@@ -212,6 +261,8 @@ def main():
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--scratch", required=True,
                         help="directory for the exported trees and their builds")
+    parser.add_argument("--trace-pairs", type=int, default=0,
+                        help="traced pairs per workload after the untraced ones")
     args = parser.parse_args()
 
     base_tree = export(resolve(args.base), args.scratch)
@@ -227,18 +278,14 @@ def main():
         run(tree, args.workloads[0], 0, 1.0)
 
     for workload in args.workloads:
-        pairs = []
-        for i, seed in enumerate(args.seeds):
-            if i % 2 == 0:
-                base = run(base_tree, workload, seed, args.seconds)
-                change = run(change_tree, workload, seed, args.seconds)
-            else:
-                change = run(change_tree, workload, seed, args.seconds)
-                base = run(base_tree, workload, seed, args.seconds)
-            pairs.append((base, change))
-            print("  %s seed %d done" % (workload, seed), file=sys.stderr)
+        pairs = alternate(base_tree, change_tree, workload, args.seeds,
+                          args.seconds, 0)
         report(workload, args.seeds, pairs, metrics)
-
+        if args.trace_pairs > 0:
+            seeds = [args.seeds[i % len(args.seeds)] for i in range(args.trace_pairs)]
+            traced = alternate(base_tree, change_tree, workload, seeds,
+                               args.seconds, 1)
+            report_layers(workload, seeds, traced)
 
 if __name__ == "__main__":
     main()
