@@ -18,7 +18,8 @@
 ///    the phase-cache lookup (runs with a context), then — on a miss — the
 ///    run's shortlist moments (one central block fold), per-T clusterings,
 ///    pooled labelings;
-///  - **Phase2Trees** — condition-tree induction, partition dedup and leaf
+///  - **Phase2Trees** — condition-tree induction (one task per labeling,
+///    every C-subset over one shared split search), partition dedup and leaf
 ///    interning, or the cached partitions on a phase-cache hit; a miss with
 ///    a context inserts its search space afterwards;
 ///  - **Phase3Fits** — one fit table slot per distinct (leaf, T): resolve
