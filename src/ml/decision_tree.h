@@ -133,18 +133,19 @@ class DecisionTree {
                                   const TreeAttributeCache* cache = nullptr);
 
   /// \brief Fits one tree per attribute subset, all on the same `rows` and
-  /// `labels`; trees[s] is exactly the tree Fit would return for
-  /// `attr_subsets[s]`.
+  /// `labels`; trees[s] is the tree a CART fit over `attr_subsets[s]` alone
+  /// grows.
   ///
   /// The trees grow together over one trie of nodes named by split path:
   /// every subset starts at the root, and subsets that pick the same split
   /// share the children. A node scores each attribute's best split once for
   /// all the subsets that reached it; each subset then takes the first
-  /// strict maximum over its own attributes in its own order, which is
-  /// the split a lone fit over that subset picks. Numeric sweeps walk the node's own
-  /// presorted attribute lists, stably partitioned from the parent's (the
-  /// attribute lists of SLIQ, Mehta, Agrawal and Rissanen, EDBT 1996), so a
-  /// sweep costs the node's size, not the table's. When `split_scorings` is
+  /// strict maximum over its own attributes in its own order, which is the
+  /// split one sweep over that subset's attributes keeps. Numeric sweeps
+  /// walk the node's own presorted attribute lists, filtered in order from
+  /// the parent's (the attribute lists of SLIQ, Mehta, Agrawal and
+  /// Rissanen, EDBT 1996), so a sweep costs the node's size, not the
+  /// table's. When `split_scorings` is
   /// non-null, the number of (node, attribute) best-split computations run is
   /// added to it. Fails if any subset names an invalid attribute.
   static Result<std::vector<DecisionTree>> FitSubsets(
