@@ -70,7 +70,6 @@ Result<SharedLeafFit> CharlesEngine::FitLeaf(const std::vector<double>& y_old,
   // folded block by block with the run scorer's band so BuildSummary can
   // merge per-leaf partials in leaf order.
   auto fold_score = [&] {
-    if (ws.score_folds != nullptr) ++*ws.score_folds;
     return AccumulateScoreDiffBlocks(y_part, y_hat, rows.indices(), ws.block_rows,
                                      ws.score_tolerance);
   };

@@ -113,7 +113,10 @@ struct SummaryList {
   /// ScorePartials in leaf order; no run-wide ŷ vector is ever built.
   /// @{
   /// Per-leaf score folds performed; fits served by a warm cache don't
-  /// count. Deterministic: at most one per computed fit.
+  /// count. Always equal to leaf_fits_computed: a leaf has at least one row,
+  /// so every computed fit succeeds and folds its score exactly once. Kept
+  /// (with the `scoring.leaf_folds` diagnostics key) until the next
+  /// diagnostics schema bump removes it.
   int64_t score_leaf_folds = 0;
   /// @}
   /// \name Remote backend (shard_backend = kRemote; empty/zero otherwise).
@@ -367,8 +370,6 @@ class CharlesEngine {
     int64_t block_rows = 0;
     /// The run Scorer's exactness band (Scorer::exact_tolerance()).
     double score_tolerance = 0.0;
-    /// Incremented once per per-leaf score fold.
-    int64_t* score_folds = nullptr;
   };
 
   /// \brief Fits one leaf's transformation.

@@ -148,9 +148,6 @@ struct CharlesOptions {
   int remote_max_task_retries = 2;
   /// Base of the exponential retry backoff (base × 2^attempt, capped).
   int remote_retry_backoff_ms = 50;
-  /// Period of the background worker health sweep; <= 0 disables it
-  /// (unhealthy workers are then re-probed only when the fleet runs dry).
-  int remote_health_check_interval_ms = 0;
   /// @}
 
   /// Record a trace of this run: every pipeline stage, shard dispatch and

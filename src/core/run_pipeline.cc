@@ -4,8 +4,6 @@
 #include <cmath>
 #include <mutex>
 #include <set>
-#include <string_view>
-#include <unordered_map>
 
 #include "common/combinatorics.h"
 #include "common/fnv.h"
@@ -28,36 +26,6 @@ bool UsesOldTarget(const ChangeSummary& summary) {
   return std::find(attrs.begin(), attrs.end(), summary.target_attribute()) !=
          attrs.end();
 }
-
-/// \brief The rank-order key of one summary.
-///
-/// Score-descending with deterministic tie-breaks: fewer CTs, then
-/// self-referential transformations, then the signature. Scores are
-/// quantized to a 1e-7 grid so floating-point noise cannot override the
-/// semantic tie-breaks. The signature is the string phase 3 computed once
-/// per work item; signatures are distinct after the best-by-signature dedup,
-/// so over deduplicated summaries the order is total.
-struct RankKey {
-  int64_t score = 0;
-  int num_cts = 0;
-  bool uses_old_target = false;
-  const std::string* signature = nullptr;
-  size_t item = 0;  ///< index into RunState::outputs (RankStream only)
-
-  static RankKey Of(const ChangeSummary& summary, const std::string& signature,
-                    size_t item = 0) {
-    return RankKey{static_cast<int64_t>(std::llround(summary.scores().score * 1e7)),
-                   summary.num_cts(), UsesOldTarget(summary), &signature, item};
-  }
-
-  /// True if `*this` ranks strictly before `other`.
-  bool operator<(const RankKey& other) const {
-    if (score != other.score) return score > other.score;
-    if (num_cts != other.num_cts) return num_cts < other.num_cts;
-    if (uses_old_target != other.uses_old_target) return uses_old_target;
-    return *signature < *other.signature;
-  }
-};
 
 /// \brief Hash of everything a cached leaf fit depends on beyond its LeafKey.
 ///
@@ -136,8 +104,6 @@ Result<ShardBackend*> SelectShardBackend(RunState& state) {
         remote.task_timeout_ms = options.remote_task_timeout_ms;
         remote.max_task_retries = options.remote_max_task_retries;
         remote.retry_backoff_ms = options.remote_retry_backoff_ms;
-        remote.health_check_interval_ms =
-            options.remote_health_check_interval_ms;
         CHARLES_ASSIGN_OR_RETURN(state.shard_backend,
                                  RemoteBackend::Create(std::move(remote)));
         break;
@@ -249,19 +215,61 @@ Status CheckFiniteMoments(const RunState& state) {
 
 }  // namespace
 
+RankKey RankKey::Of(const ChangeSummary& summary, const std::string& signature,
+                    size_t item) {
+  return RankKey{static_cast<int64_t>(std::llround(summary.scores().score * 1e7)),
+                 summary.num_cts(), UsesOldTarget(summary), &signature, item};
+}
+
+bool RankKey::operator<(const RankKey& other) const {
+  if (score != other.score) return score > other.score;
+  if (num_cts != other.num_cts) return num_cts < other.num_cts;
+  if (uses_old_target != other.uses_old_target) return uses_old_target;
+  if (signature != other.signature) return *signature < *other.signature;
+  return item < other.item;
+}
+
+bool RunState::StreamMerge::Add(ChangeSummary&& summary, std::string&& signature,
+                                size_t item, int top_n) {
+  ++evaluated;
+  auto [interned, first] = signatures.insert(std::move(signature));
+  if (!first) ++deduped;
+  const RankKey key = RankKey::Of(summary, *interned, item);
+  auto same = first ? top.end()
+                    : std::find_if(top.begin(), top.end(), [&](const Entry& entry) {
+                        return entry.key.signature == key.signature;
+                      });
+  if (same != top.end()) {
+    if (!(key < same->key)) return false;
+    top.erase(same);
+  } else if (static_cast<int>(top.size()) >= top_n && !(key < top.back().key)) {
+    return false;
+  }
+  auto pos = std::upper_bound(
+      top.begin(), top.end(), key,
+      [](const RankKey& k, const Entry& entry) { return k < entry.key; });
+  top.insert(pos, Entry{key, std::move(summary)});
+  if (static_cast<int>(top.size()) > top_n) top.pop_back();
+  return true;
+}
+
+void RunState::EmitUpdate(bool cancelled) const {
+  SummaryStreamUpdate update;
+  update.cancelled = cancelled;
+  update.shards_completed = stream_merge.completed;
+  update.shards_total = work_items;
+  update.elapsed_seconds = ElapsedSeconds();
+  update.provisional.reserve(stream_merge.top.size());
+  for (const StreamMerge::Entry& entry : stream_merge.top) {
+    update.provisional.push_back(entry.summary);
+  }
+  stream->Emit(update);
+}
+
 Status RunState::Cancelled(const std::string& where) {
   if (stream != nullptr && !cancel_emitted) {
     std::lock_guard<std::mutex> lock(stream_merge.mu);
-    SummaryStreamUpdate update;
-    update.cancelled = true;
-    update.shards_completed = stream_merge.completed.load();
-    update.shards_total = work_items;
-    update.elapsed_seconds = ElapsedSeconds();
-    update.provisional.reserve(stream_merge.top.size());
-    for (const auto& entry : stream_merge.top) {
-      update.provisional.push_back(entry.second);
-    }
-    stream->Emit(update);
+    EmitUpdate(/*cancelled=*/true);
   }
   cancel_emitted = true;
   return Status::Cancelled("Find cancelled " + where);
@@ -748,44 +756,9 @@ Status RunPipeline::Phase3Fits(RunState& state) {
   }
   CHARLES_RETURN_NOT_OK(RunMomentsRound(state, &table));
 
-  // Streaming: completed work items merge a copy of their summary into a
-  // provisional top-N under a lock, kept sorted and deduplicated by
-  // signature exactly as the final reduction ranks — eviction is permanent
-  // (the bar only rises), so the incremental top-N equals the top-N of a
-  // full best-by-signature merge at every point, and the last update's list
-  // is the final ranking. Entirely separate from the deterministic final
-  // reduction in RankStream — which summaries appear mid-run depends on
-  // scheduling, the returned list never does. Near-zero overhead when no
-  // stream is attached.
-  auto merge_into_top = [&state](const std::string& signature,
-                                 const ChangeSummary& summary) {
-    auto& top = state.stream_merge.top;
-    const RankKey key = RankKey::Of(summary, signature);
-    auto key_of = [](const auto& entry) {
-      return RankKey::Of(entry.second, entry.first);
-    };
-    auto same = std::find_if(top.begin(), top.end(), [&](const auto& entry) {
-      return entry.first == signature;
-    });
-    if (same != top.end()) {
-      if (!(key < key_of(*same))) return false;
-      top.erase(same);
-    } else if (static_cast<int>(top.size()) >= state.options.top_n &&
-               !(key < key_of(top.back()))) {
-      return false;
-    }
-    auto pos = std::upper_bound(
-        top.begin(), top.end(), key,
-        [&](const RankKey& k, const auto& entry) { return k < key_of(entry); });
-    top.emplace(pos, signature, summary);
-    if (static_cast<int>(top.size()) > state.options.top_n) top.pop_back();
-    return true;
-  };
-
   // Fills one empty slot: the fit from the table's per-leaf inputs,
   // published to the context cache for later runs.
-  auto fill_slot = [&](int64_t leaf, size_t ti, FitTable::Slot& slot,
-                       int64_t* score_folds) {
+  auto fill_slot = [&](int64_t leaf, size_t ti, FitTable::Slot& slot) {
     const size_t l = static_cast<size_t>(leaf);
     CharlesEngine::LeafStatsWorkspace workspace;
     workspace.columns = &state.tran_columns;
@@ -794,7 +767,6 @@ Status RunPipeline::Phase3Fits(RunState& state) {
     workspace.max_abs_delta = table.max_abs_delta[l];
     workspace.block_rows = options.stats_block_rows;
     workspace.score_tolerance = state.scorer->exact_tolerance();
-    workspace.score_folds = score_folds;
     const RowSet& rows = *state.leaves[l];
     Result<SharedLeafFit> fit = engine.FitLeaf(state.y_old, state.y_new, rows,
                                                state.t_attr_names[ti], workspace);
@@ -814,95 +786,77 @@ Status RunPipeline::Phase3Fits(RunState& state) {
   // than per-partition, so the pool stays balanced even when few
   // partitionings survive dedup. Each leaf's slot is filled exactly once,
   // by whichever item reaches it first (the others wait on its once_flag),
-  // so the fit counters are deterministic. The best-by-signature reduction
-  // in RankStream then replays the serial (partition, T) visit order, so
-  // the surviving summary per signature is scheduling-independent.
-  struct Phase3Worker {
+  // so the fit counters are deterministic. Each item then merges its
+  // summary into the run's one ranking (RunState::StreamMerge), whose top-N
+  // does not depend on the order items arrive in.
+  RunState::StreamMerge& merge = state.stream_merge;
+  ParallelFor(state.pool, state.work_items, [&](int64_t item) {
+    // Cancellation point between (partition, T) work items: a stopped run
+    // drains its remaining items as no-ops (the pool cannot unqueue them)
+    // and the post-barrier check below turns the run into
+    // Status::Cancelled.
+    if (state.StopRequested()) return;
+    const size_t pi = static_cast<size_t>(item) / t_count;
+    const size_t ti = static_cast<size_t>(item) % t_count;
+    const RunState::PartitionEntry& entry = state.partitions[pi];
+    // Declared before the lock, so a summary the merge rejects is freed
+    // after the lock is released.
+    ChangeSummary summary;
+    std::string signature;
+    std::vector<const SharedLeafFit*> fits;
+    fits.reserve(entry.leaf_ids.size());
     int64_t fits_computed = 0;
     int64_t fits_reused = 0;
-    int64_t score_folds = 0;
-  };
-  std::vector<Phase3Worker> workers;
-  state.outputs = ParallelMapWithState<RunState::WorkItemOutput, Phase3Worker>(
-      state.pool, state.work_items, [] { return Phase3Worker{}; },
-      [&](Phase3Worker& worker, int64_t item) {
-        RunState::WorkItemOutput out;
-        // Cancellation point between (partition, T) work items: a stopped
-        // run drains its remaining items as no-ops (the pool cannot unqueue
-        // them) and the post-barrier check below turns the run into
-        // Status::Cancelled.
-        if (state.StopRequested()) return out;
-        const size_t pi = static_cast<size_t>(item) / t_count;
-        const size_t ti = static_cast<size_t>(item) % t_count;
-        const RunState::PartitionEntry& entry = state.partitions[pi];
-        std::vector<const SharedLeafFit*> fits;
-        fits.reserve(entry.leaf_ids.size());
-        for (int64_t leaf : entry.leaf_ids) {
-          FitTable::Slot& slot = table.at(leaf, ti);
-          bool filled = false;
-          if (!slot.resolved) {
-            std::call_once(slot.once, [&] {
-              fill_slot(leaf, ti, slot, &worker.score_folds);
-              filled = true;
-            });
-          }
-          ++(filled ? worker.fits_computed : worker.fits_reused);
-          if (!slot.status.ok()) break;
-          fits.push_back(&slot.fit);
-        }
-        if (fits.size() == entry.leaf_ids.size()) {
-          out.summary = engine.BuildSummary(entry.candidate, fits,
-                                            state.t_attr_names[ti],
-                                            entry.condition_attrs, *state.scorer);
-          out.signature = out.summary.Signature();
-          out.ok = true;
-        }
-        // Completed-item count is tracked stream or no stream (the
-        // cancellation diagnostic reports it), but only streamed runs pay
-        // the merge lock — a plain Find() counts with one relaxed atomic
-        // increment per item.
-        if (state.stream == nullptr) {
-          state.stream_merge.completed.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          std::lock_guard<std::mutex> lock(state.stream_merge.mu);
-          int64_t completed =
-              state.stream_merge.completed.fetch_add(1, std::memory_order_relaxed) +
-              1;
-          bool changed = out.ok && merge_into_top(out.signature, out.summary);
-          // Re-ranking and copying the top-N per item would dwarf the search
-          // itself; emit only when the top-N changed — items that only
-          // rediscover or underbid known summaries just advance the counter —
-          // plus always on the final item so consumers observe completion.
-          // A stopping run suppresses emissions: its final update is the
-          // cancelled one the driver emits.
-          if ((changed || completed == state.work_items) && !state.StopRequested()) {
-            SummaryStreamUpdate update;
-            update.shards_completed = completed;
-            update.shards_total = state.work_items;
-            update.elapsed_seconds = state.ElapsedSeconds();
-            update.provisional.reserve(state.stream_merge.top.size());
-            for (const auto& entry : state.stream_merge.top) {
-              update.provisional.push_back(entry.second);
-            }
-            state.stream->Emit(update);
-          }
-        }
-        return out;
-      },
-      &workers);
+    for (int64_t leaf : entry.leaf_ids) {
+      FitTable::Slot& slot = table.at(leaf, ti);
+      bool filled = false;
+      if (!slot.resolved) {
+        std::call_once(slot.once, [&] {
+          fill_slot(leaf, ti, slot);
+          filled = true;
+        });
+      }
+      ++(filled ? fits_computed : fits_reused);
+      if (!slot.status.ok()) break;
+      fits.push_back(&slot.fit);
+    }
+    const bool built = fits.size() == entry.leaf_ids.size();
+    if (built) {
+      summary = engine.BuildSummary(entry.candidate, fits, state.t_attr_names[ti],
+                                    entry.condition_attrs, *state.scorer);
+      signature = summary.Signature();
+    }
+
+    std::lock_guard<std::mutex> lock(merge.mu);
+    merge.fits_computed += fits_computed;
+    merge.fits_reused += fits_reused;
+    const int64_t completed = ++merge.completed;
+    const bool changed =
+        built && merge.Add(std::move(summary), std::move(signature),
+                           static_cast<size_t>(item), options.top_n);
+    // Re-ranking and copying the top-N per item would dwarf the search
+    // itself; emit only when the top-N changed — items that only rediscover
+    // or underbid known summaries just advance the counter — plus always on
+    // the final item so consumers observe completion. A stopping run
+    // suppresses emissions: its final update is the cancelled one the
+    // driver emits.
+    if (state.stream != nullptr && (changed || completed == state.work_items) &&
+        !state.StopRequested()) {
+      state.EmitUpdate(/*cancelled=*/false);
+    }
+  });
 
   if (state.StopRequested()) {
-    return state.Cancelled(
-        "during phase 3 (after " +
-        std::to_string(state.stream_merge.completed.load()) + " of " +
-        std::to_string(state.work_items) + " work items)");
+    return state.Cancelled("during phase 3 (after " +
+                           std::to_string(merge.completed) + " of " +
+                           std::to_string(state.work_items) + " work items)");
   }
 
-  for (const Phase3Worker& worker : workers) {
-    state.result.leaf_fits_computed += worker.fits_computed;
-    state.result.leaf_fits_reused += worker.fits_reused;
-    state.result.score_leaf_folds += worker.score_folds;
-  }
+  state.result.leaf_fits_computed = merge.fits_computed;
+  state.result.leaf_fits_reused = merge.fits_reused;
+  // A leaf has at least one row, so a computed fit never fails and folds its
+  // score exactly once.
+  state.result.score_leaf_folds = merge.fits_computed;
   return Status::OK();
 }
 
@@ -910,38 +864,18 @@ Status RunPipeline::Phase3Fits(RunState& state) {
 
 Status RunPipeline::RankStream(RunState& state) {
   SummaryList& result = state.result;
-
   if (state.context != nullptr) {
     result.leaf_fit_evictions = state.context->leaf_cache()->evictions();
   }
-
-  // Best summary per signature, replaying the serial (partition, T) visit
-  // order so ties keep the first-visited summary. Keys point into
-  // state.outputs; only the top_n survivors are moved out.
-  std::vector<RankKey> best;
-  std::unordered_map<std::string_view, size_t> best_by_signature;
-  best_by_signature.reserve(state.outputs.size());
-  for (size_t i = 0; i < state.outputs.size(); ++i) {
-    const RunState::WorkItemOutput& built = state.outputs[i];
-    if (!built.ok) continue;
-    ++result.candidates_evaluated;
-    const RankKey key = RankKey::Of(built.summary, built.signature, i);
-    auto [it, inserted] = best_by_signature.emplace(built.signature, best.size());
-    if (inserted) {
-      best.push_back(key);
-    } else {
-      ++result.candidates_deduped;
-      if (key < best[it->second]) best[it->second] = key;
-    }
+  // Phase 3's merge is the ranking: its top-N is the returned list.
+  RunState::StreamMerge& merge = state.stream_merge;
+  result.candidates_evaluated = merge.evaluated;
+  result.candidates_deduped = merge.deduped;
+  result.summaries.reserve(merge.top.size());
+  for (RunState::StreamMerge::Entry& entry : merge.top) {
+    result.summaries.push_back(std::move(entry.summary));
   }
-
-  const size_t kept = std::min(best.size(), static_cast<size_t>(state.options.top_n));
-  std::partial_sort(best.begin(), best.begin() + static_cast<std::ptrdiff_t>(kept),
-                    best.end());
-  result.summaries.reserve(kept);
-  for (size_t r = 0; r < kept; ++r) {
-    result.summaries.push_back(std::move(state.outputs[best[r].item].summary));
-  }
+  merge.top.clear();
   return Status::OK();
 }
 

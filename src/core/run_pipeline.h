@@ -26,9 +26,13 @@
 ///    the slots the context cache holds, compute the moments of every
 ///    changed leaf with an empty slot in one kLeafMoments round on the
 ///    run's shard backend, then the (partition, T) sweep, which fills each
-///    empty slot once on first demand;
-///  - **RankStream** — deterministic best-by-signature reduction, ranking,
-///    truncation, and diagnostics fold.
+///    empty slot once on first demand and merges each item's summary into
+///    the run's one ranking;
+///  - **RankStream** — hands phase 3's ranking merge (RunState::StreamMerge)
+///    over as the result: moves its top-N into the returned list and copies
+///    its candidate counts and the cache evictions. The merge is the one
+///    ranking; the stream's last update equals the returned list by
+///    construction.
 ///
 /// The *driver* (RunPipeline::Run) owns everything the stages used to
 /// re-implement per call site: admission control, pool spawn/attach, stage
@@ -42,12 +46,12 @@
 /// through RunState, in a fixed order, and every intra-stage reduction still
 /// replays input order (docs/architecture.md#determinism-contract).
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -67,6 +71,29 @@
 namespace charles {
 
 class ThreadPool;
+
+/// \brief The rank-order key of one work item's summary.
+///
+/// Score-descending with deterministic tie-breaks: fewer CTs, then
+/// self-referential transformations, then the signature, then the item index
+/// (partition index × |T-subsets| + T index). Scores are quantized to a 1e-7
+/// grid so floating-point noise cannot override the semantic tie-breaks. The
+/// item index makes the order total, so which of two same-signature
+/// summaries with equal keys survives never depends on arrival order.
+struct RankKey {
+  int64_t score = 0;
+  int num_cts = 0;
+  bool uses_old_target = false;
+  /// Interned: equal signatures share one pointer (StreamMerge::signatures).
+  const std::string* signature = nullptr;
+  size_t item = 0;
+
+  static RankKey Of(const ChangeSummary& summary, const std::string& signature,
+                    size_t item);
+
+  /// True if `*this` ranks strictly before `other`.
+  bool operator<(const RankKey& other) const;
+};
 
 /// \brief The shared blackboard one engine run's stages read and write.
 ///
@@ -170,13 +197,7 @@ struct RunState {
 
   /// \name Phase3Fits products.
   /// @{
-  struct WorkItemOutput {
-    std::string signature;
-    ChangeSummary summary;
-    bool ok = false;
-  };
-  std::vector<WorkItemOutput> outputs;  ///< one per (partition, T), item order
-  int64_t work_items = 0;               ///< |partitions| × |T-subsets|
+  int64_t work_items = 0;  ///< |partitions| × |T-subsets|
   /// The one run-level Scorer: constructed once at the top of Phase3Fits
   /// (the single y_old/y_new copy of the whole sweep) and shared by every
   /// work item — BuildSummary scores row-free against it from merged
@@ -184,16 +205,40 @@ struct RunState {
   std::unique_ptr<Scorer> scorer;
   /// @}
 
-  /// \name Streaming merge (incremental provisional top-N).
+  /// \name The ranking merge (phase 3's top-N, the run's result).
   /// @{
+  /// Every completed work item merges under `mu`, in whatever order the pool
+  /// finishes them, into a top-N bounded by top_n and deduplicated by
+  /// signature. The order (RankKey, then item index) is total and a
+  /// signature's entry is replaced only by a strictly smaller key, so the
+  /// top-N is the best-by-signature-then-sort ranking of the items merged so
+  /// far for any arrival order: eviction is permanent and the bar only
+  /// rises. Streamed updates copy `top`; RankStream moves it into the result.
   struct StreamMerge {
+    struct Entry {
+      RankKey key;
+      ChangeSummary summary;
+    };
+
+    /// Merges one work item's summary, moving it into `top` only when it
+    /// enters (so the caller frees a rejected one after releasing `mu`).
+    /// Returns true when `top` changed. Requires `mu`.
+    bool Add(ChangeSummary&& summary, std::string&& signature, size_t item,
+             int top_n);
+
     std::mutex mu;
-    /// Sorted, deduplicated by signature, at most top_n entries.
-    std::vector<std::pair<std::string, ChangeSummary>> top;
-    /// Work items finished. Atomic so streamless runs can count without the
-    /// lock; streamed runs increment under `mu` so emissions observe
-    /// strictly increasing values.
-    std::atomic<int64_t> completed{0};
+    /// Sorted by key, distinct signatures, at most top_n entries.
+    std::vector<Entry> top;
+    /// Every signature merged so far; RankKey::signature points in here.
+    std::unordered_set<std::string> signatures;
+    /// \name Counters, guarded by `mu`.
+    /// @{
+    int64_t completed = 0;      ///< work items finished
+    int64_t evaluated = 0;      ///< summaries built and merged
+    int64_t deduped = 0;        ///< merged summaries whose signature was seen
+    int64_t fits_computed = 0;  ///< (leaf, T) slots an item filled
+    int64_t fits_reused = 0;    ///< (leaf, T) slots an item found filled
+    /// @}
   };
   StreamMerge stream_merge;
   bool cancel_emitted = false;  ///< the one final cancelled update was sent
@@ -216,6 +261,9 @@ struct RunState {
   bool StopRequested() const {
     return stop != nullptr && stop->stop_requested();
   }
+  /// Emits the merge's top-N and progress on the run's stream. Requires a
+  /// stream and `stream_merge.mu`.
+  void EmitUpdate(bool cancelled) const;
   /// Emits the run's single final cancelled stream update (carrying the
   /// provisional ranking and progress known so far — empty before phase 3)
   /// and returns the Status::Cancelled every caller propagates. Idempotent

@@ -47,12 +47,9 @@ RemoteBackend::RemoteBackend(RemoteBackendOptions options,
     : options_(std::move(options)),
       max_frame_bytes_(options_.max_frame_bytes > 0 ? options_.max_frame_bytes
                                                     : kRemoteMaxFrameBytes),
-      registry_(std::move(endpoints)) {
-  registry_.StartHealthChecks(options_.health_check_interval_ms,
-                              options_.connect_timeout_ms, max_frame_bytes_);
-}
+      registry_(std::move(endpoints)) {}
 
-RemoteBackend::~RemoteBackend() { registry_.StopHealthChecks(); }
+RemoteBackend::~RemoteBackend() = default;
 
 Result<RemoteBackend::InstallBundle> RemoteBackend::EnsureInstallBundle(
     const ShardInput& input, const ShardPlan& plan) {

@@ -52,9 +52,6 @@ struct RemoteBackendOptions {
   /// Base of the exponential backoff between retries (base × 2^attempt,
   /// capped at 10×base).
   int retry_backoff_ms = 50;
-  /// Period of the background health sweep; <= 0 disables it (unhealthy
-  /// workers are then only re-probed when the fleet runs dry).
-  int health_check_interval_ms = 0;
   /// Upper bound on any received frame payload.
   int64_t max_frame_bytes = 0;  // 0 → kRemoteMaxFrameBytes
 };

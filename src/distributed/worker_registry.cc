@@ -1,6 +1,5 @@
 #include "distributed/worker_registry.h"
 
-#include <chrono>
 #include <utility>
 
 #include "distributed/remote_protocol.h"
@@ -47,7 +46,6 @@ WorkerRegistry::WorkerRegistry(std::vector<net::Endpoint> endpoints) {
 }
 
 WorkerRegistry::~WorkerRegistry() {
-  StopHealthChecks();
   for (std::unique_ptr<WorkerSession>& session : sessions_) {
     std::lock_guard<std::mutex> lock(session->mu);
     net::CloseFd(session->fd);
@@ -172,74 +170,6 @@ bool WorkerRegistry::ReProbe(int connect_timeout_ms, int64_t max_frame_bytes) {
     }
   }
   return readmitted;
-}
-
-void WorkerRegistry::StartHealthChecks(int interval_ms, int connect_timeout_ms,
-                                       int64_t max_frame_bytes) {
-  if (interval_ms <= 0 || health_thread_.joinable()) return;
-  health_stop_.store(false);
-  health_thread_ = std::thread([this, interval_ms, connect_timeout_ms,
-                                max_frame_bytes]() {
-    // Sleep in small ticks so StopHealthChecks() never waits a full interval.
-    const auto tick = std::chrono::milliseconds(20);
-    auto next_sweep = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(interval_ms);
-    while (!health_stop_.load()) {
-      if (std::chrono::steady_clock::now() < next_sweep) {
-        std::this_thread::sleep_for(tick);
-        continue;
-      }
-      next_sweep += std::chrono::milliseconds(interval_ms);
-      for (const std::unique_ptr<WorkerSession>& owned : sessions_) {
-        if (health_stop_.load()) break;
-        WorkerSession* session = owned.get();
-        bool healthy;
-        bool rejected;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          healthy = session->healthy;
-          rejected = session->version_rejected;
-        }
-        if (rejected) continue;
-        if (!healthy) {
-          ProbeOne(session, connect_timeout_ms, max_frame_bytes);
-          continue;
-        }
-        // Healthy: ping over the cached connection. try_lock — a worker
-        // busy with a task is evidently alive, and a health check must
-        // never queue behind a long shard sweep.
-        std::unique_lock<std::mutex> conn(session->mu, std::try_to_lock);
-        if (!conn.owns_lock() || session->fd < 0) continue;
-        Status ping = net::WriteFrame(
-            session->fd, static_cast<int32_t>(RemoteMessageType::kPing), "");
-        if (ping.ok()) {
-          Result<net::Frame> pong = net::ReadFrame(
-              session->fd, connect_timeout_ms, max_frame_bytes);
-          if (!pong.ok()) {
-            ping = pong.status();
-          } else if (pong->type !=
-                     static_cast<int32_t>(RemoteMessageType::kPong)) {
-            ping = Status::IOError("health check: unexpected reply to ping");
-          }
-        }
-        if (!ping.ok()) {
-          net::CloseFd(session->fd);
-          session->fd = -1;
-          session->installed_epoch = -1;
-          std::lock_guard<std::mutex> lock(mu_);
-          if (session->healthy) CountUnhealthyTransition();
-          session->healthy = false;
-          session->last_error = ping.message();
-        }
-      }
-    }
-  });
-}
-
-void WorkerRegistry::StopHealthChecks() {
-  if (!health_thread_.joinable()) return;
-  health_stop_.store(true);
-  health_thread_.join();
 }
 
 std::vector<RemoteWorkerCounters> WorkerRegistry::Snapshot() const {

@@ -12,18 +12,16 @@
 ///  - healthy → unhealthy: any transport failure (connect refusal, timeout,
 ///    torn stream) while talking to the worker. Its tasks are reassigned.
 ///  - unhealthy → healthy: a successful probe (connect + handshake + ping),
-///    run by the optional periodic health-check thread or synchronously by
-///    ReProbe() when the backend finds no healthy worker left.
+///    run synchronously by ReProbe() when the backend finds no healthy
+///    worker left.
 ///  - any → version-rejected: the handshake finds no common wire version.
 ///    Permanent for the registry's lifetime — a version-skewed worker must
 ///    never contribute bytes to a merge.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -36,8 +34,8 @@ namespace charles {
 ///
 /// Locking: `mu` serializes use of the connection (fd, wire_version,
 /// installed_epoch) — one in-flight request per worker. The health flags and
-/// counters are guarded by the registry's own mutex so Acquire() and the
-/// health checker never block behind a long-running task.
+/// counters are guarded by the registry's own mutex so Acquire() and
+/// ReProbe() never block behind a long-running task.
 struct WorkerSession {
   explicit WorkerSession(net::Endpoint ep) : endpoint(std::move(ep)) {}
 
@@ -65,7 +63,7 @@ struct WorkerSession {
 };
 
 /// \brief Registry of remote workers: round-robin selection, health
-/// bookkeeping, optional periodic health checks.
+/// bookkeeping and readmission probes.
 class WorkerRegistry {
  public:
   /// Seeds the fleet. Endpoints are assumed unique; duplicates would merely
@@ -108,14 +106,6 @@ class WorkerRegistry {
   /// all-workers-down failure.
   bool ReProbe(int connect_timeout_ms, int64_t max_frame_bytes);
 
-  /// Starts a background thread probing the fleet every `interval_ms`:
-  /// healthy workers get a ping over their cached connection (skipped while
-  /// a task is in flight), unhealthy ones get a readmission probe. No-op if
-  /// already running or `interval_ms <= 0`.
-  void StartHealthChecks(int interval_ms, int connect_timeout_ms,
-                         int64_t max_frame_bytes);
-  void StopHealthChecks();
-
   /// Point-in-time per-worker counters for diagnostics.
   std::vector<RemoteWorkerCounters> Snapshot() const;
 
@@ -129,9 +119,6 @@ class WorkerRegistry {
 
   mutable std::mutex mu_;          // guards health flags + counters + cursor
   size_t round_robin_cursor_ = 0;  // guarded by mu_
-
-  std::thread health_thread_;
-  std::atomic<bool> health_stop_{false};
 };
 
 }  // namespace charles

@@ -9,10 +9,8 @@
 ///
 ///  - ThreadPool — a fixed-size worker pool with task futures and exception
 ///    propagation (thread_pool.h).
-///  - ParallelFor / ParallelMap / ParallelMapWithState — data-parallel loops
-///    with contiguous index chunking, index-ordered results, and optional
-///    worker-local state returned at the barrier for deterministic merging
-///    (parallel_for.h).
+///  - ParallelFor / ParallelMap — data-parallel loops with contiguous index
+///    chunking and index-ordered results (parallel_for.h).
 ///  - ShardedCache — a lock-sharded concurrent map for cross-worker reuse of
 ///    deterministic computations (sharded_cache.h).
 ///

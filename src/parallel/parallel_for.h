@@ -94,48 +94,6 @@ std::vector<R> ParallelMap(ThreadPool* pool, int64_t n, Fn&& fn) {
   return results;
 }
 
-/// \brief ParallelMap with one worker-local state object per chunk.
-///
-/// `make_state()` builds a fresh State per contiguous chunk (one chunk per
-/// pool worker); `fn(state, i)` produces results[i]. After the barrier the
-/// per-chunk states are returned in chunk order so the caller can merge them
-/// deterministically (e.g. thread-local caches folded into run diagnostics).
-template <typename R, typename State, typename MakeState, typename Fn>
-std::vector<R> ParallelMapWithState(ThreadPool* pool, int64_t n,
-                                    MakeState&& make_state, Fn&& fn,
-                                    std::vector<State>* states_out) {
-  std::vector<R> results(static_cast<size_t>(std::max<int64_t>(n, 0)));
-  if (pool == nullptr || pool->size() <= 1 || n <= 1) {
-    State state = make_state();
-    for (int64_t i = 0; i < n; ++i) {
-      results[static_cast<size_t>(i)] = fn(state, i);
-    }
-    if (states_out != nullptr) states_out->push_back(std::move(state));
-    return results;
-  }
-  auto chunks =
-      parallel_internal::MakeChunks(n, static_cast<int64_t>(pool->size()));
-  std::vector<State> states;
-  states.reserve(chunks.size());
-  for (size_t c = 0; c < chunks.size(); ++c) states.push_back(make_state());
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks.size());
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    State* state = &states[c];
-    auto [begin, end] = chunks[c];
-    futures.push_back(pool->Submit([&results, &fn, state, begin = begin, end = end]() {
-      for (int64_t i = begin; i < end; ++i) {
-        results[static_cast<size_t>(i)] = fn(*state, i);
-      }
-    }));
-  }
-  parallel_internal::WaitAll(pool, &futures);
-  if (states_out != nullptr) {
-    for (State& state : states) states_out->push_back(std::move(state));
-  }
-  return results;
-}
-
 }  // namespace charles
 
 #endif  // CHARLES_PARALLEL_PARALLEL_FOR_H_

@@ -37,35 +37,37 @@ class CacheEquivalenceTest : public ::testing::Test {
     options_.target_attribute = "bonus";
     options_.key_columns = {"name"};
     options_.num_threads = 1;
+    // Larger than the run's work items, so the ranking keeps every distinct
+    // signature phase 3 builds.
+    options_.top_n = 1'000'000;
   }
 
-  /// Drives DiffAlign through Phase3Fits by hand and returns phase 3's
-  /// per-(partition, T) outputs, with the run's diagnostics in `*result`.
-  std::vector<RunState::WorkItemOutput> Phase3Outputs(const CharlesEngine& engine,
-                                                      SummaryList* result) {
+  /// Drives every stage by hand and returns the run's result: one summary
+  /// per distinct signature, best first.
+  SummaryList Run(const CharlesEngine& engine) {
     RunState state(engine, source_, target_, /*stream=*/nullptr, /*stop=*/nullptr);
     size_t count = 0;
     const RunPipeline::StageSpec* stages = RunPipeline::Stages(&count);
-    for (size_t s = 0; s + 1 < count; ++s) {
+    for (size_t s = 0; s < count; ++s) {
       Status status = stages[s].fn(state);
       EXPECT_TRUE(status.ok()) << stages[s].name << ": " << status.ToString();
     }
-    *result = state.result;
-    return std::move(state.outputs);
+    EXPECT_LE(state.work_items, options_.top_n);
+    EXPECT_EQ(static_cast<int64_t>(state.result.summaries.size()),
+              state.result.candidates_evaluated - state.result.candidates_deduped);
+    return std::move(state.result);
   }
 
-  void ExpectSameOutputs(const std::vector<RunState::WorkItemOutput>& expected,
-                         const std::vector<RunState::WorkItemOutput>& actual) {
-    ASSERT_EQ(expected.size(), actual.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(expected[i].ok, actual[i].ok) << "item " << i;
-      if (!expected[i].ok) continue;
-      EXPECT_EQ(expected[i].signature, actual[i].signature) << "item " << i;
-      const double a = expected[i].summary.scores().score;
-      const double b = actual[i].summary.scores().score;
-      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "item " << i;
-      EXPECT_EQ(expected[i].summary.ToString(), actual[i].summary.ToString())
-          << "item " << i;
+  void ExpectSameSummaries(const SummaryList& expected, const SummaryList& actual) {
+    ASSERT_EQ(expected.summaries.size(), actual.summaries.size());
+    for (size_t i = 0; i < expected.summaries.size(); ++i) {
+      const ChangeSummary& a = expected.summaries[i];
+      const ChangeSummary& b = actual.summaries[i];
+      EXPECT_EQ(a.Signature(), b.Signature()) << "rank " << i;
+      const double sa = a.scores().score;
+      const double sb = b.scores().score;
+      EXPECT_EQ(std::memcmp(&sa, &sb, sizeof(double)), 0) << "rank " << i;
+      EXPECT_EQ(a.ToString(), b.ToString()) << "rank " << i;
     }
   }
 
@@ -75,19 +77,16 @@ class CacheEquivalenceTest : public ::testing::Test {
 };
 
 TEST_F(CacheEquivalenceTest, CachedAndUncachedSummariesAgree) {
-  // Every (partition, T) summary phase 3 builds from fits the context cache
-  // served equals the one built from freshly computed fits.
-  SummaryList fresh;
-  std::vector<RunState::WorkItemOutput> uncached =
-      Phase3Outputs(CharlesEngine(options_), &fresh);
-  ASSERT_FALSE(uncached.empty());
+  // Every distinct summary phase 3 builds from fits the context cache served
+  // equals the one built from freshly computed fits.
+  SummaryList fresh = Run(CharlesEngine(options_));
+  ASSERT_FALSE(fresh.summaries.empty());
 
   EngineContextOptions context_options;
   context_options.num_threads = 1;
   EngineContext context(context_options);
   CharlesEngine engine(options_, &context);
-  SummaryList cold;
-  std::vector<RunState::WorkItemOutput> computed = Phase3Outputs(engine, &cold);
+  SummaryList cold = Run(engine);
   const size_t cache_size = context.leaf_cache_entries();
   // The cold run fits each (leaf, T) slot once and publishes every fit.
   EXPECT_EQ(cold.leaf_fits_computed, fresh.leaf_fits_computed);
@@ -95,14 +94,13 @@ TEST_F(CacheEquivalenceTest, CachedAndUncachedSummariesAgree) {
 
   // The second run must be served entirely by the cache (same fits, same
   // result).
-  SummaryList warm;
-  std::vector<RunState::WorkItemOutput> cached = Phase3Outputs(engine, &warm);
+  SummaryList warm = Run(engine);
   EXPECT_EQ(warm.leaf_fits_computed, 0);
   EXPECT_EQ(warm.leaf_fits_reused, cold.leaf_fits_computed + cold.leaf_fits_reused);
   EXPECT_EQ(context.leaf_cache_entries(), cache_size);
 
-  ExpectSameOutputs(uncached, computed);
-  ExpectSameOutputs(uncached, cached);
+  ExpectSameSummaries(fresh, cold);
+  ExpectSameSummaries(fresh, warm);
 }
 
 TEST(ReadabilityBudgetTest, HugeSummariesLoseInterpretability) {

@@ -81,7 +81,7 @@ TEST(RunPipelineTest, StagesComposeToTheOneCallEngine) {
   ASSERT_TRUE(RunPipeline::Phase3Fits(state).ok());
   EXPECT_EQ(state.work_items,
             static_cast<int64_t>(state.partitions.size() * state.t_subsets.size()));
-  EXPECT_EQ(static_cast<int64_t>(state.outputs.size()), state.work_items);
+  EXPECT_EQ(state.stream_merge.completed, state.work_items);
   EXPECT_GT(state.result.leaf_fits_computed, 0);
 
   ASSERT_TRUE(RunPipeline::RankStream(state).ok());

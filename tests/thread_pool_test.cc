@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -117,37 +116,6 @@ TEST(ParallelMapTest, ParallelMatchesSerial) {
   ThreadPool pool(4);
   std::vector<std::string> parallel = ParallelMap<std::string>(&pool, 123, fn);
   EXPECT_EQ(serial, parallel);
-}
-
-TEST(ParallelMapWithStateTest, StatesCoverAllWorkAndMergeAtBarrier) {
-  ThreadPool pool(4);
-  std::vector<std::vector<int64_t>> states;
-  std::vector<int64_t> results = ParallelMapWithState<int64_t, std::vector<int64_t>>(
-      &pool, 100, []() { return std::vector<int64_t>(); },
-      [](std::vector<int64_t>& state, int64_t i) {
-        state.push_back(i);
-        return i;
-      },
-      &states);
-  for (int64_t i = 0; i < 100; ++i) EXPECT_EQ(results[static_cast<size_t>(i)], i);
-  // Chunk states partition [0, 100) contiguously, in chunk order.
-  std::vector<int64_t> seen;
-  for (const auto& state : states) {
-    for (int64_t i : state) seen.push_back(i);
-  }
-  std::vector<int64_t> expected(100);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(seen, expected);
-  EXPECT_EQ(states.size(), 4u);
-}
-
-TEST(ParallelMapWithStateTest, SerialPathUsesOneState) {
-  std::vector<int> states;
-  ParallelMapWithState<int, int>(
-      nullptr, 10, []() { return 0; },
-      [](int& state, int64_t i) { return state += static_cast<int>(i); }, &states);
-  ASSERT_EQ(states.size(), 1u);
-  EXPECT_EQ(states[0], 45);
 }
 
 TEST(ShardedCacheTest, InsertAndFind) {
