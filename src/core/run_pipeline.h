@@ -209,8 +209,8 @@ struct RunState {
   /// @{
   /// Every completed work item merges under `mu`, in whatever order the pool
   /// finishes them, into a top-N bounded by top_n and deduplicated by
-  /// signature. The order (RankKey, then item index) is total and a
-  /// signature's entry is replaced only by a strictly smaller key, so the
+  /// signature. RankKey's order ends in the item index, so it is total, and
+  /// a signature's entry is replaced only by a strictly smaller key, so the
   /// top-N is the best-by-signature-then-sort ranking of the items merged so
   /// far for any arrival order: eviction is permanent and the bar only
   /// rises. Streamed updates copy `top`; RankStream moves it into the result.
@@ -236,8 +236,8 @@ struct RunState {
     int64_t completed = 0;      ///< work items finished
     int64_t evaluated = 0;      ///< summaries built and merged
     int64_t deduped = 0;        ///< merged summaries whose signature was seen
-    int64_t fits_computed = 0;  ///< (leaf, T) slots an item filled
-    int64_t fits_reused = 0;    ///< (leaf, T) slots an item found filled
+    int64_t fits_computed = 0;  ///< leaf visits that filled their slot
+    int64_t fits_reused = 0;    ///< leaf visits that found it filled
     /// @}
   };
   StreamMerge stream_merge;

@@ -49,8 +49,6 @@ RemoteBackend::RemoteBackend(RemoteBackendOptions options,
                                                     : kRemoteMaxFrameBytes),
       registry_(std::move(endpoints)) {}
 
-RemoteBackend::~RemoteBackend() = default;
-
 Result<RemoteBackend::InstallBundle> RemoteBackend::EnsureInstallBundle(
     const ShardInput& input, const ShardPlan& plan) {
   std::lock_guard<std::mutex> lock(input_mu_);

@@ -85,8 +85,6 @@ class RemoteBackend : public ShardBackend {
   static Result<std::unique_ptr<RemoteBackend>> Create(
       RemoteBackendOptions options);
 
-  ~RemoteBackend() override;
-
   std::string name() const override { return "remote"; }
 
   Result<ShardTaskResult> ExecuteTask(const ShardInput& input,
