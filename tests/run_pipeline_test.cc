@@ -3,10 +3,15 @@
 /// Covers the stage table, stage-by-stage composition on a shared RunState
 /// (each stage's products checked before the next runs), and parity of the
 /// staged pipeline against the pre-refactor golden summaries on the
-/// employee and billionaires workloads.
+/// employee and billionaires workloads; also that phase 3's ranking merge
+/// yields the same top-N for every arrival order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
+#include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -97,6 +102,84 @@ TEST(RunPipelineTest, StagesComposeToTheOneCallEngine) {
   }
   EXPECT_EQ(full.candidates_evaluated, state.result.candidates_evaluated);
   EXPECT_EQ(full.candidates_deduped, state.result.candidates_deduped);
+}
+
+TEST(RunPipelineTest, RankingMergeIsIndependentOfArrivalOrder) {
+  // Few signatures, scores, CT counts and self-reference flags, so many
+  // items tie on everything but their index.
+  struct Item {
+    std::string signature;
+    double score;
+    int num_cts;
+    bool uses_old_target;
+  };
+  std::mt19937 rng(24);
+  std::vector<Item> items;
+  for (int i = 0; i < 60; ++i) {
+    items.push_back(Item{"sig" + std::to_string(rng() % 8), 0.25 * (1 + rng() % 3),
+                         1 + static_cast<int>(rng() % 2), rng() % 2 == 0});
+  }
+  // A summary carrying the item's rank inputs, tagged with its index in
+  // `accuracy`.
+  auto summary_of = [&](size_t index) {
+    const Item& item = items[index];
+    std::vector<ConditionalTransform> cts(static_cast<size_t>(item.num_cts));
+    ChangeSummary summary(std::move(cts), "y");
+    summary.set_attributes({}, item.uses_old_target
+                                   ? std::vector<std::string>{"y"}
+                                   : std::vector<std::string>{"x"});
+    ScoreBreakdown scores;
+    scores.score = item.score;
+    scores.accuracy = static_cast<double>(index);
+    summary.set_scores(scores);
+    return summary;
+  };
+
+  // The oracle: sort every item by the documented order, keep the first
+  // per signature, truncate.
+  std::vector<size_t> sorted(items.size());
+  std::iota(sorted.begin(), sorted.end(), 0);
+  std::sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
+    const Item& x = items[a];
+    const Item& y = items[b];
+    if (x.score != y.score) return x.score > y.score;
+    if (x.num_cts != y.num_cts) return x.num_cts < y.num_cts;
+    if (x.uses_old_target != y.uses_old_target) return x.uses_old_target;
+    if (x.signature != y.signature) return x.signature < y.signature;
+    return a < b;
+  });
+  std::vector<size_t> best;
+  std::vector<std::string> seen;
+  for (size_t index : sorted) {
+    if (std::find(seen.begin(), seen.end(), items[index].signature) != seen.end()) {
+      continue;
+    }
+    seen.push_back(items[index].signature);
+    best.push_back(index);
+  }
+
+  for (int top_n : {1, 3, 100}) {
+    const std::vector<size_t> expected(
+        best.begin(), best.begin() + std::min<size_t>(best.size(), top_n));
+    std::vector<size_t> order(items.size());
+    std::iota(order.begin(), order.end(), 0);
+    for (int trial = 0; trial < 20; ++trial) {
+      std::shuffle(order.begin(), order.end(), rng);
+      RunState::StreamMerge merge;
+      std::lock_guard<std::mutex> lock(merge.mu);
+      for (size_t index : order) {
+        merge.Add(summary_of(index), std::string(items[index].signature), index,
+                  top_n);
+      }
+      std::vector<size_t> ranked;
+      for (const RunState::StreamMerge::Entry& entry : merge.top) {
+        ranked.push_back(static_cast<size_t>(entry.summary.scores().accuracy));
+      }
+      EXPECT_EQ(ranked, expected) << "top_n " << top_n << ", trial " << trial;
+      EXPECT_EQ(merge.evaluated, static_cast<int64_t>(items.size()));
+      EXPECT_EQ(merge.deduped, static_cast<int64_t>(items.size() - best.size()));
+    }
+  }
 }
 
 /// The pre-refactor goldens: search-trajectory counts and the top-ranked
